@@ -34,13 +34,10 @@ from .spectral import (
 )
 from .process import (
     ColorCount,
-    DrawIndicator,
     ReplicaBatch,
     Trajectory,
-    linear_statistic,
     simulate,
     simulate_replicas,
-    step,
 )
 from .decomposition import (
     JordanExpansion,
@@ -55,15 +52,12 @@ from .decomposition import (
     growth_product,
     increment_conditional_means,
     jordan_decompose,
-    jordan_weight,
     jordan_weight_bound,
     jordan_weight_constant,
     jordan_weights,
     martingale_decompose,
     repeated_zero_decompose,
-    tail_product,
     tail_products,
-    zeroth_term,
 )
 from .bounds import (
     BoundReport,
@@ -82,10 +76,8 @@ from .verification import (
     EstimateReport,
     ExactDistribution,
     dominance_check,
-    estimate_probability,
     exact_distribution,
     exact_tail,
-    final_statistics,
     tail_estimates,
     wilson_upper,
 )

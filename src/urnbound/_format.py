@@ -58,6 +58,13 @@ def render_json(obj, indent: int = 0) -> str:
     raise TypeError(f"unsupported type for JSON output: {type(obj)!r}")
 
 
+def columns(header: list[str], *cols) -> tuple[list[str], list[tuple]]:
+    """(header, rows) from equal-length columns; arrays become plain
+    Python scalars, which fmt() renders exactly as their numpy forms."""
+    return header, list(zip(*(c.tolist() if isinstance(c, np.ndarray) else c
+                              for c in cols)))
+
+
 def write_json(path, obj) -> None:
     with open(path, "w", newline="") as fh:
         fh.write(render_json(obj))
@@ -65,9 +72,11 @@ def write_json(path, obj) -> None:
 
 
 def write_csv(path, header: list[str], rows) -> None:
-    """Write rows of scalars as CSV with '\\n' line endings."""
+    """Write rows of scalars as CSV with '\\n' line endings; None is an
+    empty cell."""
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(cell if isinstance(cell, str) else fmt(cell)
-                              for cell in row) + "\n")
+            fh.write(",".join(
+                cell if isinstance(cell, str) else "" if cell is None
+                else fmt(cell) for cell in row) + "\n")

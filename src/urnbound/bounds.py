@@ -5,7 +5,7 @@ value: chi.xi is one component of xi and C_j.xi/(j+1) is a convex
 combination of them, so the raw increment lies within spread(xi) =
 max(xi) - min(xi), and the weighted increment within
 
-    c_j = |lam| * spread(xi) * tail_product(lam, j, n-1).
+    c_j = |lam| * spread(xi) * tail_products(lam, n-1)[j].
 
 The bounded-difference inequality then gives, for the centered statistic
 after n draws and deviation s,
@@ -32,12 +32,11 @@ from .decomposition import (
     dn_asymptotic,
     growth_product,
     jordan_weights,
-    tail_product,
     tail_products,
-    _check_lambda,
 )
 from .errors import IndexOrder, LambdaOutOfRange, NotEigenpair
 from .spectral import (
+    Member,
     ReplacementMatrix,
     SpectralDecomposition,
     decompose,
@@ -45,7 +44,6 @@ from .spectral import (
 )
 
 MEMBER_RESID_TOL = 1e-8
-ZERO_LAMBDA_TOL = 1e-12
 
 
 def spread(xi) -> float:
@@ -58,7 +56,7 @@ def increment_bound(xi, lam: float, j: int, n: int) -> float:
     """Symmetric bound c_j on the weighted increment at step j of n + 1."""
     if not 0 <= j <= n:
         raise IndexOrder(f"need 0 <= j <= n, got j={j}, n={n}")
-    return abs(lam) * spread(xi) * tail_product(lam, j, n)
+    return abs(lam) * spread(xi) * tail_products(lam, n)[j]
 
 
 def azuma_tail(s: float, c) -> float:
@@ -90,16 +88,9 @@ def rate_function(lam: float, n: int) -> tuple[str, float]:
     Linear below lam = 1/2, n / log n at the critical value, and
     n^(2 - 2 lam) above it.
     """
-    lam = _check_lambda(lam)
-    if n < 1:
-        raise IndexOrder(f"n={n} must be at least 1")
-    if abs(lam - 0.5) <= 1e-12:
-        label = "n/log n"
-    elif lam < 0.5:
-        label = "linear"
-    else:
-        label = f"n^{2.0 - 2.0 * lam:g}"
-    _, envelope = dn_asymptotic(lam, n)
+    regime, envelope = dn_asymptotic(lam, n)  # checks lam and n
+    label = {"c": "n/log n",
+             "d": f"n^{2.0 - 2.0 * lam:g}"}.get(regime, "linear")
     return label, (n + 1.0) ** 2 / envelope
 
 
@@ -139,47 +130,34 @@ class BoundReport:
 
 
 class _Member:
-    """One term alpha * C.v of a statistic, classified by eigen type."""
+    """One term alpha * C.v of a statistic, bounded according to the kind
+    of v that its spectral Member records."""
 
-    def __init__(self, S: SpectralDecomposition, alpha: float, vector, lam: float):
-        m = S.matrix.matrix
-        v = np.asarray(vector, dtype=float)
-        lam = float(lam)
-        if not -1.0 < lam < 1.0:
-            raise LambdaOutOfRange(f"member eigenvalue {lam} outside (-1, 1)")
+    def __init__(self, S: SpectralDecomposition, alpha: float, member: Member):
         self.alpha = float(alpha)
-        self.vector = v
-        self.lam = lam
-        r = m @ v - lam * v
-        if np.max(np.abs(r)) <= MEMBER_RESID_TOL:
-            self.kind = "eigen"
-            self.xi2 = None
-        elif np.max(np.abs(m @ r - lam * r)) <= MEMBER_RESID_TOL:
-            self.kind = "jordan"
-            self.xi2 = r
-        else:
-            raise NotEigenpair(
-                f"vector is neither an eigenvector nor a chain member for "
-                f"lam={lam}")
-        self.frozen = self.kind == "eigen" and abs(lam) <= ZERO_LAMBDA_TOL
+        self.member = member
+        self.vector, self.lam = member.vector, member.value
+        # a chain member is bounded through its image (R - lam I) v, which
+        # equals the partner xi2 to within the spectral residual tolerance
+        self.xi2 = (None if member.partner is None
+                    else S.matrix.matrix @ self.vector - self.lam * self.vector)
+        self.frozen = member.partner is None and member.zero
 
     def describe(self) -> str:
         if self.frozen:
             return f"{self.alpha:g}*[constant, lam=0]"
-        return f"{self.alpha:g}*[{self.kind}, lam={self.lam:g}]"
+        return f"{self.alpha:g}*[{self.member.kind}, lam={self.lam:g}]"
 
     def increment_bounds(self, n_draws: int) -> np.ndarray:
         """|alpha| * c_j for j = 0 .. n_draws - 1."""
         if self.frozen:
             return np.zeros(n_draws)
         tails = tail_products(self.lam, n_draws - 1)
-        if self.kind == "eigen":
-            if abs(self.lam) <= ZERO_LAMBDA_TOL:
-                return np.zeros(n_draws)
+        if self.xi2 is None:
             return abs(self.alpha) * abs(self.lam) * spread(self.vector) * tails
-        mixed = self.xi2 + self.lam * self.vector
-        if abs(self.lam) <= ZERO_LAMBDA_TOL:
+        if self.member.zero:
             return abs(self.alpha) * spread(self.xi2) * np.ones(n_draws)
+        mixed = self.xi2 + self.lam * self.vector
         nested = jordan_weights(self.lam, n_draws - 1)
         return abs(self.alpha) * (spread(mixed) * tails
                                   + abs(self.lam) * spread(self.xi2) * nested)
@@ -187,12 +165,12 @@ class _Member:
     def center(self, n_draws: int, initial: np.ndarray) -> float:
         """alpha times the deterministic part of C_n.v."""
         c0v = float(initial @ self.vector)
-        if self.kind == "eigen":
-            if abs(self.lam) <= ZERO_LAMBDA_TOL:
-                return self.alpha * c0v
+        if self.frozen:
+            return self.alpha * c0v
+        if self.xi2 is None:
             return self.alpha * growth_product(self.lam, n_draws) * c0v
         c0x2 = float(initial @ self.xi2)
-        if abs(self.lam) <= ZERO_LAMBDA_TOL:
+        if self.member.zero:
             harmonic = float(np.sum(1.0 / np.arange(1.0, n_draws + 1.0)))
             return self.alpha * (c0v + harmonic * c0x2)
         z = appendix_zeroth(self.lam, n_draws - 1) if n_draws else 0.0
@@ -200,7 +178,24 @@ class _Member:
                              + z * c0x2)
 
 
-def _combined_report(S, members, n, t, s, label, initial) -> BoundReport:
+def _checked_member(S: SpectralDecomposition, vector, lam: float) -> Member:
+    """Classify a caller's (vector, lam) as an eigenvector or the
+    generalized member of a chain; raise NotEigenpair if it is neither."""
+    m = S.matrix.matrix
+    v = np.asarray(vector, dtype=float)
+    lam = float(lam)
+    if not -1.0 < lam < 1.0:
+        raise LambdaOutOfRange(f"member eigenvalue {lam} outside (-1, 1)")
+    r = m @ v - lam * v
+    if np.max(np.abs(r)) <= MEMBER_RESID_TOL:
+        return Member(lam, v)
+    if np.max(np.abs(m @ r - lam * r)) <= MEMBER_RESID_TOL:
+        return Member(lam, v, r)
+    raise NotEigenpair(
+        f"vector is neither an eigenvector nor a chain member for lam={lam}")
+
+
+def _combined_report(members, n, t, s, label, initial) -> BoundReport:
     if n < 1:
         raise IndexOrder(f"horizon n={n} must be at least 1")
     if t < 0:
@@ -229,14 +224,17 @@ def statistic_bound(S: SpectralDecomposition, combo, n: int, t: float,
                     initial=None) -> BoundReport:
     """Bound for the centered eigen-combination after n draws.
 
-    combo is a list of (alpha, vector, lam); each vector must be an
+    combo is a list of (alpha, member) pairs as given by S.terms(), or
+    of (alpha, vector, lam) triples; the vector of a triple must be an
     eigenvector or the generalized member of a chain for its lam.  The
     bounded event is sum_i alpha_i (C_n.v_i - A_i) > n*t.  Pass the
     initial state to have the report carry the total center shift.
     """
-    members = [_Member(S, a, v, lam) for a, v, lam in combo]
+    members = [_Member(S, entry[0], entry[1]) if len(entry) == 2
+               else _Member(S, entry[0], _checked_member(S, *entry[1:]))
+               for entry in combo]
     label = " + ".join(mem.describe() for mem in members)
-    return _combined_report(S, members, n, t, float(n) * t, label, initial)
+    return _combined_report(members, n, t, float(n) * t, label, initial)
 
 
 def color_deviation_bound(R, color: int, n: int, t: float,
@@ -252,24 +250,10 @@ def color_deviation_bound(R, color: int, n: int, t: float,
         R if isinstance(R, ReplacementMatrix) else ReplacementMatrix(np.asarray(R, float)))
     alphas = (S.alphas[color] if S.alphas is not None
               else indicator_coefficients(S, color))
-    members = []
-    k = 1
-    for st in S.structures:
-        if st.jordan:
-            xi2, xi3 = st.vectors
-            if abs(alphas[k]) > 0:
-                members.append(_Member(S, alphas[k], xi2, st.value))
-            if abs(alphas[k + 1]) > 0:
-                members.append(_Member(S, alphas[k + 1], xi3, st.value))
-            k += 2
-        else:
-            for v in st.vectors:
-                if abs(alphas[k]) > 0:
-                    members.append(_Member(S, alphas[k], v, st.value))
-                k += 1
+    members = [_Member(S, a, m) for a, m in S.terms(alphas)]
     label = (f"color {color} deviation per unit mass; members: "
              + " + ".join(mem.describe() for mem in members))
-    return _combined_report(S, members, n, t, (n + 1.0) * t, label, initial)
+    return _combined_report(members, n, t, (n + 1.0) * t, label, initial)
 
 
 def color_threshold_factor(S: SpectralDecomposition, color: int) -> float:

@@ -16,12 +16,16 @@ Config files are flat key = value text; lines without '=' are matrix rows
 (comma-separated).  A file whose first non-space character is '{' is
 parsed as JSON with the same keys.  Keys: initial, horizon, horizons,
 thresholds, replicas, seed, statistic (eigen:K | color:K | vector:...),
-mode (auto | exact | mc).
+mode (auto | exact | mc).  Both formats go through one typed check: a
+value of the wrong type or range, an unknown key, a key given twice or
+--threads below 1 is a configuration error (exit 1).
 """
 from __future__ import annotations
 
 import argparse
 import hashlib
+import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -32,16 +36,13 @@ import scipy
 from . import __version__
 from ._format import write_csv, write_json
 from .bounds import BoundReport, color_deviation_bound, statistic_bound
-from .decomposition import (
-    jordan_decompose,
-    martingale_decompose,
-    repeated_zero_decompose,
-)
+from .decomposition import expand
 from .errors import ComplexSpectrum, NotIrreducible, UrnboundError
-from .process import simulate
-from .spectral import ReplacementMatrix, decompose, validate_matrix
+from .process import initial_counts, simulate
+from .spectral import decompose, validate_matrix
 from .verification import (
     PATH_BUDGET,
+    DominanceTable,
     dominance_check,
     exact_distribution,
     exact_tail,
@@ -70,56 +71,97 @@ def _floats(text: str) -> list[float]:
     return [float(x) for x in text.replace(",", " ").split()]
 
 
+def _number(x) -> bool:
+    """A finite int or float (JSON true/false and NaN do not count)."""
+    return (isinstance(x, (int, float)) and not isinstance(x, bool)
+            and math.isfinite(x))
+
+
+# key -> (list-valued, element type, lowest element or allowed values)
+_SCHEMA = {
+    "initial": (True, float, None),
+    "thresholds": (True, float, 0),
+    "horizons": (True, int, 1),
+    "horizon": (False, int, 1),
+    "replicas": (False, int, 1),
+    "seed": (False, int, 0),
+    "statistic": (False, str, None),
+    "mode": (False, str, ("auto", "exact", "mc")),
+}
+
+
+def _from_text(key: str, text: str):
+    """Typed value of a flat `key = text` line (unknown keys stay text)."""
+    many, kind, _ = _SCHEMA.get(key, (False, str, None))
+    if kind is str:
+        return text
+    if many:
+        return [kind(x) for x in text.replace(",", " ").split()]
+    return kind(text)
+
+
+def _checked(key: str, value):
+    """The value of one config key after its type and range check."""
+    if key not in _SCHEMA:
+        raise ConfigError(f"unknown config key: {key}")
+    many, kind, limit = _SCHEMA[key]
+    if many != isinstance(value, list):
+        raise ConfigError(
+            f"{key} must be {'a list' if many else 'a single value'}, "
+            f"got {value!r}")
+    for x in value if many else [value]:
+        if not (isinstance(x, str) if kind is str
+                else _number(x) and (kind is float or isinstance(x, int))):
+            raise ConfigError(f"{key} must hold {kind.__name__} values, "
+                              f"got {x!r}")
+        if kind is str and limit is not None and x not in limit:
+            raise ConfigError(
+                f"{key} must be one of {', '.join(limit)}, got {x!r}")
+        if kind is not str and limit is not None and x < limit:
+            raise ConfigError(f"{key} must be at least {limit}, got {x!r}")
+    return [float(x) for x in value] if kind is float else value
+
+
+def _unique(pairs) -> dict:
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ConfigError(f"config key given twice: {key}")
+        out[key] = value
+    return out
+
+
 def parse_config(text: str) -> ExperimentConfig:
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        import json
+    """Parse a JSON or flat config; both formats share one check per key."""
+    if text.lstrip().startswith("{"):
         try:
-            data = json.loads(text)
+            data = json.loads(text, object_pairs_hook=_unique)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"invalid JSON config: {exc}") from exc
         rows = data.pop("matrix", None)
-        cfg = ExperimentConfig(matrix=rows)
-        for key, value in data.items():
-            if not hasattr(cfg, key):
-                raise ConfigError(f"unknown config key: {key}")
-            setattr(cfg, key, value)
-        if cfg.matrix is None:
-            raise ConfigError("config is missing the matrix")
-        return cfg
-
-    rows: list[list[float]] = []
-    values: dict = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line or line == "matrix:":
-            continue
-        if "=" in line:
-            key, _, val = line.partition("=")
-            key, val = key.strip(), val.strip()
+        if rows is not None and not (isinstance(rows, list) and all(
+                isinstance(r, list) and all(map(_number, r)) for r in rows)):
+            raise ConfigError("matrix must be a list of rows of numbers")
+    else:
+        rows, pairs = [], []
+        for lineno, raw in enumerate(text.splitlines(), start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line or line == "matrix:":
+                continue
+            key, eq, val = line.partition("=")
             try:
-                if key == "initial":
-                    values[key] = _floats(val)
-                elif key == "thresholds":
-                    values[key] = _floats(val)
-                elif key == "horizons":
-                    values[key] = [int(x) for x in val.replace(",", " ").split()]
-                elif key in ("horizon", "replicas", "seed"):
-                    values[key] = int(val)
-                elif key in ("statistic", "mode"):
-                    values[key] = val
+                if eq:
+                    pairs.append((key.strip(), _from_text(key.strip(),
+                                                          val.strip())))
                 else:
-                    raise ConfigError(f"unknown config key: {key}")
+                    rows.append(_floats(line))
             except ValueError as exc:
                 raise ConfigError(f"line {lineno}: {exc}") from exc
-        else:
-            try:
-                rows.append(_floats(line))
-            except ValueError as exc:
-                raise ConfigError(f"line {lineno}: bad matrix row: {exc}") from exc
+        data = _unique(pairs)
     if not rows:
         raise ConfigError("config is missing the matrix")
-    return ExperimentConfig(matrix=rows, **values)
+    return ExperimentConfig(matrix=rows, **{k: _checked(k, v)
+                                            for k, v in data.items()})
 
 
 def load_config(path: str) -> tuple[ExperimentConfig, str]:
@@ -139,8 +181,8 @@ class Statistic:
     index: int | None
     vector: np.ndarray   # projection vector for simulation / truth
     label: str
-    structure: object | None = None
-    coefficients: np.ndarray | None = None  # basis expansion (vector kind)
+    terms: list | None = None  # (alpha, Member) pairs to bound (eigen, vector)
+    constant: float = 0.0      # coefficient of the all-ones vector
 
 
 def resolve_statistic(spec: str, S) -> Statistic:
@@ -152,9 +194,11 @@ def resolve_statistic(spec: str, S) -> Statistic:
             raise ConfigError(
                 f"eigen:{idx} out of range ({len(S.structures)} structures)")
         st = S.structures[idx]
-        vec = st.vectors[-1]  # generalized member for a chain, else the eigenvector
-        return Statistic("eigen", idx, vec,
-                         f"eigen:{idx} (lam={st.value:g})", structure=st)
+        # the generalized member for a chain, else the last eigenvector
+        member = st.members[-1]
+        return Statistic("eigen", idx, member.vector,
+                         f"eigen:{idx} (lam={st.value:g})",
+                         terms=[(1.0, member)])
     if kind == "color":
         idx = int(arg or "0")
         d = S.matrix.dim
@@ -174,87 +218,59 @@ def resolve_statistic(spec: str, S) -> Statistic:
                 f"{S.matrix.dim} colors")
         coeff = np.linalg.solve(S.basis, vec)
         return Statistic("vector", None, vec, f"vector:{arg}",
-                         coefficients=coeff)
+                         terms=S.terms(coeff), constant=float(coeff[0]))
     raise ConfigError(f"unknown statistic selector: {spec!r}")
 
 
-def _eigen_combo(stat: Statistic, S) -> list[tuple[float, np.ndarray, float]]:
-    """Members (alpha, vector, lam) of the centered martingale part."""
-    if stat.kind == "eigen":
-        st = stat.structure
-        return [(1.0, stat.vector, st.value)]
-    if stat.kind == "vector":
-        combo = []
-        k = 1
-        for st in S.structures:
-            for v in st.vectors:
-                a = float(stat.coefficients[k])
-                if abs(a) > 0:
-                    combo.append((a, v, st.value))
-                k += 1
-        return combo
-    raise ConfigError(f"no eigen combination for statistic {stat.label}")
-
-
 def _bound_reports(cfg, S, stat, n, initial) -> list[BoundReport]:
-    if not cfg.thresholds:
-        raise ConfigError("thresholds must be a nonempty list")
-    if any(t < 0 for t in cfg.thresholds):
-        raise ConfigError("thresholds must be nonnegative")
+    thresholds = _need(cfg, "thresholds")
     if stat.kind == "color":
         return [color_deviation_bound(S, stat.index, n, t, initial=initial)
-                for t in cfg.thresholds]
-    combo = _eigen_combo(stat, S)
-    return [statistic_bound(S, combo, n, t, initial=initial)
-            for t in cfg.thresholds]
+                for t in thresholds]
+    return [statistic_bound(S, stat.terms, n, t, initial=initial)
+            for t in thresholds]
 
 
-def _raw_threshold(cfg, S, stat, report: BoundReport, n: int) -> float:
+def _raw_threshold(S, stat, report: BoundReport, n: int) -> float:
     """Translate the centered event back to a threshold on C_n . vector."""
     if stat.kind == "color":
         return (S.pi[stat.index] * (n + 1.0) + report.zeroth_shift
                 + report.t * (n + 1.0))
-    base = 0.0
-    if stat.kind == "vector":
-        base = float(stat.coefficients[0]) * (n + 1.0)
-    return base + report.zeroth_shift + report.t * n
+    return stat.constant * (n + 1.0) + report.zeroth_shift + report.t * n
 
 
-def _initial(cfg, d: int) -> np.ndarray:
+def _initial(cfg, R) -> np.ndarray:
+    """The configured initial state, by default one unit of color 0."""
     if cfg.initial is None:
-        c0 = np.zeros(d)
-        c0[0] = 1.0
-        return c0
-    c0 = np.array(cfg.initial, dtype=float)
-    if c0.size != d:
-        raise ConfigError(f"initial has {c0.size} entries for {d} colors")
-    if abs(c0.sum() - 1.0) > 1e-9:
-        raise ConfigError(f"initial mass {c0.sum()!r} must be 1")
-    if c0.min() < 0:
-        raise ConfigError("initial counts must be nonnegative")
-    return c0
+        return np.eye(R.dim)[0]
+    return initial_counts(cfg.initial, R)
 
 
-def _need_horizon(cfg) -> int:
-    if cfg.horizon is None:
-        raise ConfigError("this command needs `horizon`")
-    if cfg.horizon < 1:
-        raise ConfigError("horizon must be at least 1")
-    return cfg.horizon
+def _need(cfg, key: str):
+    """A config value the command cannot run without (not absent or empty)."""
+    value = getattr(cfg, key)
+    if not value:
+        raise ConfigError(f"this command needs a nonempty `{key}`")
+    return value
 
 
-def _table_rows(header, rows):
-    return [dict(zip(header, row)) for row in rows]
-
-
-def _write_table(path_base, out_dir, fmt, header, rows):
+def _write_table(out_dir, name, fmt, table) -> None:
+    """Write a (header, rows) table as NAME.csv or as NAME.json, a list of
+    one object per row; None is an empty cell or null."""
+    header, rows = table
+    path = os.path.join(out_dir, f"{name}.{fmt}")
     if fmt == "json":
-        path = os.path.join(out_dir, f"{path_base}.json")
-        write_json(path, _table_rows(header, rows))
+        write_json(path, [dict(zip(header, row)) for row in rows])
     else:
-        path = os.path.join(out_dir, f"{path_base}.csv")
         write_csv(path, header, rows)
-    return path
+
+
+def _write_bounds(out_dir, stat, reports) -> None:
+    write_json(os.path.join(out_dir, "bounds.json"), {
+        "statistic": stat.label,
+        "reports": [r.to_json_dict() for r in reports],
+        "zeroth_shifts": [r.zeroth_shift for r in reports],
+    })
 
 
 # -- commands ------------------------------------------------------------------
@@ -282,82 +298,34 @@ def cmd_spectrum(cfg, S, args, out_dir) -> int:
 
 
 def cmd_simulate(cfg, S, args, out_dir) -> int:
-    n = _need_horizon(cfg)
-    c0 = _initial(cfg, S.matrix.dim)
+    n = _need(cfg, "horizon")
+    c0 = _initial(cfg, S.matrix)
     traj = simulate(c0, S.matrix, n, cfg.seed)
-    if args.format == "json":
-        hist = traj.counts_matrix()
-        rows = []
-        for j in range(n + 1):
-            row = {"time": j, "draw": None if j == 0 else int(traj.draws[j - 1])}
-            for i in range(S.matrix.dim):
-                row[f"count_{i}"] = hist[j, i]
-            rows.append(row)
-        write_json(os.path.join(out_dir, "trajectory.json"), rows)
-    else:
-        traj.to_csv(os.path.join(out_dir, "trajectory.csv"))
+    _write_table(out_dir, "trajectory", args.format, traj.table)
     return 0
 
 
 def cmd_decompose(cfg, S, args, out_dir) -> int:
-    n = _need_horizon(cfg)
-    c0 = _initial(cfg, S.matrix.dim)
+    n = _need(cfg, "horizon")
+    c0 = _initial(cfg, S.matrix)
     stat = resolve_statistic(cfg.statistic, S)
     if stat.kind != "eigen":
         raise ConfigError("decompose needs an eigen:K statistic")
-    st = stat.structure
-    traj = simulate(c0, S.matrix, n, cfg.seed)
-    if st.jordan:
-        xi2, xi3 = st.vectors
-        if abs(st.value) <= 1e-12:
-            exp = repeated_zero_decompose(traj, xi2, xi3)
-        else:
-            exp = jordan_decompose(traj, xi2, xi3, st.value)
-        summary = {
-            "eigenvalue": exp.eigenvalue,
-            "zeroth_xi3": exp.zeroth_xi3,
-            "zeroth_xi2": exp.zeroth_xi2,
-            "reconstructed": exp.reconstructed,
-            "actual": exp.actual,
-            "residual": exp.residual,
-        }
-        header = ["j", "direct_weight", "direct_increment",
-                  "nested_weight", "nested_increment", "partial_sum"]
-        partial = (exp.zeroth_xi3 + exp.zeroth_xi2
-                   + np.cumsum(exp.direct_weights * exp.direct_increments
-                               + exp.nested_weights * exp.nested_increments))
-        rows = [[j, exp.direct_weights[j], exp.direct_increments[j],
-                 exp.nested_weights[j], exp.nested_increments[j], partial[j]]
-                for j in range(n)]
-    else:
-        exp = martingale_decompose(traj, stat.vector, st.value)
-        summary = {
-            "eigenvalue": exp.eigenvalue,
-            "zeroth": exp.zeroth,
-            "reconstructed": exp.reconstructed,
-            "actual": exp.actual,
-            "residual": exp.residual,
-        }
-        header = ["j", "weight", "increment", "partial_sum"]
-        partial = exp.partial_sums()
-        rows = [[j, exp.weights[j], exp.increments[j], partial[j]]
-                for j in range(n)]
-    _write_table("expansion", out_dir, args.format, header, rows)
+    (_, member), = stat.terms
+    exp = expand(simulate(c0, S.matrix, n, cfg.seed), member)
+    summary = {k: v for k, v in vars(exp).items()
+               if not isinstance(v, np.ndarray)}
+    summary["residual"] = exp.residual
+    _write_table(out_dir, "expansion", args.format, exp.table)
     write_json(os.path.join(out_dir, "decompose.json"), summary)
     return 0
 
 
 def cmd_bound(cfg, S, args, out_dir) -> int:
-    n = _need_horizon(cfg)
-    c0 = _initial(cfg, S.matrix.dim)
+    n = _need(cfg, "horizon")
+    c0 = _initial(cfg, S.matrix)
     stat = resolve_statistic(cfg.statistic, S)
-    reports = _bound_reports(cfg, S, stat, n, c0)
-    payload = {
-        "statistic": stat.label,
-        "reports": [r.to_json_dict() for r in reports],
-        "zeroth_shifts": [r.zeroth_shift for r in reports],
-    }
-    write_json(os.path.join(out_dir, "bounds.json"), payload)
+    _write_bounds(out_dir, stat, _bound_reports(cfg, S, stat, n, c0))
     return 0
 
 
@@ -369,60 +337,37 @@ def _truths(cfg, S, stat, reports, n, c0, threads):
         mode = "exact" if d ** n <= PATH_BUDGET and n <= 24 else "mc"
     if mode == "exact":
         dist = exact_distribution(c0, S.matrix, n)
-        return [exact_tail(dist, stat.vector, _raw_threshold(cfg, S, stat, r, n))
+        return [exact_tail(dist, stat.vector, _raw_threshold(S, stat, r, n))
                 for r in reports], "exact"
-    if mode != "mc":
-        raise ConfigError(f"unknown mode: {cfg.mode!r}")
-    thresholds = [_raw_threshold(cfg, S, stat, r, n) for r in reports]
+    thresholds = [_raw_threshold(S, stat, r, n) for r in reports]
     return tail_estimates(c0, S.matrix, n, stat.vector, thresholds,
                           cfg.replicas, cfg.seed, threads=threads), "mc"
 
 
-def cmd_verify(cfg, S, args, out_dir) -> int:
-    n = _need_horizon(cfg)
-    c0 = _initial(cfg, S.matrix.dim)
+def _verify(cfg, S, args, out_dir, horizons) -> int:
+    """Bounds against ground truth at every horizon, in one dominance
+    table and one bounds.json; exit 3 if any row fails."""
+    c0 = _initial(cfg, S.matrix)
     stat = resolve_statistic(cfg.statistic, S)
-    reports = _bound_reports(cfg, S, stat, n, c0)
-    truths, _ = _truths(cfg, S, stat, reports, n, c0, args.threads)
-    table = dominance_check(reports, truths)
-    header = ["n", "t", "bound", "probability", "mode", "margin", "pass"]
-    rows = [[r.n, r.t, r.bound, r.probability, r.mode, r.margin,
-             "true" if r.passed else "false"] for r in table.rows]
-    _write_table("dominance", out_dir, args.format, header, rows)
-    write_json(os.path.join(out_dir, "bounds.json"), {
-        "statistic": stat.label,
-        "reports": [r.to_json_dict() for r in reports],
-        "zeroth_shifts": [r.zeroth_shift for r in reports],
-    })
+    rows = []
+    reports = []
+    for n in horizons:
+        at_n = _bound_reports(cfg, S, stat, n, c0)
+        truths, _ = _truths(cfg, S, stat, at_n, n, c0, args.threads)
+        rows.extend(dominance_check(at_n, truths).rows)
+        reports.extend(at_n)
+    table = DominanceTable(rows)
+    _write_table(out_dir, "dominance", args.format, table.table)
+    _write_bounds(out_dir, stat, reports)
     return 0 if table.all_pass else 3
 
 
+def cmd_verify(cfg, S, args, out_dir) -> int:
+    return _verify(cfg, S, args, out_dir, [_need(cfg, "horizon")])
+
+
 def cmd_sweep(cfg, S, args, out_dir) -> int:
-    if not cfg.horizons:
-        raise ConfigError("sweep needs `horizons`")
-    c0 = _initial(cfg, S.matrix.dim)
-    stat = resolve_statistic(cfg.statistic, S)
-    all_rows = []
-    all_reports = []
-    ok = True
-    for n in cfg.horizons:
-        if n < 1:
-            raise ConfigError("horizons must be at least 1")
-        reports = _bound_reports(cfg, S, stat, n, c0)
-        truths, _ = _truths(cfg, S, stat, reports, n, c0, args.threads)
-        table = dominance_check(reports, truths)
-        ok = ok and table.all_pass
-        all_reports.extend(reports)
-        all_rows.extend([r.n, r.t, r.bound, r.probability, r.mode, r.margin,
-                         "true" if r.passed else "false"] for r in table.rows)
-    header = ["n", "t", "bound", "probability", "mode", "margin", "pass"]
-    _write_table("dominance", out_dir, args.format, header, all_rows)
-    write_json(os.path.join(out_dir, "bounds.json"), {
-        "statistic": stat.label,
-        "reports": [r.to_json_dict() for r in all_reports],
-        "zeroth_shifts": [r.zeroth_shift for r in all_reports],
-    })
-    return 0 if ok else 3
+    return _verify(cfg, S, args, out_dir, _need(cfg, "horizons"))
 
 
 COMMANDS = {
@@ -468,15 +413,22 @@ def _write_manifest(out_dir, command, config_hash, cfg, args) -> None:
     })
 
 
+def _threads(requested) -> int:
+    """--threads if given, else URNBOUND_THREADS (at least 1), else 1."""
+    if requested is not None:
+        if requested < 1:
+            raise ConfigError(f"--threads must be at least 1, got {requested}")
+        return requested
+    try:
+        return max(1, int(os.environ.get("URNBOUND_THREADS", "1")))
+    except ValueError as exc:
+        raise ConfigError("invalid URNBOUND_THREADS") from exc
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.threads is None:
-        try:
-            args.threads = max(1, int(os.environ.get("URNBOUND_THREADS", "1")))
-        except ValueError:
-            print("invalid URNBOUND_THREADS", file=sys.stderr)
-            return 1
     try:
+        args.threads = _threads(args.threads)
         cfg, config_hash = load_config(args.config)
         if args.seed is not None:
             cfg.seed = args.seed
@@ -485,12 +437,9 @@ def main(argv=None) -> int:
         os.makedirs(args.out, exist_ok=True)
         _write_manifest(args.out, args.command, config_hash, cfg, args)
         return COMMANDS[args.command](cfg, S, args, args.out)
-    except (ComplexSpectrum, NotIrreducible) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (UrnboundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, (ComplexSpectrum, NotIrreducible)) else 1
 
 
 if __name__ == "__main__":

@@ -6,19 +6,19 @@ C_j.xi/(j+1)), where the correction term has conditional mean zero.
 Iterating over a trajectory of N draws gives the closed form
 
     C_N.xi = growth_product(lam, N) * C_0.xi
-             + sum_{j=0}^{N-1} tail_product(lam, j, N-1)
+             + sum_{j=0}^{N-1} tail_products(lam, N-1)[j]
                * lam * (chi_{j+1}.xi - C_j.xi/(j+1)),
 
 an exact identity for every realization, not just in expectation.  The
 same iteration for a generalized vector xi3 (R xi3 = xi2 + lam xi3) picks
 up two extra pieces: a deterministic coefficient on C_0.xi2 given by
 appendix_zeroth(), and nested martingale increments against xi2 carrying
-the weights jordan_weight().  All weighted sums of squares needed by the
+the weights jordan_weights().  All weighted sums of squares needed by the
 deviation bounds are available exactly (dn_exact) and through calibrated
 closed-form envelopes (dn_asymptotic).
 
 Index conventions follow the one-step recursion: weights for a statistic
-observed after N draws use tail_product(lam, j, N-1) for j = 0 .. N-1,
+observed after N draws use tail_products(lam, N-1)[j] for j = 0 .. N-1,
 and the empty product (j = N-1) equals 1.
 """
 from __future__ import annotations
@@ -29,7 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._format import write_csv
+from ._format import columns
 from .errors import (
     IndexOrder,
     LambdaOutOfRange,
@@ -37,6 +37,7 @@ from .errors import (
     NotJordanPair,
 )
 from .process import Trajectory
+from .spectral import Member
 
 EIGEN_RESID_TOL = 1e-8
 CALIBRATION_MAX_LOG2 = 20  # constants cover n up to 2**20
@@ -68,18 +69,9 @@ def growth_product(lam: float, n: int) -> float:
     return float(np.prod(1.0 + lam / np.arange(1, n + 1)))
 
 
-def tail_product(lam: float, j: int, n: int) -> float:
-    """prod_{k=j+1}^{n} (1 + lam/(k+1)); equals 1 at j = n."""
-    lam = _check_lambda(lam, allow_one=True)
-    if not 0 <= j <= n:
-        raise IndexOrder(f"need 0 <= j <= n, got j={j}, n={n}")
-    if j == n:
-        return 1.0
-    return float(np.prod(1.0 + lam / np.arange(j + 2, n + 2)))
-
-
 def tail_products(lam: float, n: int) -> np.ndarray:
-    """All tail products for j = 0 .. n in one backward pass."""
+    """Tail products T(j, n) = prod_{k=j+1}^{n} (1 + lam/(k+1)) for
+    j = 0 .. n in one backward pass; T(n, n) = 1."""
     lam = _check_lambda(lam, allow_one=True)
     if n < 0:
         raise IndexOrder(f"n={n} must be nonnegative")
@@ -95,15 +87,6 @@ def _prefix_products(lam: float, m: int) -> np.ndarray:
     if m > 0:
         out[1:] = np.cumprod(1.0 + lam / np.arange(1, m + 1))
     return out
-
-
-def zeroth_term(lam: float, n: int, c0: float) -> float:
-    """Deterministic coefficient of the decomposition after n + 1 draws:
-    growth_product(lam, n + 1) * c0."""
-    lam = _check_lambda(lam)
-    if n < 0:
-        raise IndexOrder(f"n={n} must be nonnegative")
-    return growth_product(lam, n + 1) * c0
 
 
 @dataclass
@@ -129,12 +112,12 @@ class MartingaleExpansion:
     def partial_sums(self) -> np.ndarray:
         return self.zeroth + np.cumsum(self.weights * self.increments)
 
-    def to_csv(self, path) -> None:
-        header = ["j", "weight", "increment", "partial_sum"]
-        partial = self.partial_sums()
-        rows = [[j, self.weights[j], self.increments[j], partial[j]]
-                for j in range(self.weights.size)]
-        write_csv(path, header, rows)
+    @property
+    def table(self) -> tuple[list[str], list[tuple]]:
+        """(header, rows): one row per draw j with its running sum."""
+        return columns(["j", "weight", "increment", "partial_sum"],
+                       range(self.weights.size), self.weights,
+                       self.increments, self.partial_sums())
 
 
 def _check_eigenpair(traj: Trajectory, xi: np.ndarray, lam: float) -> np.ndarray:
@@ -248,7 +231,7 @@ def euler_ratio(lam: float, n: int) -> float:
 def jordan_weights(lam: float, n: int) -> np.ndarray:
     """Nested weights K(i, n) for i = 0 .. n in O(n) total.
 
-    K(i, n) = sum_{j=i+1}^{n} tail_product(lam, j, n) * (1/(j+1))
+    K(i, n) = sum_{j=i+1}^{n} T(j, n) * (1/(j+1))
               * prod_{l=i+1}^{j-1} (1 + lam/(l+1)),
     which collapses to (P_{n+1}/P_{i+1}) * sum_{j=i+1}^{n} 1/(j+1+lam)
     with P_k = growth_product(lam, k).  K(n, n) = 0 and
@@ -262,13 +245,6 @@ def jordan_weights(lam: float, n: int) -> np.ndarray:
     suffix = np.zeros(n + 2)
     suffix[:n + 1] = np.cumsum(inv[::-1])[::-1]
     return (prefix[n + 1] / prefix[1:n + 2]) * suffix[1:n + 2]
-
-
-def jordan_weight(lam: float, i: int, n: int) -> float:
-    """Single nested weight K(i, n)."""
-    if not 0 <= i <= n:
-        raise IndexOrder(f"need 0 <= i <= n, got i={i}, n={n}")
-    return float(jordan_weights(lam, n)[i])
 
 
 def jordan_weight_bound(lam: float, i: int, n: int) -> float:
@@ -306,7 +282,7 @@ def appendix_zeroth(lam: float, n: int) -> float:
     """Deterministic coefficient Z(n, lam) on C_0.xi2, written as the
     three-part sum: the j = 0 term, the j = 1 term, then j >= 2.
 
-    Z(n, lam) = sum_{j=0}^{n} tail_product(lam, j, n) * (1/(j+1))
+    Z(n, lam) = sum_{j=0}^{n} T(j, n) * (1/(j+1))
                 * growth_product(lam, j);  Z(0, lam) = 1.
     """
     lam = _check_lambda(lam, allow_zero=False)
@@ -346,16 +322,17 @@ class JordanExpansion:
     def residual(self) -> float:
         return abs(self.reconstructed - self.actual) / max(1.0, abs(self.actual))
 
-    def to_csv(self, path) -> None:
-        header = ["j", "direct_weight", "direct_increment",
-                  "nested_weight", "nested_increment", "partial_sum"]
+    @property
+    def table(self) -> tuple[list[str], list[tuple]]:
+        """(header, rows): one row per draw j with its running sum."""
         partial = (self.zeroth_xi3 + self.zeroth_xi2
                    + np.cumsum(self.direct_weights * self.direct_increments
                                + self.nested_weights * self.nested_increments))
-        rows = [[j, self.direct_weights[j], self.direct_increments[j],
-                 self.nested_weights[j], self.nested_increments[j], partial[j]]
-                for j in range(self.direct_weights.size)]
-        write_csv(path, header, rows)
+        return columns(["j", "direct_weight", "direct_increment",
+                        "nested_weight", "nested_increment", "partial_sum"],
+                       range(self.direct_weights.size), self.direct_weights,
+                       self.direct_increments, self.nested_weights,
+                       self.nested_increments, partial)
 
 
 def _check_jordan_pair(traj, xi2, xi3, lam):
@@ -426,6 +403,17 @@ def repeated_zero_decompose(traj: Trajectory, xi2, xi3) -> JordanExpansion:
                            reconstructed, float(s3[-1]))
 
 
+def expand(traj: Trajectory, member: Member) -> MartingaleExpansion | JordanExpansion:
+    """Exact expansion of C_N.v for one member of the spectral model:
+    martingale_decompose for an eigenvector, jordan_decompose for a chain
+    member, repeated_zero_decompose for a chain member of eigenvalue 0."""
+    if member.partner is None:
+        return martingale_decompose(traj, member.vector, member.value)
+    if member.zero:
+        return repeated_zero_decompose(traj, member.partner, member.vector)
+    return jordan_decompose(traj, member.partner, member.vector, member.value)
+
+
 # -- normalized martingale for the defective case -----------------------------
 
 @dataclass
@@ -460,10 +448,8 @@ def dm_martingale(traj: Trajectory, xi2, xi3, lam: float) -> MartingaleSeries:
 def dm_step_residuals(traj: Trajectory, xi2, xi3, lam: float) -> np.ndarray:
     """|E(M_{m+1} | F_m) - M_m| for m = 0 .. N-1, by enumerating the d
     possible draws with their exact probabilities."""
-    lam = _check_lambda(lam)
-    xi2, xi3 = _check_jordan_pair(traj, xi2, xi3, lam)
+    series = dm_martingale(traj, xi2, xi3, lam)  # checks lam and the pair
     n_draws = traj.n_draws
-    series = dm_martingale(traj, xi2, xi3, lam)
     m_vals = series.values
     prefix = series.normalizers
     counts = traj.counts_matrix()[:n_draws]

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._format import write_csv
+from ._format import columns, write_csv
 from .errors import DimensionMismatch
 from .spectral import ReplacementMatrix
 
@@ -46,27 +46,23 @@ class ColorCount:
         c.flags.writeable = False
         object.__setattr__(self, "counts", c)
 
-    @property
-    def dim(self) -> int:
-        return self.counts.size
+
+def initial_counts(initial, R: ReplacementMatrix) -> np.ndarray:
+    """Initial state as a float vector with unit mass, nonnegative and
+    with one entry per color of R."""
+    c0 = np.array(initial, dtype=float)
+    ColorCount(c0, 0)
+    if c0.size != R.dim:
+        raise DimensionMismatch(f"initial has {c0.size} colors, matrix {R.dim}")
+    return c0
 
 
-@dataclass(frozen=True)
-class DrawIndicator:
-    """One-hot record of the drawn color."""
-
-    chosen: int
-    dim: int
-
-    def __post_init__(self):
-        if not 0 <= self.chosen < self.dim:
-            raise ValueError(f"chosen color {self.chosen} out of range")
-
-    @property
-    def vector(self) -> np.ndarray:
-        v = np.zeros(self.dim)
-        v[self.chosen] = 1.0
-        return v
+def _statistic_vector(v, d: int) -> np.ndarray:
+    v = np.asarray(v, dtype=float)
+    if v.shape != (d,):
+        raise DimensionMismatch(
+            f"statistic vector has shape {v.shape}, need ({d},)")
+    return v
 
 
 def _draw(counts: np.ndarray, total: float, u: float) -> int:
@@ -80,17 +76,6 @@ def _draw(counts: np.ndarray, total: float, u: float) -> int:
             if u < acc:
                 return i
     return last  # float edge: u landed on the top boundary
-
-
-def step(C: ColorCount, R: ReplacementMatrix,
-         rng: np.random.Generator) -> tuple[ColorCount, DrawIndicator]:
-    """Draw one color proportional to counts and add its replacement row."""
-    if C.dim != R.dim:
-        raise DimensionMismatch(f"state has {C.dim} colors, matrix {R.dim}")
-    counts = C.counts
-    i = _draw(counts, counts.sum(), rng.random() * counts.sum())
-    return (ColorCount(counts + R.matrix[i], C.time + 1),
-            DrawIndicator(i, C.dim))
 
 
 @dataclass
@@ -125,10 +110,7 @@ class Trajectory:
 
     def statistic(self, v: np.ndarray) -> np.ndarray:
         """Path j -> C_j . v for j = 0 .. N."""
-        v = np.asarray(v, dtype=float)
-        if v.shape != (self.initial.size,):
-            raise DimensionMismatch(
-                f"statistic vector has shape {v.shape}, need ({self.initial.size},)")
+        v = _statistic_vector(v, self.initial.size)
         out = np.empty(self.n_draws + 1)
         out[0] = self.initial @ v
         np.cumsum((self.matrix.matrix @ v)[self.draws], out=out[1:])
@@ -138,29 +120,26 @@ class Trajectory:
     def final_count(self) -> ColorCount:
         return ColorCount(self.counts_matrix()[-1], self.n_draws)
 
-    def to_csv(self, path) -> None:
-        """Columns time, count_0..count_{d-1}, draw.
+    @property
+    def table(self) -> tuple[list[str], list[tuple]]:
+        """(header, rows) with columns time, count_0..count_{d-1}, draw.
 
-        Row j >= 1 records the draw that produced state C_j; the draw cell
-        of row 0 is empty.
+        Row j >= 1 records the draw that produced state C_j; the draw of
+        row 0 is None.
         """
-        d = self.initial.size
         hist = self.counts_matrix()
-        header = ["time"] + [f"count_{i}" for i in range(d)] + ["draw"]
-        rows = []
-        for j in range(hist.shape[0]):
-            drawn = "" if j == 0 else str(int(self.draws[j - 1]))
-            rows.append([j, *hist[j], drawn])
-        write_csv(path, header, rows)
+        return columns(["time"] + [f"count_{i}" for i in range(hist.shape[1])]
+                       + ["draw"], range(hist.shape[0]), *hist.T,
+                       [None] + self.draws.tolist())
+
+    def to_csv(self, path) -> None:
+        write_csv(path, *self.table)
 
 
 def simulate(initial, R: ReplacementMatrix, n: int, seed,
              keep_counts: bool = True) -> Trajectory:
     """Run one trajectory of n draws from a unit-mass initial state."""
-    c0 = np.array(initial, dtype=float)
-    ColorCount(c0, 0)  # validates nonnegativity and unit mass
-    if c0.size != R.dim:
-        raise DimensionMismatch(f"initial has {c0.size} colors, matrix {R.dim}")
+    c0 = initial_counts(initial, R)
     if n < 0:
         raise ValueError("n must be nonnegative")
     rng = np.random.default_rng(seed)
@@ -198,11 +177,7 @@ class ReplicaBatch:
 
     def statistics(self, v: np.ndarray) -> np.ndarray:
         """Final-state statistic C_n . v per replica."""
-        v = np.asarray(v, dtype=float)
-        if v.shape != (self.initial.size,):
-            raise DimensionMismatch(
-                f"statistic vector has shape {v.shape}, need ({self.initial.size},)")
-        return self.final_counts @ v
+        return self.final_counts @ _statistic_vector(v, self.initial.size)
 
     def trajectory(self, r: int) -> Trajectory:
         if self.draws is None:
@@ -237,10 +212,7 @@ def simulate_replicas(initial, R: ReplacementMatrix, n: int, replicas: int,
     so the result depends only on (seed, replicas, chunk_size), never on
     thread count or scheduling.
     """
-    c0 = np.array(initial, dtype=float)
-    ColorCount(c0, 0)
-    if c0.size != R.dim:
-        raise DimensionMismatch(f"initial has {c0.size} colors, matrix {R.dim}")
+    c0 = initial_counts(initial, R)
     if replicas < 1:
         raise ValueError("need at least one replica")
     rows = R.matrix
@@ -256,7 +228,3 @@ def simulate_replicas(initial, R: ReplacementMatrix, n: int, replicas: int,
     draws = np.vstack([p[1] for p in parts]) if keep_draws else None
     return ReplicaBatch(R, c0, n, seed, finals, draws)
 
-
-def linear_statistic(traj: Trajectory, v) -> np.ndarray:
-    """Path of C_j . v along a trajectory (length n_draws + 1)."""
-    return traj.statistic(v)

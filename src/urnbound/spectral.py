@@ -22,11 +22,9 @@ Conventions
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .errors import (
     BasisSingular,
@@ -45,6 +43,7 @@ ROW_SUM_TOL = 1e-12
 CLUSTER_TOL = 1e-8      # eigenvalues closer than this are one root
 RANK_TOL = 1e-9         # singular values below this count as zero
 RESIDUAL_TOL = 1e-10    # eigen relations must hold this tightly
+ZERO_TOL = 1e-12        # |lam| at or below this is the eigenvalue 0
 
 
 @dataclass(frozen=True)
@@ -76,11 +75,7 @@ def validate_matrix(rows) -> ReplacementMatrix:
     Raises NegativeEntry, RowSumNotOne or NotIrreducible.  Row sums within
     1e-12 of 1 are divided out so downstream balance is exact.
     """
-    m = np.array(rows, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {m.shape}")
-    if m.shape[0] < 2:
-        raise ValueError("need at least two colors")
+    m = ReplacementMatrix(rows).matrix  # shape checks
     neg = np.argwhere(m < 0)
     if neg.size:
         i, j = neg[0]
@@ -91,12 +86,25 @@ def validate_matrix(rows) -> ReplacementMatrix:
         i = int(bad[0][0])
         raise RowSumNotOne(f"row {i} sums to {sums[i]!r}, expected 1")
     m = m / sums[:, None]
-    graph = csr_matrix(m > 0)
-    ncomp, _ = connected_components(graph, directed=True, connection="strong")
+    ncomp = _strong_components(m > 0)
     if ncomp != 1:
         raise NotIrreducible(
             f"positive-entry graph has {ncomp} strongly connected components")
     return ReplacementMatrix(m)
+
+
+def _strong_components(adjacency: np.ndarray) -> int:
+    """Number of strongly connected components of a directed graph.
+
+    k boolean squarings of (adjacency or identity) give reachability in
+    up to 2^k steps, and d nodes need at most d - 1; two nodes share a
+    component exactly when each reaches the other.
+    """
+    d = adjacency.shape[0]
+    reach = adjacency | np.eye(d, dtype=bool)
+    for _ in range(d.bit_length()):
+        reach = reach @ reach
+    return len(np.unique(reach & reach.T, axis=0))
 
 
 def stationary_vector(R: ReplacementMatrix) -> np.ndarray:
@@ -120,11 +128,6 @@ def _det3(m) -> float:
     return (m[0, 0] * (m[1, 1] * m[2, 2] - m[1, 2] * m[2, 1])
             - m[0, 1] * (m[1, 0] * m[2, 2] - m[1, 2] * m[2, 0])
             + m[0, 2] * (m[1, 0] * m[2, 1] - m[1, 1] * m[2, 0]))
-
-
-def _geometric_multiplicity(m: np.ndarray, lam: float) -> int:
-    s = np.linalg.svd(m - lam * np.eye(m.shape[0]), compute_uv=False)
-    return int(np.sum(s < RANK_TOL))
 
 
 def _cluster(values: np.ndarray) -> list[tuple[float, int]]:
@@ -177,7 +180,7 @@ def real_spectrum(R: ReplacementMatrix) -> list[tuple[float, int, int]]:
 
     spectrum = [(1.0, 1, 1)]
     for lam, alg in _cluster(np.array(others, dtype=float)):
-        geo = _geometric_multiplicity(m, lam) if alg > 1 else 1
+        geo = len(_null_basis(m, lam)) if alg > 1 else 1
         spectrum.append((float(lam), alg, min(geo, alg)))
     return spectrum
 
@@ -252,6 +255,29 @@ def jordan_chain(R: ReplacementMatrix, lam: float) -> tuple[np.ndarray, np.ndarr
 
 
 @dataclass(frozen=True)
+class Member:
+    """One right vector of the basis and what it is.
+
+    `partner` is xi2 when `vector` is the generalized member xi3 of a
+    Jordan chain (R xi3 = xi2 + value * xi3), and None when `vector` is
+    an eigenvector.
+    """
+
+    value: float
+    vector: np.ndarray
+    partner: np.ndarray | None = None
+
+    @property
+    def kind(self) -> str:
+        return "eigen" if self.partner is None else "jordan"
+
+    @property
+    def zero(self) -> bool:
+        """True for the eigenvalue 0 (within ZERO_TOL)."""
+        return abs(self.value) <= ZERO_TOL
+
+
+@dataclass(frozen=True)
 class EigenStructure:
     """Right vectors attached to one nonprincipal eigenvalue.
 
@@ -266,6 +292,14 @@ class EigenStructure:
     vectors: tuple[np.ndarray, ...]
     jordan: bool
 
+    @property
+    def members(self) -> tuple[Member, ...]:
+        """The vectors in order; a chain's xi3 carries xi2 as its partner."""
+        if self.jordan:
+            xi2, xi3 = self.vectors
+            return (Member(self.value, xi2), Member(self.value, xi3, xi2))
+        return tuple(Member(self.value, v) for v in self.vectors)
+
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
@@ -278,11 +312,20 @@ class SpectralDecomposition:
     alphas: np.ndarray | None = field(default=None)
 
     @property
+    def members(self) -> tuple[Member, ...]:
+        """Every right vector in basis order (after the all-ones vector)."""
+        return tuple(m for st in self.structures for m in st.members)
+
+    def terms(self, coefficients) -> list[tuple[float, Member]]:
+        """Pair basis coefficients (constant term first, as in `alphas`)
+        with the members they multiply, dropping zero coefficients."""
+        return [(float(a), m) for a, m in zip(coefficients[1:], self.members)
+                if a != 0]
+
+    @property
     def basis(self) -> np.ndarray:
         """Columns: all-ones vector, then every right vector in order."""
-        cols = [np.ones(self.matrix.dim)]
-        for s in self.structures:
-            cols.extend(s.vectors)
+        cols = [np.ones(self.matrix.dim)] + [m.vector for m in self.members]
         if len(cols) != self.matrix.dim:
             raise BasisSingular(
                 f"basis has {len(cols)} vectors for dimension {self.matrix.dim}")
@@ -300,21 +343,14 @@ def decompose(R: ReplacementMatrix) -> SpectralDecomposition:
                 f"nonprincipal eigenvalue {lam} outside (-1, 1)")
         if alg == 1:
             vectors = (right_eigenvector(R, lam),)
-            jordan = False
         elif geo == alg:
             vectors = tuple(_null_basis(R.matrix, lam))
-            jordan = False
-        elif alg == 2:
+        else:  # defective; jordan_chain rejects chains longer than 2
             vectors = jordan_chain(R, lam)
-            jordan = True
-        else:
-            raise UrnboundError(
-                "chains of length greater than 2 are not supported")
-        structures.append(EigenStructure(lam, alg, geo, vectors, jordan))
+        structures.append(EigenStructure(lam, alg, geo, vectors, geo < alg))
     dec = SpectralDecomposition(R, pi, tuple(spectrum), tuple(structures))
-    alphas = np.vstack([indicator_coefficients(dec, c) for c in range(R.dim)])
-    return SpectralDecomposition(R, pi, tuple(spectrum), tuple(structures),
-                                 alphas)
+    return replace(dec, alphas=np.vstack(
+        [indicator_coefficients(dec, c) for c in range(R.dim)]))
 
 
 def indicator_coefficients(S: SpectralDecomposition, color: int) -> np.ndarray:

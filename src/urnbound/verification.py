@@ -3,23 +3,22 @@
 Two independent routes produce the probability that a bound must
 dominate: exact_distribution() enumerates every draw sequence (with
 rational arithmetic whenever the matrix and initial state are exactly
-small-denominator fractions), and estimate_probability() runs seeded
-Monte Carlo replicas with a one-sided Wilson upper confidence limit.
+small-denominator fractions), and tail_estimates() runs seeded Monte
+Carlo replicas with a one-sided Wilson upper confidence limit.
 dominance_check() lines the probabilities up against BoundReports and
 flags the margin at every grid point.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from statistics import NormalDist
 
 import numpy as np
-from scipy.stats import norm
 
-from ._format import write_csv
 from .bounds import BoundReport
 from .errors import DimensionMismatch, GridMismatch, TooLarge
-from .process import ColorCount, simulate_replicas
+from .process import initial_counts, simulate_replicas
 from .spectral import ReplacementMatrix
 
 PATH_BUDGET = 1 << 24
@@ -41,9 +40,6 @@ class ExactDistribution:
     atoms: dict
     rational: bool
 
-    def support(self) -> list[tuple]:
-        return sorted(self.atoms)
-
     def total(self) -> float:
         return float(sum(self.atoms.values()))
 
@@ -55,11 +51,8 @@ def exact_distribution(initial, R: ReplacementMatrix, n: int) -> ExactDistributi
     after rounding to 12 decimals in float mode.  Raises TooLarge when
     d^n exceeds 2^24.
     """
-    c0 = np.array(initial, dtype=float)
-    ColorCount(c0, 0)
+    c0 = initial_counts(initial, R)
     d = R.dim
-    if c0.size != d:
-        raise DimensionMismatch(f"initial has {c0.size} colors, matrix {R.dim}")
     if n < 0:
         raise ValueError("n must be nonnegative")
     if d ** n > PATH_BUDGET:
@@ -115,7 +108,7 @@ def wilson_upper(hits: int, trials: int, level: float = WILSON_LEVEL) -> float:
     """One-sided upper confidence limit for a binomial proportion."""
     if trials < 1:
         raise ValueError("need at least one trial")
-    z = float(norm.ppf(level))
+    z = NormalDist().inv_cdf(level)
     p = hits / trials
     z2n = z * z / trials
     center = p + z2n / 2.0
@@ -132,26 +125,6 @@ class EstimateReport:
     hits: int
     p_hat: float
     ci_upper: float
-    bound: float | None = field(default=None)
-
-
-def final_statistics(initial, R: ReplacementMatrix, n: int, v, replicas: int,
-                     seed, threads: int = 1) -> np.ndarray:
-    """Sample of C_n . v over independent replicas (one shared batch)."""
-    batch = simulate_replicas(initial, R, n, replicas, seed, threads=threads)
-    return batch.statistics(np.asarray(v, dtype=float))
-
-
-def estimate_probability(initial, R: ReplacementMatrix, n: int, v,
-                         threshold: float, replicas: int, seed,
-                         threads: int = 1) -> EstimateReport:
-    """Estimate P(C_n . v > threshold) from seeded replicas."""
-    if replicas < 1_000:
-        raise ValueError("need at least 10^3 replicas for a usable estimate")
-    sample = final_statistics(initial, R, n, v, replicas, seed, threads)
-    hits = int(np.sum(sample > threshold))
-    return EstimateReport(replicas, hits, hits / replicas,
-                          wilson_upper(hits, replicas))
 
 
 def tail_estimates(initial, R: ReplacementMatrix, n: int, v, thresholds,
@@ -159,7 +132,8 @@ def tail_estimates(initial, R: ReplacementMatrix, n: int, v, thresholds,
     """Estimates for a whole threshold grid from one shared sample."""
     if replicas < 1_000:
         raise ValueError("need at least 10^3 replicas for a usable estimate")
-    sample = final_statistics(initial, R, n, v, replicas, seed, threads)
+    sample = simulate_replicas(initial, R, n, replicas, seed,
+                               threads=threads).statistics(v)
     out = []
     for x in thresholds:
         hits = int(np.sum(sample > float(x)))
@@ -187,11 +161,12 @@ class DominanceTable:
     def all_pass(self) -> bool:
         return all(r.passed for r in self.rows)
 
-    def to_csv(self, path) -> None:
-        header = ["n", "t", "bound", "probability", "mode", "margin", "pass"]
-        write_csv(path, header,
-                  [[r.n, r.t, r.bound, r.probability, r.mode, r.margin,
-                    "true" if r.passed else "false"] for r in self.rows])
+    @property
+    def table(self) -> tuple[list[str], list[list]]:
+        """(header, rows), one row per grid point; pass is "true"/"false"."""
+        return (["n", "t", "bound", "probability", "mode", "margin", "pass"],
+                [[r.n, r.t, r.bound, r.probability, r.mode, r.margin,
+                  "true" if r.passed else "false"] for r in self.rows])
 
 
 def dominance_check(reports, truths) -> DominanceTable:

@@ -84,3 +84,13 @@ def wilson_reference(hits: int, trials: int, z: float) -> float:
     c = p * p
     # larger root of a p^2 + b p + c = 0
     return min(1.0, (-b + math.sqrt(b * b - 4.0 * a * c)) / (2.0 * a))
+
+
+def strong_components_reference(adjacency) -> int:
+    """Number of strongly connected components, from scipy's graph code."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    ncomp, _ = connected_components(csr_matrix(adjacency), directed=True,
+                                    connection="strong")
+    return int(ncomp)

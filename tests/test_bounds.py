@@ -22,10 +22,11 @@ from urnbound import (
     rate_function,
     spread,
     statistic_bound,
-    tail_product,
     tail_products,
     validate_matrix,
 )
+
+from oracles import tail_reference
 
 R2 = validate_matrix([[0.7, 0.3], [0.4, 0.6]])
 S2 = decompose(R2)
@@ -58,14 +59,15 @@ def test_increment_bound_examples():
 
 def test_increment_bound_carries_tail_product():
     got = increment_bound(XI, 0.3, 2, 9)
-    assert got == pytest.approx(0.3 * 1.75 * tail_product(0.3, 2, 9), rel=1e-14)
+    assert got == pytest.approx(0.3 * 1.75 * tail_reference(0.3, 2, 9),
+                                rel=1e-14)
 
 
 def test_increment_dominates_worst_case_step():
     # chi.xi is one of the xi_i and C_j.xi/(j+1) is a convex combination,
     # so each weighted increment is at most |lam| * spread * weight
     c = increment_bound(XI, 0.3, 0, 9)
-    worst = 0.3 * (np.max(XI) - np.min(XI)) * tail_product(0.3, 0, 9)
+    worst = 0.3 * (np.max(XI) - np.min(XI)) * tail_products(0.3, 9)[0]
     assert c == worst
 
 
@@ -244,3 +246,16 @@ def test_bound_report_is_frozen():
     assert isinstance(report, BoundReport)
     with pytest.raises(AttributeError):
         report.tail = 0.5
+
+
+@pytest.mark.parametrize("S", [S23, SJ])
+def test_statistic_bound_model_pairs_match_checked_triples(S):
+    # pairs from the spectral model skip the residual check; triples are
+    # classified by it; both must bound the same combination identically
+    terms = S.terms(S.alphas[0])
+    triples = [(a, m.vector, m.value) for a, m in terms]
+    a = statistic_bound(S, terms, 25, 0.2, initial=np.eye(S.matrix.dim)[0])
+    b = statistic_bound(S, triples, 25, 0.2, initial=np.eye(S.matrix.dim)[0])
+    np.testing.assert_array_equal(a.increment_bounds, b.increment_bounds)
+    assert (a.tail, a.zeroth_shift, a.statistic) == (
+        b.tail, b.zeroth_shift, b.statistic)

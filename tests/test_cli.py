@@ -89,6 +89,45 @@ def test_parse_rejects_bad_row():
         parse_config("0.5, x\n0.5, 0.5\n")
 
 
+TWO_JSON = '{"matrix": [[0.7, 0.3], [0.4, 0.6]], %s}'
+
+
+@pytest.mark.parametrize("text", [
+    TWO_JSON % '"horizon": "12"',                  # wrong type
+    TWO_JSON % '"thresholds": 0.1',                # scalar for a list
+    TWO_JSON % '"seed": true',
+    TWO_JSON % '"horizons": [5, 2.5]',
+    TWO_JSON % '"mode": "fast"',                   # not a mode
+    TWO_JSON % '"horizon": 5, "horizon": 6',       # repeated key
+    '{"matrix": [[0.7, "a"], [0.4, 0.6]]}',
+    "0.7, 0.3\n0.4, 0.6\nhorizon = 12\nhorizon = 5\n",
+    "0.7, 0.3\n0.4, 0.6\nhorizon = 0\n",
+    "0.7, 0.3\n0.4, 0.6\nthresholds = 0.1, -0.2\n",
+    "0.7, 0.3\n0.4, 0.6\nthresholds = 0.1, nan\n",  # not finite
+    TWO_JSON % '"initial": [Infinity, 0]',
+])
+def test_parse_rejects_bad_values(text):
+    with pytest.raises(ConfigError):
+        parse_config(text)
+
+
+@pytest.mark.parametrize("command,value", [
+    ("simulate", '"horizon": "12"'),
+    ("verify", '"horizon": 5, "thresholds": 0.1'),
+])
+def test_bad_json_value_exits_1(tmp_path, command, value):
+    cfg = write(tmp_path, TWO_JSON % value, "exp.json")
+    assert run([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+
+
+def test_threads_must_be_positive(tmp_path):
+    cfg = write(tmp_path, TWO_COLOR)
+    out = tmp_path / "o"
+    assert run(["simulate", "--config", cfg, "--out", str(out),
+                "--threads", "-3"]) == 1
+    assert not (out / "manifest.json").exists()
+
+
 # -- commands -------------------------------------------------------------------
 
 def test_spectrum_two_color(tmp_path):
@@ -317,3 +356,39 @@ def test_console_script_entry(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert (out / "spectrum.json").exists()
+
+
+def _cell(value) -> str:
+    """A JSON table value as the CSV writer renders it."""
+    if value is None:
+        return ""
+    if isinstance(value, (str, int)):
+        return str(value)
+    return format(value, ".17g")
+
+
+@pytest.mark.parametrize("command,text,name", [
+    ("simulate", TWO_COLOR, "trajectory"),
+    ("decompose", TWO_COLOR, "expansion"),
+    ("decompose", JORDAN_TEXT, "expansion"),
+    ("verify", TWO_COLOR, "dominance"),
+])
+def test_csv_and_json_tables_hold_the_same_cells(tmp_path, command, text,
+                                                 name):
+    cfg = write(tmp_path, text)
+    for fmt in ("csv", "json"):
+        assert run([command, "--config", cfg, "--out", str(tmp_path / fmt),
+                    "--format", fmt]) == 0
+    header, *lines = (tmp_path / "csv" / f"{name}.csv").read_text().splitlines()
+    header = header.split(",")
+    objects = json.loads((tmp_path / "json" / f"{name}.json").read_text())
+    assert all(sorted(obj) == sorted(header) for obj in objects)
+    assert [",".join(_cell(obj[k]) for k in header) for obj in objects] == lines
+
+
+def test_import_leaves_scipy_stats_and_sparse_unloaded():
+    code = ("import sys, urnbound.cli; print(sorted(m for m in sys.modules "
+            "if m.startswith(('scipy.stats', 'scipy.sparse'))))")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"

@@ -17,24 +17,24 @@ from urnbound import (
     dm_martingale,
     dm_step_residuals,
     dn_asymptotic,
+    decompose,
     dn_exact,
     euler_ratio,
     growth_product,
     increment_conditional_means,
     jordan_chain,
     jordan_decompose,
-    jordan_weight,
     jordan_weight_bound,
     jordan_weight_constant,
     jordan_weights,
     martingale_decompose,
     repeated_zero_decompose,
     simulate,
-    tail_product,
     tail_products,
     validate_matrix,
-    zeroth_term,
 )
+
+from urnbound.decomposition import JordanExpansion, MartingaleExpansion, expand
 
 from oracles import (
     appendix_reference,
@@ -90,17 +90,18 @@ def test_growth_product_rejects_out_of_range():
 
 
 def test_tail_product_convention_at_top_index():
-    assert tail_product(0.5, 7, 7) == 1.0
+    assert tail_products(0.5, 7)[7] == 1.0
+    assert tail_products(0.5, 0).tolist() == [1.0]
 
 
 def test_tail_product_direct_values():
-    assert tail_product(0.5, 0, 2) == pytest.approx(35 / 24, rel=1e-15)
-    assert tail_product(-0.5, 0, 1) == pytest.approx(0.75, rel=1e-15)
+    assert tail_products(0.5, 2)[0] == pytest.approx(35 / 24, rel=1e-15)
+    assert tail_products(-0.5, 1)[0] == pytest.approx(0.75, rel=1e-15)
 
 
 def test_tail_product_rejects_bad_order():
     with pytest.raises(IndexOrder):
-        tail_product(0.5, 3, 2)
+        tail_products(0.5, -1)
 
 
 @pytest.mark.parametrize("lam", [-0.6, 0.25, 0.5, 0.9])
@@ -112,9 +113,13 @@ def test_tail_products_match_scalar_route(lam):
 
 
 def test_zeroth_term_values():
-    assert zeroth_term(0.0, 9, 0.4) == 0.4
-    assert zeroth_term(0.5, 1, 0.75) == pytest.approx(1.40625, abs=1e-15)
-    assert zeroth_term(0.7, 100, 0.0) == 0.0
+    # the deterministic part of C_N.xi is growth_product(lam, N) * C_0.xi
+    assert growth_product(0.0, 10) * 0.4 == 0.4
+    assert growth_product(0.5, 2) * 0.75 == pytest.approx(1.40625, abs=1e-15)
+    traj = simulate([1.0, 0.0], R2, 2, 0)
+    exp = martingale_decompose(traj, XI2COLOR, 0.3)
+    assert exp.zeroth == pytest.approx(growth_product(0.3, 2) * 0.75,
+                                       rel=1e-15)
 
 
 # -- eigen decomposition -------------------------------------------------------
@@ -227,24 +232,24 @@ def test_euler_ratio_near_one(lam):
 # -- Jordan weights ------------------------------------------------------------
 
 def test_jordan_weight_empty_sum():
-    assert jordan_weight(0.5, 8, 8) == 0.0
+    assert jordan_weights(0.5, 8)[8] == 0.0
 
 
 def test_jordan_weight_single_term():
     for n in (1, 4, 33):
-        assert jordan_weight(0.25, n - 1, n) == pytest.approx(
+        assert jordan_weights(0.25, n)[n - 1] == pytest.approx(
             1.0 / (n + 1.0), rel=1e-13)
 
 
 def test_jordan_weight_direct_value():
-    assert jordan_weight(0.5, 0, 1) == pytest.approx(0.5, abs=1e-15)
+    assert jordan_weights(0.5, 1)[0] == pytest.approx(0.5, abs=1e-15)
 
 
 def test_jordan_weight_index_checks():
     with pytest.raises(IndexOrder):
-        jordan_weight(0.5, 3, 2)
+        jordan_weights(0.5, -1)
     with pytest.raises(LambdaOutOfRange):
-        jordan_weight(0.0, 0, 2)
+        jordan_weights(0.0, 2)
 
 
 @pytest.mark.parametrize("lam", [-0.5, 0.25, 0.5, 0.75])
@@ -426,3 +431,21 @@ def test_dm_martingale_zero_lambda_chain():
     traj = simulate([1.0, 0.0, 0.0], R0, 300, 9)
     resid = dm_step_residuals(traj, Z2, Z3, 0.0)
     assert np.max(resid) <= 1e-12
+
+
+@pytest.mark.parametrize("R,kinds", [
+    (R2, [MartingaleExpansion]),
+    (RJ, [MartingaleExpansion, JordanExpansion]),
+    (R0, [MartingaleExpansion, JordanExpansion]),
+])
+def test_expand_picks_the_decomposition_from_the_member(R, kinds):
+    c0 = np.eye(R.dim)[0]
+    traj = simulate(c0, R, 300, 12)
+    members = decompose(R).members
+    assert [type(expand(traj, m)) for m in members] == kinds
+    for m in members:
+        exp = expand(traj, m)
+        assert exp.eigenvalue == pytest.approx(m.value, abs=1e-12)
+        assert exp.residual <= 1e-9
+    if R is R0:   # the lam = 0 chain: repeated_zero_decompose
+        assert not expand(traj, members[1]).nested_weights.any()

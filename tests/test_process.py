@@ -8,14 +8,12 @@ from scipy import stats
 from urnbound import (
     ColorCount,
     DimensionMismatch,
-    DrawIndicator,
     ReplicaBatch,
-    linear_statistic,
     simulate,
     simulate_replicas,
-    step,
     validate_matrix,
 )
+from urnbound.process import _draw
 
 R2 = validate_matrix([[0.7, 0.3], [0.4, 0.6]])
 RJ = validate_matrix([[5 / 8, 3 / 8, 0.0], [1 / 8, 3 / 8, 1 / 2],
@@ -31,25 +29,21 @@ def test_color_count_validates_balance():
 
 
 def test_draw_indicator_vector():
-    chi = DrawIndicator(1, 3)
-    np.testing.assert_array_equal(chi.vector, [0.0, 1.0, 0.0])
-    with pytest.raises(ValueError):
-        DrawIndicator(3, 3)
+    # the drawn index never lands on an empty color, even at the top edge
+    counts = np.array([0.0, 1.0, 0.0])
+    assert [_draw(counts, 1.0, u) for u in (0.0, 0.5, 1.0)] == [1, 1, 1]
+    assert _draw(np.array([0.25, 0.75]), 1.0, 0.25) == 1
 
 
 def test_step_forced_draw():
     # black has probability 0, so the first draw is always white
-    rng = np.random.default_rng(0)
-    C1, chi = step(ColorCount(np.array([1.0, 0.0]), 0), R2, rng)
-    assert chi.chosen == 0
-    np.testing.assert_allclose(C1.counts, [1.7, 0.3], atol=0)
+    traj = simulate([1.0, 0.0], R2, 1, 0)
+    assert traj.draws.tolist() == [0]
+    np.testing.assert_allclose(traj.final_count().counts, [1.7, 0.3], atol=0)
 
 
 def test_step_increases_mass_by_one():
-    rng = np.random.default_rng(7)
-    C = ColorCount(np.array([1.0, 0.0]), 0)
-    for _ in range(20):
-        C, _ = step(C, R2, rng)
+    C = simulate([1.0, 0.0], R2, 20, 7).final_count()
     assert C.time == 20
     assert abs(C.counts.sum() - 21.0) <= 1e-9 * 21.0
 
@@ -58,11 +52,10 @@ def test_step_two_branch_frequencies():
     # from (1.7, 0.3) the white branch has probability 0.85
     hits = 0
     trials = 20_000
-    start = ColorCount(np.array([1.7, 0.3]), 1)
+    counts = np.array([1.7, 0.3])
     rng = np.random.default_rng(123)
     for _ in range(trials):
-        _, chi = step(start, R2, rng)
-        hits += chi.chosen == 0
+        hits += _draw(counts, 2.0, rng.random() * 2.0) == 0
     assert hits / trials == pytest.approx(0.85, abs=0.01)
 
 
@@ -120,13 +113,13 @@ def test_counts_matrix_matches_stored_history():
 
 def test_linear_statistic_all_ones_is_time():
     traj = simulate([1.0, 0.0], R2, 100, 11)
-    np.testing.assert_array_equal(linear_statistic(traj, np.ones(2)),
+    np.testing.assert_array_equal(traj.statistic(np.ones(2)),
                                   np.arange(1.0, 102.0))
 
 
 def test_linear_statistic_color_indicator():
     traj = simulate([1.0, 0.0], R2, 50, 2)
-    w = linear_statistic(traj, np.array([1.0, 0.0]))
+    w = traj.statistic(np.array([1.0, 0.0]))
     np.testing.assert_allclose(w, traj.counts_matrix()[:, 0], atol=1e-12)
 
 
@@ -148,9 +141,9 @@ def test_continuation_draw_law_chi_square():
     rng = np.random.default_rng(2024)
     continuations = 10_000
     counts = np.zeros(3)
+    total = C.counts.sum()
     for _ in range(continuations):
-        _, chi = step(C, RJ, rng)
-        counts[chi.chosen] += 1
+        counts[_draw(C.counts, total, rng.random() * total)] += 1
     expected = continuations * C.counts / C.counts.sum()
     _, p = stats.chisquare(counts, expected)
     assert p > 0.01
@@ -206,3 +199,17 @@ def test_replica_batch_needs_draws_for_trajectory():
     batch = simulate_replicas([1.0, 0.0], R2, 10, 100, seed=0)
     with pytest.raises(ValueError):
         batch.trajectory(0)
+
+
+def test_trajectory_table_and_csv(tmp_path):
+    traj = simulate([1.0, 0.0], R2, 3, 0)
+    header, rows = traj.table
+    assert header == ["time", "count_0", "count_1", "draw"]
+    assert rows[0] == (0, 1.0, 0.0, None)
+    assert [row[-1] for row in rows[1:]] == traj.draws.tolist()
+    np.testing.assert_array_equal([row[1:3] for row in rows],
+                                  traj.counts_matrix())
+    traj.to_csv(tmp_path / "t.csv")
+    lines = (tmp_path / "t.csv").read_text().splitlines()
+    assert lines[:2] == ["time,count_0,count_1,draw", "0,1,0,"]
+    assert len(lines) == 5

@@ -30,6 +30,9 @@ from urnbound import (
     stationary_vector,
     validate_matrix,
 )
+from urnbound.spectral import _strong_components
+
+from oracles import strong_components_reference
 
 R2_ROWS = [[0.7, 0.3], [0.4, 0.6]]
 RJ_ROWS = [[5 / 8, 3 / 8, 0.0], [1 / 8, 3 / 8, 1 / 2], [1 / 4, 1 / 4, 1 / 2]]
@@ -255,3 +258,51 @@ def test_basis_requires_full_vector_count():
 def test_replacement_matrix_rejects_non_square():
     with pytest.raises(ValueError):
         ReplacementMatrix(np.array([[0.5, 0.5, 0.0], [0.5, 0.5, 0.0]]))
+
+
+@pytest.mark.parametrize("adjacency", [
+    np.eye(2, dtype=bool),                                # two self-loops
+    np.ones((3, 3), dtype=bool),
+    np.triu(np.ones((4, 4), dtype=bool)),                 # a chain: 4 parts
+    np.roll(np.eye(5, dtype=bool), 1, axis=1),            # one 5-cycle
+    np.kron(np.eye(2), np.ones((2, 2))).astype(bool),     # two blocks
+    np.array(RJ_ROWS) > 0,
+])
+def test_strong_components_match_scipy_oracle(adjacency):
+    assert _strong_components(adjacency) == strong_components_reference(
+        adjacency)
+
+
+def test_strong_components_random_graphs_match_oracle():
+    rng = np.random.default_rng(5)
+    for d in (2, 3, 5, 8, 13):
+        for density in (0.1, 0.3, 0.6):
+            adjacency = rng.random((d, d)) < density
+            assert _strong_components(adjacency) == \
+                strong_components_reference(adjacency)
+
+
+def test_members_follow_the_basis():
+    S = decompose(validate_matrix(RJ_ROWS))
+    (st,) = S.structures
+    xi2, xi3 = st.vectors
+    eigen, chain = S.members
+    assert (eigen.kind, chain.kind) == ("eigen", "jordan")
+    assert eigen.partner is None and chain.partner is xi2
+    assert chain.vector is xi3 and chain.value == st.value == 0.25
+    np.testing.assert_array_equal(
+        S.basis, np.column_stack([np.ones(3), xi2, xi3]))
+
+
+def test_terms_pair_coefficients_with_members_and_drop_zeros():
+    S = decompose(validate_matrix(RS_ROWS))    # 1/4 twice, full eigenspace
+    terms = S.terms([0.5, 0.0, -2.0])
+    assert [a for a, _ in terms] == [-2.0]
+    assert terms[0][1].vector is S.structures[0].vectors[1]
+    assert all(m.kind == "eigen" for m in S.members)
+
+
+def test_zero_chain_member_is_flagged_zero():
+    S = decompose(validate_matrix(R0_ROWS))
+    assert [m.zero for m in S.members] == [True, True]
+    assert [m.kind for m in S.members] == ["eigen", "jordan"]

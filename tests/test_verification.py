@@ -12,10 +12,8 @@ from urnbound import (
     TooLarge,
     decompose,
     dominance_check,
-    estimate_probability,
     exact_distribution,
     exact_tail,
-    final_statistics,
     growth_product,
     simulate_replicas,
     statistic_bound,
@@ -91,7 +89,7 @@ def test_exact_marginals_match_simulator():
     # empirical atom frequencies within 3 standard errors of exact masses
     n, replicas = 10, 100_000
     dist = exact_distribution(C0, R2, n)
-    sample = final_statistics(C0, R2, n, E0, replicas, seed=31)
+    sample = simulate_replicas(C0, R2, n, replicas, seed=31).statistics(E0)
     for counts, prob in dist.atoms.items():
         p = float(prob)
         value = float(counts[0])
@@ -117,32 +115,32 @@ def test_wilson_upper_basic_shape():
 
 
 def test_estimate_probability_trivial_threshold():
-    rep = estimate_probability(C0, R2, 3, E0, -np.inf, 2000, seed=1)
+    (rep,) = tail_estimates(C0, R2, 3, E0, [-np.inf], 2000, seed=1)
     assert rep.p_hat == 1.0
     assert rep.ci_upper == 1.0
 
 
 def test_estimate_probability_two_draw_branch():
-    rep = estimate_probability(C0, R2, 2, E0, 2.3, 100_000, seed=6)
+    (rep,) = tail_estimates(C0, R2, 2, E0, [2.3], 100_000, seed=6)
     assert rep.p_hat == pytest.approx(0.85, abs=0.01)
     assert rep.p_hat <= rep.ci_upper <= 1.0
 
 
 def test_estimate_probability_deterministic():
-    a = estimate_probability(C0, R2, 20, E0, 14.0, 5000, seed=3)
-    b = estimate_probability(C0, R2, 20, E0, 14.0, 5000, seed=3)
+    (a,) = tail_estimates(C0, R2, 20, E0, [14.0], 5000, seed=3)
+    (b,) = tail_estimates(C0, R2, 20, E0, [14.0], 5000, seed=3)
     assert (a.hits, a.p_hat, a.ci_upper) == (b.hits, b.p_hat, b.ci_upper)
 
 
 def test_estimate_probability_needs_enough_replicas():
     with pytest.raises(ValueError):
-        estimate_probability(C0, R2, 5, E0, 3.0, 999, seed=0)
+        tail_estimates(C0, R2, 5, E0, [3.0], 999, seed=0)
 
 
 def test_tail_estimates_share_one_sample():
     thresholds = [12.0, 13.0, 14.0]
     reps = tail_estimates(C0, R2, 20, E0, thresholds, 5000, seed=3)
-    singles = [estimate_probability(C0, R2, 20, E0, x, 5000, seed=3)
+    singles = [tail_estimates(C0, R2, 20, E0, [x], 5000, seed=3)[0]
                for x in thresholds]
     for a, b in zip(reps, singles):
         assert a.hits == b.hits
@@ -210,11 +208,11 @@ def test_dominance_table_csv(tmp_path):
     xi = np.array([0.75, -1.0])
     report = statistic_bound(S, [(1.0, xi, 0.3)], 5, 0.2)
     table = dominance_check([report], [0.01])
-    path = tmp_path / "dominance.csv"
-    table.to_csv(path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "n,t,bound,probability,mode,margin,pass"
-    assert lines[1].startswith("5,") and lines[1].endswith(",true")
+    header, rows = table.table
+    assert header == ["n", "t", "bound", "probability", "mode", "margin",
+                      "pass"]
+    assert rows == [[5, 0.2, report.tail, 0.01, "exact",
+                     report.tail - 0.01, "true"]]
 
 
 def test_batch_and_exact_agree_on_mean():
@@ -227,5 +225,5 @@ def test_batch_and_exact_agree_on_mean():
                      for k, p in dist.atoms.items())
     assert exact_mean == pytest.approx(growth_product(0.3, n) * 0.75,
                                        rel=1e-12)
-    sample = final_statistics(C0, R2, n, xi, 50_000, seed=17)
+    sample = simulate_replicas(C0, R2, n, 50_000, seed=17).statistics(xi)
     assert np.mean(sample) == pytest.approx(exact_mean, abs=0.05)
