@@ -1,6 +1,6 @@
 """Balanced multicolor urns: simulation, exact martingale decompositions
 of linear color statistics, and explicit deviation bounds with built-in
-verification against exact enumeration and Monte Carlo."""
+verification against the exact law and Monte Carlo."""
 
 from .errors import (
     BasisSingular,
@@ -10,6 +10,7 @@ from .errors import (
     IndexOrder,
     LambdaOutOfRange,
     NegativeEntry,
+    NonFiniteEntry,
     NotAnEigenvalue,
     NotDefective,
     NotEigenpair,

@@ -2,12 +2,16 @@
 
 All numbers written to CSV or JSON go through fmt(), which renders floats
 with 17 significant digits so a rerun with the same seed produces
-byte-identical files and every value round-trips exactly.
+byte-identical files and every value round-trips exactly.  A file is
+written to a temporary sibling and moved into place when complete, so a
+write that fails leaves no partial artifact.
 """
 from __future__ import annotations
 
 import json
 import math
+import os
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -65,8 +69,23 @@ def columns(header: list[str], *cols) -> tuple[list[str], list[tuple]]:
                               for c in cols)))
 
 
+@contextmanager
+def _replacing(path):
+    """Open a sibling temporary file for writing and move it onto `path`
+    only once it is complete, so a failed write leaves no partial file."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", newline="") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
 def write_json(path, obj) -> None:
-    with open(path, "w", newline="") as fh:
+    with _replacing(path) as fh:
         fh.write(render_json(obj))
         fh.write("\n")
 
@@ -74,7 +93,7 @@ def write_json(path, obj) -> None:
 def write_csv(path, header: list[str], rows) -> None:
     """Write rows of scalars as CSV with '\\n' line endings; None is an
     empty cell."""
-    with open(path, "w", newline="") as fh:
+    with _replacing(path) as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(

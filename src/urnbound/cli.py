@@ -6,7 +6,7 @@ spectrum   stationary vector, real spectrum, right vectors, indicator alphas
 simulate   one seeded trajectory -> trajectory file
 decompose  trajectory + martingale expansion -> expansion file + residual
 bound      deviation-bound reports over the threshold grid -> bounds.json
-verify     bounds against exact enumeration or Monte Carlo -> dominance file
+verify     bounds against the exact law or Monte Carlo -> dominance file
 sweep      bound + verify over a grid of horizons
 
 Exit codes: 0 success, 1 configuration error, 2 complex spectrum or
@@ -41,10 +41,11 @@ from .errors import ComplexSpectrum, NotIrreducible, UrnboundError
 from .process import initial_counts, simulate
 from .spectral import decompose, validate_matrix
 from .verification import (
-    PATH_BUDGET,
+    STATE_BUDGET,
     DominanceTable,
     dominance_check,
     exact_distribution,
+    exact_states,
     exact_tail,
     tail_estimates,
 )
@@ -330,11 +331,12 @@ def cmd_bound(cfg, S, args, out_dir) -> int:
 
 
 def _truths(cfg, S, stat, reports, n, c0, threads):
-    """Exact or estimated probabilities aligned with the reports."""
-    d = S.matrix.dim
+    """Exact or estimated probabilities aligned with the reports; `auto`
+    takes the exact law whenever its state count fits STATE_BUDGET."""
     mode = cfg.mode
     if mode == "auto":
-        mode = "exact" if d ** n <= PATH_BUDGET and n <= 24 else "mc"
+        fits = exact_states(S.matrix.dim, n) <= STATE_BUDGET
+        mode = "exact" if fits else "mc"
     if mode == "exact":
         dist = exact_distribution(c0, S.matrix, n)
         return [exact_tail(dist, stat.vector, _raw_threshold(S, stat, r, n))

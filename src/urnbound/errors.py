@@ -12,6 +12,10 @@ class UrnboundError(Exception):
 
 # -- replacement-matrix validation ------------------------------------------
 
+class NonFiniteEntry(UrnboundError):
+    """A replacement-matrix entry is NaN or infinite."""
+
+
 class NegativeEntry(UrnboundError):
     """A replacement-matrix entry is negative."""
 

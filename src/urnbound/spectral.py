@@ -31,6 +31,7 @@ from .errors import (
     ComplexSpectrum,
     LambdaOutOfRange,
     NegativeEntry,
+    NonFiniteEntry,
     NotAnEigenvalue,
     NotDefective,
     NotIrreducible,
@@ -72,10 +73,16 @@ class ReplacementMatrix:
 def validate_matrix(rows) -> ReplacementMatrix:
     """Check entries, row sums and irreducibility; renormalize rows.
 
-    Raises NegativeEntry, RowSumNotOne or NotIrreducible.  Row sums within
-    1e-12 of 1 are divided out so downstream balance is exact.
+    Raises NonFiniteEntry, NegativeEntry, RowSumNotOne or NotIrreducible.
+    Row sums within 1e-12 of 1 are divided out so downstream balance is
+    exact.
     """
     m = ReplacementMatrix(rows).matrix  # shape checks
+    # NaN passes every comparison below, so it has to be caught first
+    bad = np.argwhere(~np.isfinite(m))
+    if bad.size:
+        i, j = bad[0]
+        raise NonFiniteEntry(f"entry ({i},{j}) = {m[i, j]} is not finite")
     neg = np.argwhere(m < 0)
     if neg.size:
         i, j = neg[0]
@@ -225,15 +232,15 @@ def jordan_chain(R: ReplacementMatrix, lam: float) -> tuple[np.ndarray, np.ndarr
     Raises NotRepeated for simple eigenvalues and NotDefective when the
     eigenspace is full (take two eigenvectors via right_eigenvector then).
     """
-    m = R.matrix
-    cluster = None
     for value, alg, geo in real_spectrum(R):
         if abs(value - lam) < CLUSTER_TOL:
-            cluster = (value, alg, geo)
-            break
-    if cluster is None:
-        raise NotAnEigenvalue(f"{lam} is not an eigenvalue within tolerance")
-    _, alg, geo = cluster
+            return _chain(R, lam, alg, geo)
+    raise NotAnEigenvalue(f"{lam} is not an eigenvalue within tolerance")
+
+
+def _chain(R: ReplacementMatrix, lam: float, alg: int,
+           geo: int) -> tuple[np.ndarray, np.ndarray]:
+    """jordan_chain for an eigenvalue whose multiplicities are known."""
     if alg < 2:
         raise NotRepeated(f"eigenvalue {lam} is simple")
     if geo >= alg:
@@ -243,7 +250,7 @@ def jordan_chain(R: ReplacementMatrix, lam: float) -> tuple[np.ndarray, np.ndarr
         raise UrnboundError("chains of length greater than 2 are not supported")
 
     xi2 = right_eigenvector(R, lam)
-    shifted = m - lam * np.eye(R.dim)
+    shifted = R.matrix - lam * np.eye(R.dim)
     xi3, *_ = np.linalg.lstsq(shifted, xi2, rcond=None)
     resid = np.max(np.abs(shifted @ xi3 - xi2))
     if resid > RESIDUAL_TOL:
@@ -345,8 +352,8 @@ def decompose(R: ReplacementMatrix) -> SpectralDecomposition:
             vectors = (right_eigenvector(R, lam),)
         elif geo == alg:
             vectors = tuple(_null_basis(R.matrix, lam))
-        else:  # defective; jordan_chain rejects chains longer than 2
-            vectors = jordan_chain(R, lam)
+        else:  # defective; _chain rejects chains longer than 2
+            vectors = _chain(R, lam, alg, geo)
         structures.append(EigenStructure(lam, alg, geo, vectors, geo < alg))
     dec = SpectralDecomposition(R, pi, tuple(spectrum), tuple(structures))
     return replace(dec, alphas=np.vstack(

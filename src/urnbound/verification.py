@@ -1,15 +1,20 @@
 """Ground truth for the deviation bounds.
 
 Two independent routes produce the probability that a bound must
-dominate: exact_distribution() enumerates every draw sequence (with
+dominate.  exact_distribution() computes the law of C_n by a forward DP
+over the vectors k counting how often each color has been drawn: C_t =
+C_0 + k^T R depends on the draws only through k, so n draws from d
+colors need C(n+d-1, d-1) states instead of d^n paths.  It runs in
 rational arithmetic whenever the matrix and initial state are exactly
-small-denominator fractions), and tail_estimates() runs seeded Monte
-Carlo replicas with a one-sided Wilson upper confidence limit.
-dominance_check() lines the probabilities up against BoundReports and
-flags the margin at every grid point.
+small-denominator fractions and n <= 24, in float arithmetic otherwise,
+and refuses (TooLarge) beyond STATE_BUDGET states.  tail_estimates()
+runs seeded Monte Carlo replicas with a one-sided Wilson upper
+confidence limit.  dominance_check() lines the probabilities up against
+BoundReports and flags the margin at every grid point.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from statistics import NormalDist
@@ -21,9 +26,11 @@ from .errors import DimensionMismatch, GridMismatch, TooLarge
 from .process import initial_counts, simulate_replicas
 from .spectral import ReplacementMatrix
 
-PATH_BUDGET = 1 << 24
+STATE_BUDGET = 1 << 14
 RATIONAL_DENOMINATOR = 10_000
+FRACTION_HORIZON = 24   # Fraction denominators grow with every draw
 MERGE_DECIMALS = 12
+TIE_RTOL = 1e-12
 WILSON_LEVEL = 0.99
 
 
@@ -44,54 +51,108 @@ class ExactDistribution:
         return float(sum(self.atoms.values()))
 
 
-def exact_distribution(initial, R: ReplacementMatrix, n: int) -> ExactDistribution:
-    """Enumerate all draw sequences of length n depth-first.
+def exact_states(d: int, n: int) -> int:
+    """Number of draw-count vectors k >= 0 with sum(k) = n: C(n+d-1, d-1)."""
+    return math.comb(n + d - 1, d - 1)
 
-    Zero-probability branches are pruned; terminal counts are merged,
-    after rounding to 12 decimals in float mode.  Raises TooLarge when
-    d^n exceeds 2^24.
+
+def _layout(d: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The draw-count vectors k with sum(k) = n, in rank order (rows),
+    and the rank of each k + e_i (row i, one column per k).
+
+    rank(k) = sum_{j=1}^{d-1} C(S_j + j - 1, j), with S_j the sum of the
+    first j entries of k: the colex rank of the bar positions S_j + j - 1
+    when k is drawn as stars and bars.  It reads k_0..k_{d-2} alone, so
+    for t <= n the first C(t+d-1, d-1) rows, with k_{d-1} set to
+    t - S_{d-1}, are the vectors with sum t; one layout serves every
+    layer.  Adding e_i raises S_j by one for each j > i, which adds
+    C(S_j + j - 1, j - 1) to the rank.
+    """
+    states = exact_states(d, n)
+    # binom[a, j] = C(a, j) by the hockey-stick identity, capped above the
+    # largest rank so that no column can overflow or lose its order
+    binom = np.ones((n + d, d), dtype=np.int64)
+    for j in range(1, d):
+        binom[:, j] = np.minimum(
+            np.concatenate(([0], np.cumsum(binom[:-1, j - 1]))), states)
+    rank = np.arange(states)
+    S = np.zeros((states, d), dtype=np.int64)
+    for j in range(d - 1, 0, -1):
+        bar = np.searchsorted(binom[:, j], rank, side="right") - 1
+        rank = rank - binom[bar, j]
+        S[:, j] = bar - j + 1
+    j = np.arange(1, d)
+    raised = binom[S[:, 1:] + j - 1, j - 1]
+    succ = np.zeros((states, d), dtype=np.int64)
+    succ[:, :-1] = np.cumsum(raised[:, ::-1], axis=1)[:, ::-1]
+    K = np.diff(S, axis=1, append=n)
+    return K, np.ascontiguousarray((succ + np.arange(states)[:, None]).T)
+
+
+def exact_distribution(initial, R: ReplacementMatrix, n: int) -> ExactDistribution:
+    """Law of C_n by a forward DP over draw-count vectors k.
+
+    C_t = C_0 + k^T R depends on the draws only through k, so layer t
+    holds the C(t+d-1, d-1) vectors with sum(k) = t and their
+    probabilities.  Arithmetic is exact (Fraction) when the matrix and
+    initial state are small-denominator fractions and n <= 24, float
+    otherwise.  Atoms are keyed by the terminal counts, rounded to 12
+    decimals in float mode, and hold positive mass (a float atom below
+    the smallest double is left out).  Raises TooLarge, before any work,
+    when C(n+d-1, d-1) exceeds STATE_BUDGET.
     """
     c0 = initial_counts(initial, R)
     d = R.dim
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if d ** n > PATH_BUDGET:
-        raise TooLarge(f"{d}^{n} draw sequences exceed the budget {PATH_BUDGET}")
+    states = exact_states(d, n)
+    if states > STATE_BUDGET:
+        raise TooLarge(f"{states} draw-count states (d = {d}, n = {n}) "
+                       f"exceed the budget {STATE_BUDGET}")
 
     entries = [_as_fraction(x) for x in R.matrix.flat]
     start = [_as_fraction(x) for x in c0]
-    rational = all(e is not None for e in entries + start)
+    rational = (n <= FRACTION_HORIZON
+                and all(e is not None for e in entries + start))
     if rational:
-        rows = [tuple(entries[i * d + j] for j in range(d)) for i in range(d)]
-        counts0 = tuple(start)
-        one = Fraction(1)
+        rows = np.array(entries, dtype=object).reshape(d, d)
+        c0 = np.array(start, dtype=object)
+        prob = np.array([Fraction(1)], dtype=object)
     else:
-        rows = [tuple(float(x) for x in row) for row in R.matrix]
-        counts0 = tuple(float(x) for x in c0)
-        one = 1.0
+        rows = R.matrix
+        prob = np.ones(1)
 
-    zero = Fraction(0) if rational else 0.0
-    atoms: dict = {}
-    stack = [(counts0, 0, one)]
-    while stack:
-        counts, t, prob = stack.pop()
-        if t == n:
-            key = (counts if rational
-                   else tuple(round(float(x), MERGE_DECIMALS) for x in counts))
-            atoms[key] = atoms.get(key, zero) + prob
-            continue
-        total = t + 1 if rational else t + 1.0
+    K, succ = _layout(d, n)
+    # counts of layer t, one row per color: head + (t - S_{d-1}) * R[d-1]
+    head = np.ascontiguousarray((c0 + K[:, :-1] @ rows[:-1]).T)
+    drawn = (n - K[:, -1]).astype(rows.dtype)      # S_{d-1}
+    last = rows[-1][:, None]
+    for t in range(n):
+        m = prob.size
+        flow = prob * (head[:, :m] + (t - drawn[:m]) * last) / (t + 1)
+        mass = np.zeros(exact_states(d, t + 1), dtype=prob.dtype)
         for i in range(d):
-            if counts[i] == 0:
-                continue
-            row = rows[i]
-            nxt = tuple(counts[k] + row[k] for k in range(d))
-            stack.append((nxt, t + 1, prob * counts[i] / total))
+            # k -> k + e_i is one-to-one: no index repeats within a color
+            mass[succ[i, :m]] += flow[i]
+        prob = mass
+
+    atoms: dict = {}
+    for counts, p in zip((c0 + K @ rows).tolist(), prob.tolist()):
+        if not p:
+            continue
+        key = (tuple(counts) if rational
+               else tuple(round(x, MERGE_DECIMALS) for x in counts))
+        atoms[key] = atoms.get(key, 0) + p
     return ExactDistribution(n, atoms, rational)
 
 
 def exact_tail(dist: ExactDistribution, v, threshold: float) -> float:
-    """P(C_n . v > threshold) summed over the exact atoms."""
+    """P(C_n . v > threshold) summed over the exact atoms.
+
+    An atom within a relative TIE_RTOL of the threshold counts as above
+    it, the side on which a bound must still dominate, so last-bit
+    rounding of the atom values cannot drop a tie from the tail.
+    """
     v = np.asarray(v, dtype=float)
     total = 0
     for counts, prob in dist.atoms.items():
@@ -99,7 +160,8 @@ def exact_tail(dist: ExactDistribution, v, threshold: float) -> float:
             raise DimensionMismatch(
                 f"atom has {len(counts)} colors, vector {v.size}")
         value = float(sum(float(c) * x for c, x in zip(counts, v)))
-        if value > threshold:
+        if value > threshold or math.isclose(value, threshold,
+                                             rel_tol=TIE_RTOL):
             total += prob
     return float(total)
 

@@ -7,6 +7,7 @@ agreement between the two routes is meaningful.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 
 def growth_reference(lam: float, n: int) -> float:
@@ -94,3 +95,37 @@ def strong_components_reference(adjacency) -> int:
     ncomp, _ = connected_components(csr_matrix(adjacency), directed=True,
                                     connection="strong")
     return int(ncomp)
+
+
+def exact_law_reference(c0, rows, n: int, rational: bool) -> dict:
+    """Law of C_n by depth-first enumeration of all d^n draw sequences.
+
+    Zero-probability branches are pruned; terminal counts are merged,
+    after rounding to 12 decimals in float mode.  With rational=True
+    every entry is read as a fraction with denominator at most 10^4 and
+    the arithmetic is exact.  O(d^n); only usable for small n.
+    """
+    d = len(c0)
+    if rational:
+        rows = [tuple(Fraction(x).limit_denominator(10_000) for x in row)
+                for row in rows]
+        counts0 = tuple(Fraction(x).limit_denominator(10_000) for x in c0)
+        one, zero = Fraction(1), Fraction(0)
+    else:
+        rows = [tuple(float(x) for x in row) for row in rows]
+        counts0 = tuple(float(x) for x in c0)
+        one, zero = 1.0, 0.0
+    atoms = {}
+    stack = [(counts0, 0, one)]
+    while stack:
+        counts, t, prob = stack.pop()
+        if t == n:
+            key = counts if rational else tuple(round(x, 12) for x in counts)
+            atoms[key] = atoms.get(key, zero) + prob
+            continue
+        for i in range(d):
+            if counts[i] == 0:
+                continue
+            nxt = tuple(counts[k] + rows[i][k] for k in range(d))
+            stack.append((nxt, t + 1, prob * counts[i] / (t + 1)))
+    return atoms

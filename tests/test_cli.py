@@ -165,6 +165,21 @@ def test_simulate_json_format(tmp_path):
     assert len(rows) == 13
 
 
+def test_failed_write_leaves_no_partial_file(tmp_path):
+    from urnbound._format import write_csv, write_json
+    csv_path, json_path = tmp_path / "t.csv", tmp_path / "t.json"
+    with pytest.raises(ValueError):
+        write_csv(str(csv_path), ["a"], [[1.0], [float("nan")]])
+    with pytest.raises(ValueError):
+        write_json(str(json_path), [1.0, float("nan")])
+    assert list(tmp_path.iterdir()) == []  # no artifact, no temporary
+    write_csv(str(csv_path), ["a"], [[1.0]])
+    with pytest.raises(ValueError):
+        write_csv(str(csv_path), ["a"], [[2.0], [float("nan")]])
+    assert csv_path.read_text() == "a\n1\n"
+    assert list(tmp_path.iterdir()) == [csv_path]
+
+
 def test_decompose_simple_eigenvalue(tmp_path):
     cfg = write(tmp_path, TWO_COLOR)
     out = tmp_path / "out"
@@ -238,6 +253,28 @@ def test_verify_auto_picks_exact_for_small_horizon(tmp_path):
     assert all(",exact," in line for line in lines[1:])
 
 
+def test_verify_auto_picks_exact_beyond_the_old_path_budget(tmp_path):
+    # 2^1000 draw sequences, but only 1,001 draw-count states
+    cfg = write(tmp_path, TWO_COLOR.replace("mode = exact", "mode = auto")
+                .replace("horizon = 12", "horizon = 1000"))
+    out = tmp_path / "out"
+    assert run(["verify", "--config", cfg, "--out", str(out)]) == 0
+    lines = (out / "dominance.csv").read_text().splitlines()
+    assert len(lines) == 5
+    assert all(",exact," in line for line in lines[1:])
+
+
+def test_verify_auto_falls_back_to_mc_over_the_state_budget(tmp_path):
+    # three colors at n = 200: C(202, 2) = 20,301 states
+    text = JORDAN_TEXT.replace("horizon = 40", "horizon = 200") + (
+        "thresholds = 0.2, 0.4\nreplicas = 2000\nmode = auto\n")
+    cfg = write(tmp_path, text)
+    out = tmp_path / "out"
+    assert run(["verify", "--config", cfg, "--out", str(out)]) == 0
+    lines = (out / "dominance.csv").read_text().splitlines()
+    assert all(",mc," in line for line in lines[1:])
+
+
 def test_verify_color_statistic(tmp_path):
     text = TWO_COLOR.replace("statistic = eigen:0", "statistic = color:0")
     cfg = write(tmp_path, text)
@@ -289,6 +326,13 @@ def test_exit_code_on_reducible_matrix(tmp_path):
     cfg = write(tmp_path, "1, 0\n0, 1\nhorizon = 5\n")
     assert run(["spectrum", "--config", cfg,
                 "--out", str(tmp_path / "o")]) == 2
+
+
+def test_exit_code_on_nan_matrix_entry(tmp_path, capsys):
+    cfg = write(tmp_path, "nan, 0.5\n0.4, 0.6\nhorizon = 5\n")
+    assert run(["spectrum", "--config", cfg,
+                "--out", str(tmp_path / "o")]) == 1
+    assert "entry (0,0) = nan is not finite" in capsys.readouterr().err
 
 
 def test_exit_code_on_complex_spectrum(tmp_path):

@@ -14,6 +14,7 @@ from urnbound import (
     BasisSingular,
     ComplexSpectrum,
     NegativeEntry,
+    NonFiniteEntry,
     NotAnEigenvalue,
     NotDefective,
     NotIrreducible,
@@ -59,6 +60,16 @@ def test_validate_rejects_bad_row_sum():
 def test_validate_rejects_negative_entry():
     with pytest.raises(NegativeEntry):
         validate_matrix([[1.1, -0.1], [0.4, 0.6]])
+
+
+@pytest.mark.parametrize("rows", [
+    [[float("nan"), 0.5], [0.4, 0.6]],
+    [[0.7, 0.3], [float("inf"), 0.6]],
+    [[0.7, 0.3], [0.4, -float("inf")]],
+])
+def test_validate_rejects_non_finite_entry(rows):
+    with pytest.raises(NonFiniteEntry, match=r"entry \(\d,\d\)"):
+        validate_matrix(rows)
 
 
 def test_validate_renormalizes_tiny_row_sum_error():
@@ -200,6 +211,20 @@ def test_jordan_chain_defective_zero():
     xi2, xi3 = jordan_chain(R, 0.0)
     assert np.max(np.abs(R.matrix @ xi2)) <= 1e-10
     assert np.max(np.abs(R.matrix @ xi3 - xi2)) <= 1e-10
+
+
+def test_decompose_solves_the_spectrum_once(monkeypatch):
+    from urnbound import spectral
+    calls = []
+
+    def counted(R):
+        calls.append(R)
+        return real_spectrum(R)
+
+    monkeypatch.setattr(spectral, "real_spectrum", counted)
+    S = decompose(validate_matrix(RJ_ROWS))
+    assert len(calls) == 1
+    assert S.structures[0].jordan
 
 
 def test_indicator_coefficients_two_color_textbook_vector():

@@ -1,10 +1,11 @@
-"""Verification tests: exact enumeration, Monte Carlo estimates, Wilson
-limits and the dominance comparison.
+"""Verification tests: the exact law (against the depth-first oracle),
+Monte Carlo estimates, Wilson limits and the dominance comparison.
 """
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from urnbound import (
     EstimateReport,
@@ -22,11 +23,39 @@ from urnbound import (
     wilson_upper,
 )
 
-from oracles import wilson_reference
+from urnbound.verification import STATE_BUDGET, exact_states
+
+from oracles import exact_law_reference, wilson_reference
 
 R2 = validate_matrix([[0.7, 0.3], [0.4, 0.6]])
 C0 = np.array([1.0, 0.0])
 E0 = np.array([1.0, 0.0])
+R2_FLOAT = validate_matrix([[0.38197, 0.61803], [0.5, 0.5]])
+RJ = validate_matrix([[5 / 8, 3 / 8, 0.0], [1 / 8, 3 / 8, 1 / 2],
+                      [1 / 4, 1 / 4, 1 / 2]])
+R3_FLOAT = validate_matrix([[0.5772156649, 0.3, 0.1227843351],
+                            [0.1414213562, 0.6, 0.2585786438],
+                            [0.2, 0.3678794412, 0.4321205588]])
+
+
+def assert_law_matches(dist, initial, R):
+    """The DP law equals the depth-first oracle: atom for atom on the
+    Fraction path, within 1e-14 per atom on the float path (summation
+    order differs; a key may round across a 1e-12 boundary, so each
+    oracle key is matched to the nearest DP key)."""
+    ref = exact_law_reference(initial, R.matrix, dist.n, dist.rational)
+    if dist.rational:
+        assert dist.atoms == ref
+        return
+    keys = list(dist.atoms)
+    merged = dict.fromkeys(keys, 0.0)
+    for key, prob in ref.items():
+        gaps = np.max(np.abs(np.array(keys) - key), axis=1)
+        nearest = int(np.argmin(gaps))
+        assert gaps[nearest] <= 1e-9
+        merged[keys[nearest]] += prob
+    for key in keys:
+        assert abs(dist.atoms[key] - merged[key]) <= 1e-14
 
 
 def test_exact_distribution_one_forced_draw():
@@ -61,10 +90,71 @@ def test_exact_distribution_float_mode():
 
 
 def test_exact_distribution_guards_path_budget():
-    RJ = validate_matrix([[5 / 8, 3 / 8, 0.0], [1 / 8, 3 / 8, 1 / 2],
-                          [1 / 4, 1 / 4, 1 / 2]])
+    assert exact_states(3, 200) > STATE_BUDGET  # C(202, 2) = 20,301 states
     with pytest.raises(TooLarge):
-        exact_distribution(np.array([1.0, 0.0, 0.0]), RJ, 16)  # 3^16 paths
+        exact_distribution(np.array([1.0, 0.0, 0.0]), RJ, 200)
+
+
+@pytest.mark.parametrize("R,initial,n,rational", [
+    (R2, [1.0, 0.0], 0, True),
+    (R2, [1.0, 0.0], 1, True),
+    (R2, [0.0, 1.0], 7, True),
+    (R2, [1.0, 0.0], 16, True),
+    (R2_FLOAT, [1.0, 0.0], 5, False),
+    (R2_FLOAT, [0.5, 0.5], 16, False),
+    (RJ, [1.0, 0.0, 0.0], 0, True),
+    (RJ, [1.0, 0.0, 0.0], 4, True),
+    (RJ, [0.0, 0.0, 1.0], 10, True),
+    (R3_FLOAT, [1.0, 0.0, 0.0], 1, False),
+    (R3_FLOAT, [1.0, 0.0, 0.0], 9, False),
+    (R3_FLOAT, [0.2, 0.3, 0.5], 10, False),
+])
+def test_exact_distribution_matches_path_enumeration(R, initial, n, rational):
+    # d = 3 stops at n = 10: the oracle walks all 3^n draw sequences
+    dist = exact_distribution(np.array(initial), R, n)
+    assert dist.rational == rational
+    assert_law_matches(dist, initial, R)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), d=st.integers(2, 3), n=st.integers(0, 7),
+       integer=st.booleans())
+def test_exact_distribution_matches_oracle_on_reversible_matrices(
+        data, d, n, integer):
+    # R = D^-1 W with W symmetric and positive: irreducible and reversible
+    entry = (st.integers(1, 9) if integer
+             else st.floats(0.05, 1.0, allow_nan=False))
+    W = np.zeros((d, d))
+    for i in range(d):
+        for j in range(i, d):
+            W[i, j] = W[j, i] = data.draw(entry)
+    R = validate_matrix(W / W.sum(axis=1, keepdims=True))
+    initial = np.eye(d)[data.draw(st.integers(0, d - 1))]
+    dist = exact_distribution(initial, R, n)
+    assert_law_matches(dist, initial, R)
+    if dist.rational:
+        assert sum(dist.atoms.values()) == 1
+    else:
+        assert dist.total() == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("R,initial,structure,n", [
+    (R2, [1.0, 0.0], 0, 1000),
+    (R2, [1.0, 0.0], 0, 10_000),
+    (RJ, [1.0, 0.0, 0.0], 0, 150),
+    (R3_FLOAT, [0.0, 1.0, 0.0], 1, 150),
+])
+def test_exact_law_keeps_the_martingale_mean(R, initial, structure, n):
+    # E[C_n . xi] = growth_product(lam, n) * (C_0 . xi) for R xi = lam xi,
+    # at horizons no path enumeration reaches
+    eigen = decompose(R).structures[structure]
+    lam, xi = eigen.value, eigen.vectors[0]
+    dist = exact_distribution(np.array(initial), R, n)
+    assert not dist.rational
+    mean = sum(p * float(np.dot(k, xi)) for k, p in dist.atoms.items())
+    assert mean == pytest.approx(
+        growth_product(lam, n) * float(np.dot(initial, xi)), rel=1e-9)
+    assert dist.total() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_exact_tail_infinite_thresholds():
@@ -76,6 +166,16 @@ def test_exact_tail_infinite_thresholds():
 def test_exact_tail_two_draw_example():
     dist = exact_distribution(C0, R2, 2)
     assert exact_tail(dist, E0, 2.3) == pytest.approx(0.85, abs=1e-15)
+
+
+def test_exact_tail_counts_an_atom_on_the_threshold():
+    # atoms 2.4 (mass 0.85) and 2.1 (mass 0.15) in color 0
+    dist = exact_distribution(C0, R2, 2)
+    assert exact_tail(dist, E0, 2.4) == pytest.approx(0.85, abs=1e-15)
+    assert exact_tail(dist, E0, 2.4 * (1 + 1e-13)) == pytest.approx(
+        0.85, abs=1e-15)
+    assert exact_tail(dist, E0, 2.4 * (1 + 1e-11)) == 0.0
+    assert exact_tail(dist, E0, 2.1) == 1.0
 
 
 def test_exact_tail_monotone_in_threshold():
