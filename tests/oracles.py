@@ -2,12 +2,16 @@
 
 Everything here is written with plain Python floats and literal loops,
 deliberately avoiding the vectorized recurrences in the package, so that
-agreement between the two routes is meaningful.
+agreement between the two routes is meaningful.  The one exception is
+replica_chunk_reference, the earlier row-major replica kernel, kept
+verbatim because the package kernel must reproduce its numbers bit for bit.
 """
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+
+import numpy as np
 
 
 def growth_reference(lam: float, n: int) -> float:
@@ -129,3 +133,26 @@ def exact_law_reference(c0, rows, n: int, rational: bool) -> dict:
             nxt = tuple(counts[k] + rows[i][k] for k in range(d))
             stack.append((nxt, t + 1, prob * counts[i] / (t + 1)))
     return atoms
+
+
+def replica_chunk_reference(rows, c0, n: int, m: int, seed_seq,
+                            keep_draws: bool):
+    """Row-major replica kernel: (m, d) counts, a fresh cumulative sum per
+    draw, and the clipped rule sum(u >= cumsum(counts)) capped at d - 1.
+
+    Returns (final counts (m, d), draws (m, n) int16 or None), from the
+    stream default_rng(seed_seq).
+    """
+    rng = np.random.default_rng(seed_seq)
+    d = rows.shape[0]
+    counts = np.tile(c0, (m, 1))
+    draws = np.empty((m, n), dtype=np.int16) if keep_draws else None
+    for j in range(n):
+        u = rng.random(m) * (j + 1.0)
+        cumulative = np.cumsum(counts, axis=1)
+        chosen = np.sum(u[:, None] >= cumulative, axis=1)
+        np.clip(chosen, 0, d - 1, out=chosen)
+        counts += rows[chosen]
+        if keep_draws:
+            draws[:, j] = chosen
+    return counts, draws

@@ -1,8 +1,11 @@
 """Urn process tests: stepping, trajectories, balance, reproducibility,
 draw-law checks and the batched replica runner.
 """
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
 from urnbound import (
@@ -13,7 +16,9 @@ from urnbound import (
     simulate_replicas,
     validate_matrix,
 )
-from urnbound.process import _draw
+from urnbound.process import _draw, _run_chunk
+
+from oracles import replica_chunk_reference
 
 R2 = validate_matrix([[0.7, 0.3], [0.4, 0.6]])
 RJ = validate_matrix([[5 / 8, 3 / 8, 0.0], [1 / 8, 3 / 8, 1 / 2],
@@ -213,3 +218,106 @@ def test_trajectory_table_and_csv(tmp_path):
     lines = (tmp_path / "t.csv").read_text().splitlines()
     assert lines[:2] == ["time,count_0,count_1,draw", "0,1,0,"]
     assert len(lines) == 5
+
+
+def _sha256(a: np.ndarray) -> str:
+    return hashlib.sha256(a.tobytes()).hexdigest()
+
+
+# Recorded from the row-major kernel (tests/oracles.py:
+# replica_chunk_reference); a kernel change must reproduce them bit for bit.
+# Replica counts are not multiples of the chunk size, so the last chunk is
+# short.
+REPLICA_GOLDEN = {
+    "R2": ([1.0, 0.0], 100, 40_000, 16_384, 5,
+           "58e8a33c7eefabe7bc1b53b9127854a787a06d07bd6f6db956b3580754abf1e7",
+           "5db0528907b338e8dd4fcb2e9aa24361156f741762ea99d7cdf902bbf4cc486d"),
+    "RJ": ([1.0, 0.0, 0.0], 50, 3_000, 1_000, 11,
+           "1411baeea27c31fe1cd803f74f23e5458b684a8e4c7c5a5b2c29351945c68df2",
+           "2152ab2b49973e760be1a261de600f8e3a75a62e315c9a1fe5d053d179cf366d"),
+}
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("name", sorted(REPLICA_GOLDEN))
+def test_replica_streams_match_golden_hashes(name, threads):
+    R = {"R2": R2, "RJ": RJ}[name]
+    c0, n, replicas, chunk, seed, counts_hash, draws_hash = REPLICA_GOLDEN[name]
+    batch = simulate_replicas(c0, R, n, replicas, seed=seed, keep_draws=True,
+                              threads=threads, chunk_size=chunk)
+    assert batch.final_counts.dtype == np.float64
+    assert batch.final_counts.shape == (replicas, R.dim)
+    assert batch.draws.dtype == np.int16
+    assert batch.draws.shape == (replicas, n)
+    assert _sha256(batch.final_counts) == counts_hash
+    assert _sha256(batch.draws) == draws_hash
+    lean = simulate_replicas(c0, R, n, replicas, seed=seed, threads=threads,
+                             chunk_size=chunk)
+    assert lean.draws is None
+    assert _sha256(lean.final_counts) == counts_hash
+
+
+def test_simulate_stream_matches_golden_hash():
+    traj = simulate([1.0, 0.0, 0.0], RJ, 20_000, 7)
+    assert traj.draws.dtype == np.int64
+    assert _sha256(traj.draws) == (
+        "a981ca7da6a408fca09a59aad898ea17abd796a6d23cf73c1a0390e54c680f5a")
+    assert _sha256(traj.counts_matrix()) == (
+        "60d06f0e8348b6cf120674006167b9e75e588f0211deede8616c6d93ba609918")
+
+
+def _assert_kernel_matches_reference(rows, c0, n, m, seed, keep_draws):
+    def stream():
+        return np.random.SeedSequence(seed, spawn_key=(3,))
+    ref_counts, ref_draws = replica_chunk_reference(rows, c0, n, m, stream(),
+                                                    keep_draws)
+    counts, draws = _run_chunk(rows, c0, n, m, stream(), keep_draws)
+    np.testing.assert_array_equal(counts, ref_counts, strict=True)
+    if keep_draws:
+        np.testing.assert_array_equal(draws, ref_draws, strict=True)
+    else:
+        assert draws is None
+
+
+@st.composite
+def _unit_rows(draw, d):
+    # integer weights 0..4 normalized per row: zero entries, and quotients
+    # such as 1/3 that are not exact in binary
+    w = np.array(draw(st.lists(st.lists(st.integers(0, 4), min_size=d,
+                                        max_size=d).filter(any),
+                               min_size=d, max_size=d)), dtype=float)
+    return w / w.sum(axis=1, keepdims=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), d=st.integers(2, 5), n=st.integers(0, 40),
+       m=st.integers(1, 64), seed=st.integers(0, 2**32 - 1),
+       keep_draws=st.booleans())
+def test_replica_kernel_matches_row_major_reference(data, d, n, m, seed,
+                                                    keep_draws):
+    rows = data.draw(_unit_rows(d))
+    mass = np.array(data.draw(st.lists(st.integers(0, 3), min_size=d,
+                                       max_size=d).filter(any)), dtype=float)
+    _assert_kernel_matches_reference(rows, mass / mass.sum(), n, m, seed,
+                                     keep_draws)
+
+
+THIRD = 1.0 / 3.0
+
+
+@pytest.mark.parametrize("keep_draws", [False, True])
+@pytest.mark.parametrize("rows,c0", [
+    (R2.matrix, [0.0, 1.0]),
+    (RJ.matrix, [0.0, 0.0, 1.0]),
+    # irrational-looking 3x3 with an empty initial color
+    ([[THIRD, THIRD, 1 - 2 * THIRD], [0.1, 0.2, 0.7], [0.0, 0.9, 0.1]],
+     [0.5, 0.0, 0.5]),
+    # 4x4 with a zero column: color 1 never grows
+    ([[0.5, 0.0, 0.25, 0.25], [0.0, 0.0, 0.5, 0.5], [THIRD, 0.0, THIRD,
+      1 - 2 * THIRD], [0.25, 0.0, 0.0, 0.75]], [0.0, 0.5, 0.5, 0.0]),
+    (np.full((5, 5), 0.2), [0.2, 0.0, 0.3, 0.0, 0.5]),
+])
+def test_replica_kernel_matches_reference_on_fixed_cases(rows, c0,
+                                                         keep_draws):
+    _assert_kernel_matches_reference(np.array(rows), np.array(c0), 200, 300,
+                                     17, keep_draws)
