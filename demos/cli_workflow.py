@@ -1,8 +1,8 @@
 """End-to-end CLI workflow driven from Python.
 
-Writes a config file, runs every subcommand into a scratch directory,
-and prints the artifacts.  Rerunning a command with the same config and
-seed reproduces every output byte for byte.
+Writes a config file, runs every subcommand into a temporary directory
+(removed at exit), and prints the artifacts.  Rerunning a command with
+the same config and seed reproduces every output byte for byte.
 
 Run with: python3 demos/cli_workflow.py
 """
@@ -27,7 +27,11 @@ mode = auto
 
 
 def main():
-    root = Path(tempfile.mkdtemp(prefix="urnbound_demo_"))
+    with tempfile.TemporaryDirectory(prefix="urnbound_demo_") as workspace:
+        run(Path(workspace))
+
+
+def run(root: Path):
     cfg = root / "exp.cfg"
     cfg.write_text(CONFIG)
     print("workspace:", root)

@@ -10,6 +10,13 @@ independent replicas in lockstep with vectorized draws.  Replica streams
 are derived from (seed, chunk) via numpy SeedSequence spawn keys, chunks
 have a fixed size, and chunk results are merged in index order, so results
 are deterministic and independent of thread scheduling.
+
+The replica kernel (_run_chunk) keeps a chunk's counts column-major, as d
+contiguous length-m vectors, one per color, with preallocated per-draw
+buffers.  Its draw rule counts the left-to-right cumulative sums of
+colors 0 .. d-2 that the uniform reaches, which equals, bit for bit, the
+row-major rule min(sum(u >= cumsum(counts)), d - 1) it replaced; the
+golden hashes in the tests pin the streams.
 """
 from __future__ import annotations
 
@@ -149,10 +156,10 @@ def simulate(initial, R: ReplacementMatrix, n: int, seed,
     hist = np.empty((n + 1, c0.size)) if keep_counts else None
     if hist is not None:
         hist[0] = counts
-    random = rng.random
+    # one vector of draws equals n scalar calls on the same stream
+    targets = (rng.random(n) * np.arange(1.0, n + 1.0)).tolist()
     for j in range(n):
-        total = j + 1.0
-        i = _draw(counts, total, random() * total)
+        i = _draw(counts, j + 1.0, targets[j])
         counts += rows[i]
         draws[j] = i
         if hist is not None:
@@ -188,19 +195,46 @@ class ReplicaBatch:
 
 def _run_chunk(rows: np.ndarray, c0: np.ndarray, n: int, m: int,
                seed_seq: np.random.SeedSequence, keep_draws: bool):
+    """Advance m replicas by n draws on the stream default_rng(seed_seq).
+
+    The counts are held column by column: cols[i] is the length-m vector
+    of color i, and table[i] = R[:, i] is the amount each drawn color adds
+    to it.  Every per-draw buffer is allocated once.  At draw j the
+    uniforms u in [0, j + 1) pick color chosen = sum_{i < d-1}
+    [u >= c_0 + ... + c_i], the running sum taken left to right.  This is
+    the same number, bit for bit, as the row-major rule
+    min(sum_i [u >= cumsum(counts)_i], d - 1): the last cumulative sum can
+    only add the step that the cap removes.
+
+    Returns the final counts (m, d) and, with keep_draws, the drawn colors
+    (m, n) as int16.
+    """
     rng = np.random.default_rng(seed_seq)
-    d = rows.shape[0]
-    counts = np.tile(c0, (m, 1))
+    cols = [np.full(m, c) for c in c0]
+    table = [np.ascontiguousarray(column) for column in rows.T]
+    u = np.empty(m)
+    cumulative = np.empty(m)
+    hit = np.empty(m, dtype=bool)
+    chosen = np.empty(m, dtype=np.intp)
+    step = np.empty(m)
     draws = np.empty((m, n), dtype=np.int16) if keep_draws else None
     for j in range(n):
-        u = rng.random(m) * (j + 1.0)
-        cumulative = np.cumsum(counts, axis=1)
-        chosen = np.sum(u[:, None] >= cumulative, axis=1)
-        np.clip(chosen, 0, d - 1, out=chosen)
-        counts += rows[chosen]
+        rng.random(out=u)
+        u *= j + 1.0
+        np.greater_equal(u, cols[0], out=hit)
+        np.copyto(chosen, hit)
+        running = cols[0]
+        for col in cols[1:-1]:
+            running = np.add(running, col, out=cumulative)
+            np.greater_equal(u, running, out=hit)
+            chosen += hit
+        for col, column_of_R in zip(cols, table):
+            # chosen is always in range; "clip" skips take's buffered check
+            column_of_R.take(chosen, out=step, mode="clip")
+            col += step
         if keep_draws:
             draws[:, j] = chosen
-    return counts, draws
+    return np.stack(cols, axis=1), draws
 
 
 def simulate_replicas(initial, R: ReplacementMatrix, n: int, replicas: int,

@@ -228,21 +228,22 @@ def _sha256(a: np.ndarray) -> str:
 # replica_chunk_reference); a kernel change must reproduce them bit for bit.
 # Replica counts are not multiples of the chunk size, so the last chunk is
 # short.
-REPLICA_GOLDEN = {
-    "R2": ([1.0, 0.0], 100, 40_000, 16_384, 5,
-           "58e8a33c7eefabe7bc1b53b9127854a787a06d07bd6f6db956b3580754abf1e7",
-           "5db0528907b338e8dd4fcb2e9aa24361156f741762ea99d7cdf902bbf4cc486d"),
-    "RJ": ([1.0, 0.0, 0.0], 50, 3_000, 1_000, 11,
-           "1411baeea27c31fe1cd803f74f23e5458b684a8e4c7c5a5b2c29351945c68df2",
-           "2152ab2b49973e760be1a261de600f8e3a75a62e315c9a1fe5d053d179cf366d"),
-}
-
-
 @pytest.mark.parametrize("threads", [1, 2])
-@pytest.mark.parametrize("name", sorted(REPLICA_GOLDEN))
-def test_replica_streams_match_golden_hashes(name, threads):
-    R = {"R2": R2, "RJ": RJ}[name]
-    c0, n, replicas, chunk, seed, counts_hash, draws_hash = REPLICA_GOLDEN[name]
+@pytest.mark.parametrize("R,c0,n,replicas,chunk,seed,counts_hash,draws_hash", [
+    pytest.param(
+        R2, [1.0, 0.0], 100, 40_000, 16_384, 5,
+        "58e8a33c7eefabe7bc1b53b9127854a787a06d07bd6f6db956b3580754abf1e7",
+        "5db0528907b338e8dd4fcb2e9aa24361156f741762ea99d7cdf902bbf4cc486d",
+        id="R2"),
+    pytest.param(
+        RJ, [1.0, 0.0, 0.0], 50, 3_000, 1_000, 11,
+        "1411baeea27c31fe1cd803f74f23e5458b684a8e4c7c5a5b2c29351945c68df2",
+        "2152ab2b49973e760be1a261de600f8e3a75a62e315c9a1fe5d053d179cf366d",
+        id="RJ"),
+])
+def test_replica_streams_match_golden_hashes(R, c0, n, replicas, chunk, seed,
+                                             counts_hash, draws_hash,
+                                             threads):
     batch = simulate_replicas(c0, R, n, replicas, seed=seed, keep_draws=True,
                               threads=threads, chunk_size=chunk)
     assert batch.final_counts.dtype == np.float64
@@ -316,6 +317,9 @@ THIRD = 1.0 / 3.0
     ([[0.5, 0.0, 0.25, 0.25], [0.0, 0.0, 0.5, 0.5], [THIRD, 0.0, THIRD,
       1 - 2 * THIRD], [0.25, 0.0, 0.0, 0.75]], [0.0, 0.5, 0.5, 0.0]),
     (np.full((5, 5), 0.2), [0.2, 0.0, 0.3, 0.0, 0.5]),
+    # mass 1/2 short of the uniforms' range: u often passes every
+    # cumulative sum, the top edge where the old rule's cap acts
+    (RJ.matrix, [0.25, 0.25, 0.0]),
 ])
 def test_replica_kernel_matches_reference_on_fixed_cases(rows, c0,
                                                          keep_draws):
