@@ -28,10 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decomposition import (
-    appendix_zeroth,
+    EIGEN_RESID_TOL,
     dn_asymptotic,
-    growth_product,
-    jordan_weights,
+    member_weights,
     tail_products,
 )
 from .errors import IndexOrder, LambdaOutOfRange, NotEigenpair
@@ -42,8 +41,6 @@ from .spectral import (
     decompose,
     indicator_coefficients,
 )
-
-MEMBER_RESID_TOL = 1e-8
 
 
 def spread(xi) -> float:
@@ -149,17 +146,17 @@ class _Member:
         return f"{self.alpha:g}*[{self.member.kind}, lam={self.lam:g}]"
 
     def increment_bounds(self, n_draws: int) -> np.ndarray:
-        """|alpha| * c_j for j = 0 .. n_draws - 1."""
+        """|alpha| * c_j for j = 0 .. n_draws - 1: each weight of
+        member_weights() times the range of the increment it multiplies."""
         if self.frozen:
             return np.zeros(n_draws)
-        tails = tail_products(self.lam, n_draws - 1)
+        _, _, direct, nested = member_weights(self.member, n_draws)
         if self.xi2 is None:
-            return abs(self.alpha) * abs(self.lam) * spread(self.vector) * tails
+            return abs(self.alpha) * abs(self.lam) * spread(self.vector) * direct
         if self.member.zero:
-            return abs(self.alpha) * spread(self.xi2) * np.ones(n_draws)
+            return abs(self.alpha) * spread(self.xi2) * direct
         mixed = self.xi2 + self.lam * self.vector
-        nested = jordan_weights(self.lam, n_draws - 1)
-        return abs(self.alpha) * (spread(mixed) * tails
+        return abs(self.alpha) * (spread(mixed) * direct
                                   + abs(self.lam) * spread(self.xi2) * nested)
 
     def center(self, n_draws: int, initial: np.ndarray) -> float:
@@ -167,15 +164,10 @@ class _Member:
         c0v = float(initial @ self.vector)
         if self.frozen:
             return self.alpha * c0v
+        growth, shift, _, _ = member_weights(self.member, n_draws)
         if self.xi2 is None:
-            return self.alpha * growth_product(self.lam, n_draws) * c0v
-        c0x2 = float(initial @ self.xi2)
-        if self.member.zero:
-            harmonic = float(np.sum(1.0 / np.arange(1.0, n_draws + 1.0)))
-            return self.alpha * (c0v + harmonic * c0x2)
-        z = appendix_zeroth(self.lam, n_draws - 1) if n_draws else 0.0
-        return self.alpha * (growth_product(self.lam, n_draws) * c0v
-                             + z * c0x2)
+            return self.alpha * growth * c0v
+        return self.alpha * (growth * c0v + shift * float(initial @ self.xi2))
 
 
 def _checked_member(S: SpectralDecomposition, vector, lam: float) -> Member:
@@ -187,9 +179,9 @@ def _checked_member(S: SpectralDecomposition, vector, lam: float) -> Member:
     if not -1.0 < lam < 1.0:
         raise LambdaOutOfRange(f"member eigenvalue {lam} outside (-1, 1)")
     r = m @ v - lam * v
-    if np.max(np.abs(r)) <= MEMBER_RESID_TOL:
+    if np.max(np.abs(r)) <= EIGEN_RESID_TOL:
         return Member(lam, v)
-    if np.max(np.abs(m @ r - lam * r)) <= MEMBER_RESID_TOL:
+    if np.max(np.abs(m @ r - lam * r)) <= EIGEN_RESID_TOL:
         return Member(lam, v, r)
     raise NotEigenpair(
         f"vector is neither an eigenvector nor a chain member for lam={lam}")

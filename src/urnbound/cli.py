@@ -189,8 +189,13 @@ class Statistic:
 def resolve_statistic(spec: str, S) -> Statistic:
     kind, _, arg = spec.partition(":")
     kind = kind.strip()
+    if kind in ("eigen", "color"):
+        try:
+            idx = int(arg or "0")
+        except ValueError as exc:
+            raise ConfigError(f"statistic {spec!r} needs an integer index, "
+                              f"got {arg!r}") from exc
     if kind == "eigen":
-        idx = int(arg or "0")
         if not 0 <= idx < len(S.structures):
             raise ConfigError(
                 f"eigen:{idx} out of range ({len(S.structures)} structures)")
@@ -201,13 +206,13 @@ def resolve_statistic(spec: str, S) -> Statistic:
                          f"eigen:{idx} (lam={st.value:g})",
                          terms=[(1.0, member)])
     if kind == "color":
-        idx = int(arg or "0")
         d = S.matrix.dim
         if not 0 <= idx < d:
             raise ConfigError(f"color:{idx} out of range for {d} colors")
         vec = np.zeros(d)
         vec[idx] = 1.0
-        return Statistic("color", idx, vec, f"color:{idx}")
+        return Statistic("color", idx, vec, f"color:{idx}",
+                         constant=float(S.pi[idx]))
     if kind == "vector":
         try:
             vec = np.array(_floats(arg), dtype=float)
@@ -232,12 +237,9 @@ def _bound_reports(cfg, S, stat, n, initial) -> list[BoundReport]:
             for t in thresholds]
 
 
-def _raw_threshold(S, stat, report: BoundReport, n: int) -> float:
+def _raw_threshold(stat, report: BoundReport, n: int) -> float:
     """Translate the centered event back to a threshold on C_n . vector."""
-    if stat.kind == "color":
-        return (S.pi[stat.index] * (n + 1.0) + report.zeroth_shift
-                + report.t * (n + 1.0))
-    return stat.constant * (n + 1.0) + report.zeroth_shift + report.t * n
+    return stat.constant * (n + 1.0) + report.zeroth_shift + report.deviation
 
 
 def _initial(cfg, R) -> np.ndarray:
@@ -339,9 +341,9 @@ def _truths(cfg, S, stat, reports, n, c0, threads):
         mode = "exact" if fits else "mc"
     if mode == "exact":
         dist = exact_distribution(c0, S.matrix, n)
-        return [exact_tail(dist, stat.vector, _raw_threshold(S, stat, r, n))
+        return [exact_tail(dist, stat.vector, _raw_threshold(stat, r, n))
                 for r in reports], "exact"
-    thresholds = [_raw_threshold(S, stat, r, n) for r in reports]
+    thresholds = [_raw_threshold(stat, r, n) for r in reports]
     return tail_estimates(c0, S.matrix, n, stat.vector, thresholds,
                           cfg.replicas, cfg.seed, threads=threads), "mc"
 
@@ -416,15 +418,16 @@ def _write_manifest(out_dir, command, config_hash, cfg, args) -> None:
 
 
 def _threads(requested) -> int:
-    """--threads if given, else URNBOUND_THREADS (at least 1), else 1."""
-    if requested is not None:
-        if requested < 1:
-            raise ConfigError(f"--threads must be at least 1, got {requested}")
-        return requested
+    """--threads if given, else URNBOUND_THREADS, else 1; at least 1."""
+    env = requested is None
+    source = "URNBOUND_THREADS" if env else "--threads"
     try:
-        return max(1, int(os.environ.get("URNBOUND_THREADS", "1")))
+        value = int(os.environ.get(source, "1")) if env else requested
     except ValueError as exc:
-        raise ConfigError("invalid URNBOUND_THREADS") from exc
+        raise ConfigError(f"invalid {source}") from exc
+    if value < 1:
+        raise ConfigError(f"{source} must be at least 1, got {value}")
+    return value
 
 
 def main(argv=None) -> int:

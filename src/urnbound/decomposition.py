@@ -13,9 +13,11 @@ an exact identity for every realization, not just in expectation.  The
 same iteration for a generalized vector xi3 (R xi3 = xi2 + lam xi3) picks
 up two extra pieces: a deterministic coefficient on C_0.xi2 given by
 appendix_zeroth(), and nested martingale increments against xi2 carrying
-the weights jordan_weights().  All weighted sums of squares needed by the
-deviation bounds are available exactly (dn_exact) and through calibrated
-closed-form envelopes (dn_asymptotic).
+the weights jordan_weights().  member_weights() tabulates these pieces
+per kind of spectral member for the expansions and the bounds alike.
+All weighted sums of squares needed by the deviation bounds are
+available exactly (dn_exact) and through calibrated closed-form
+envelopes (dn_asymptotic).
 
 Index conventions follow the one-step recursion: weights for a statistic
 observed after N draws use tail_products(lam, N-1)[j] for j = 0 .. N-1,
@@ -64,8 +66,6 @@ def growth_product(lam: float, n: int) -> float:
     lam = _check_lambda(lam, allow_one=True)
     if n < 0:
         raise IndexOrder(f"n={n} must be nonnegative")
-    if n == 0:
-        return 1.0
     return float(np.prod(1.0 + lam / np.arange(1, n + 1)))
 
 
@@ -84,8 +84,7 @@ def tail_products(lam: float, n: int) -> np.ndarray:
 def _prefix_products(lam: float, m: int) -> np.ndarray:
     """growth_product(lam, k) for k = 0 .. m."""
     out = np.ones(m + 1)
-    if m > 0:
-        out[1:] = np.cumprod(1.0 + lam / np.arange(1, m + 1))
+    out[1:] = np.cumprod(1.0 + lam / np.arange(1, m + 1))
     return out
 
 
@@ -137,8 +136,8 @@ def martingale_decompose(traj: Trajectory, xi, lam: float) -> MartingaleExpansio
     path = traj.statistic(xi)
     times = np.arange(1, n_draws + 1, dtype=float)
     increments = lam * (xi[traj.draws] - path[:n_draws] / times)
-    weights = tail_products(lam, n_draws - 1) if n_draws else np.empty(0)
-    zeroth = growth_product(lam, n_draws) * path[0]
+    growth, _, weights, _ = member_weights(Member(lam, xi), n_draws)
+    zeroth = growth * path[0]
     reconstructed = zeroth + float(weights @ increments)
     return MartingaleExpansion(lam, zeroth, weights, increments,
                                reconstructed, float(path[-1]))
@@ -299,6 +298,29 @@ def appendix_zeroth(lam: float, n: int) -> float:
     return total
 
 
+def member_weights(member: Member, n: int):
+    """(growth, shift, direct, nested) for the member v after n draws:
+    C_n.v = growth C_0.v + shift C_0.xi2 + direct . (direct increments)
+    + nested . (nested increments), xi2 being v's chain partner.
+
+    Eigenvector: growth_product, 0, tail_products, zeros.  Chain member:
+    plus the appendix_zeroth shift and jordan_weights as nested weights.
+    Chain member of eigenvalue 0: 1, the harmonic number H_n, ones, zeros.
+    """
+    lam = member.value
+    if member.partner is not None and member.zero:
+        harmonic = float(np.sum(1.0 / np.arange(1.0, n + 1.0)))
+        return 1.0, harmonic, np.ones(n), np.zeros(n)
+    growth = growth_product(lam, n)
+    if n == 0:
+        return growth, 0.0, np.empty(0), np.empty(0)
+    direct = tail_products(lam, n - 1)
+    if member.partner is None:
+        return growth, 0.0, direct, np.zeros(n)
+    return (growth, appendix_zeroth(lam, n - 1), direct,
+            jordan_weights(lam, n - 1))
+
+
 @dataclass
 class JordanExpansion:
     """Exact expansion of C_N.xi3 for a defective eigenvalue.
@@ -347,6 +369,30 @@ def _check_jordan_pair(traj, xi2, xi3, lam):
     return xi2, xi3
 
 
+def _chain_decompose(traj: Trajectory, member: Member) -> JordanExpansion:
+    """Expansion of C_N.xi3 for a checked chain member xi3 (partner xi2)."""
+    xi2, xi3, lam = member.partner, member.vector, member.value
+    n_draws = traj.n_draws
+    s2 = traj.statistic(xi2)
+    s3 = traj.statistic(xi3)
+    times = np.arange(1, n_draws + 1, dtype=float)
+    growth, shift, direct_w, nested_w = member_weights(member, n_draws)
+    if member.zero:
+        # C_j.xi2 is frozen: no nested part, so no 0 * (...) cells either
+        direct_inc = xi2[traj.draws] - s2[:n_draws] / times
+        nested_inc = np.zeros(n_draws)
+    else:
+        mixed = xi2 + lam * xi3
+        direct_inc = (mixed[traj.draws]
+                      - (s2[:n_draws] + lam * s3[:n_draws]) / times)
+        nested_inc = lam * (xi2[traj.draws] - s2[:n_draws] / times)
+    zeroth3, zeroth2 = growth * s3[0], shift * s2[0]
+    reconstructed = (zeroth3 + zeroth2 + float(direct_w @ direct_inc)
+                     + float(nested_w @ nested_inc))
+    return JordanExpansion(lam, zeroth3, zeroth2, direct_w, direct_inc,
+                           nested_w, nested_inc, reconstructed, float(s3[-1]))
+
+
 def jordan_decompose(traj: Trajectory, xi2, xi3, lam: float) -> JordanExpansion:
     """Expansion of C_N.xi3 when R xi3 = xi2 + lam xi3 with lam != 0.
 
@@ -357,26 +403,7 @@ def jordan_decompose(traj: Trajectory, xi2, xi3, lam: float) -> JordanExpansion:
     """
     lam = _check_lambda(lam, allow_zero=False)
     xi2, xi3 = _check_jordan_pair(traj, xi2, xi3, lam)
-    n_draws = traj.n_draws
-    s2 = traj.statistic(xi2)
-    s3 = traj.statistic(xi3)
-    times = np.arange(1, n_draws + 1, dtype=float)
-    mixed = xi2 + lam * xi3
-    direct_inc = mixed[traj.draws] - (s2[:n_draws] + lam * s3[:n_draws]) / times
-    nested_inc = lam * (xi2[traj.draws] - s2[:n_draws] / times)
-    if n_draws:
-        direct_w = tail_products(lam, n_draws - 1)
-        nested_w = jordan_weights(lam, n_draws - 1)
-        zeroth2 = appendix_zeroth(lam, n_draws - 1) * s2[0]
-    else:
-        direct_w = np.empty(0)
-        nested_w = np.empty(0)
-        zeroth2 = 0.0
-    zeroth3 = growth_product(lam, n_draws) * s3[0]
-    reconstructed = (zeroth3 + zeroth2 + float(direct_w @ direct_inc)
-                     + float(nested_w @ nested_inc))
-    return JordanExpansion(lam, zeroth3, zeroth2, direct_w, direct_inc,
-                           nested_w, nested_inc, reconstructed, float(s3[-1]))
+    return _chain_decompose(traj, Member(lam, xi3, xi2))
 
 
 def repeated_zero_decompose(traj: Trajectory, xi2, xi3) -> JordanExpansion:
@@ -388,19 +415,7 @@ def repeated_zero_decompose(traj: Trajectory, xi2, xi3) -> JordanExpansion:
     contribution vanishes.
     """
     xi2, xi3 = _check_jordan_pair(traj, xi2, xi3, 0.0)
-    n_draws = traj.n_draws
-    s2 = traj.statistic(xi2)
-    s3 = traj.statistic(xi3)
-    times = np.arange(1, n_draws + 1, dtype=float)
-    direct_inc = xi2[traj.draws] - s2[:n_draws] / times
-    direct_w = np.ones(n_draws)
-    harmonic = float(np.sum(1.0 / times)) if n_draws else 0.0
-    zeroth2 = harmonic * s2[0]
-    zeroth3 = float(s3[0])
-    reconstructed = zeroth3 + zeroth2 + float(direct_w @ direct_inc)
-    return JordanExpansion(0.0, zeroth3, zeroth2, direct_w, direct_inc,
-                           np.zeros(n_draws), np.zeros(n_draws),
-                           reconstructed, float(s3[-1]))
+    return _chain_decompose(traj, Member(0.0, xi3, xi2))
 
 
 def expand(traj: Trajectory, member: Member) -> MartingaleExpansion | JordanExpansion:

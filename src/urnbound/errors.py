@@ -76,7 +76,7 @@ class DimensionMismatch(UrnboundError):
 # -- verification -------------------------------------------------------------
 
 class TooLarge(UrnboundError):
-    """Exact enumeration would exceed the path budget."""
+    """The exact law would exceed the state budget."""
 
 
 class GridMismatch(UrnboundError):

@@ -5,11 +5,12 @@ At time n a color is drawn with probability C_n[i] / (n + 1) and row i of
 the replacement matrix is added, so the total always grows by exactly 1.
 
 Two simulation paths are provided: simulate() runs one trajectory step by
-step and records the draw history, while simulate_replicas() advances many
-independent replicas in lockstep with vectorized draws.  Replica streams
-are derived from (seed, chunk) via numpy SeedSequence spawn keys, chunks
-have a fixed size, and chunk results are merged in index order, so results
-are deterministic and independent of thread scheduling.
+step and returns its draws, from which states and statistic paths are
+rebuilt, while simulate_replicas() advances many independent replicas in
+lockstep with vectorized draws.  Replica streams are derived from
+(seed, chunk) via numpy SeedSequence spawn keys, chunks have a fixed
+size, and chunk results are merged in index order, so results are
+deterministic and independent of thread scheduling.
 
 The replica kernel (_run_chunk) keeps a chunk's counts column-major, as d
 contiguous length-m vectors, one per color, with preallocated per-draw
@@ -72,7 +73,7 @@ def _statistic_vector(v, d: int) -> np.ndarray:
     return v
 
 
-def _draw(counts: np.ndarray, total: float, u: float) -> int:
+def _draw(counts, total: float, u: float) -> int:
     """Index i with cumulative counts straddling u in [0, total)."""
     acc = 0.0
     last = 0
@@ -87,33 +88,27 @@ def _draw(counts: np.ndarray, total: float, u: float) -> int:
 
 @dataclass
 class Trajectory:
-    """Draw history of one simulated urn.
+    """One simulated urn, held as its draws.
 
-    `draws[j]` is the color drawn at time j (producing C_{j+1}).  The
-    statistic path is always rebuilt from the draws so decompositions and
-    their targets share one float recursion; `counts` (optional, memory
-    permitting) stores the full history for export and inspection.
+    `draws[j]` is the color drawn at time j (producing C_{j+1}).  States
+    and statistic paths are rebuilt from the draws, so a trajectory from
+    simulate() and one from a replica batch give the same history.
     """
 
     matrix: ReplacementMatrix
     initial: np.ndarray
     draws: np.ndarray
     seed: object
-    counts: np.ndarray | None = None
 
     @property
     def n_draws(self) -> int:
         return self.draws.size
 
     def counts_matrix(self) -> np.ndarray:
-        """All states C_0 .. C_N, reconstructed from draws if not stored."""
-        if self.counts is not None:
-            return self.counts
-        hist = np.empty((self.n_draws + 1, self.initial.size))
-        hist[0] = self.initial
-        np.cumsum(self.matrix.matrix[self.draws], axis=0, out=hist[1:])
-        hist[1:] += self.initial
-        return hist
+        """All states C_0 .. C_N, summed in draw order as simulate() adds
+        them: C_{j+1} = C_j + R[draws[j]]."""
+        steps = np.vstack([self.initial, self.matrix.matrix[self.draws]])
+        return np.cumsum(steps, axis=0, out=steps)
 
     def statistic(self, v: np.ndarray) -> np.ndarray:
         """Path j -> C_j . v for j = 0 .. N."""
@@ -143,28 +138,22 @@ class Trajectory:
         write_csv(path, *self.table)
 
 
-def simulate(initial, R: ReplacementMatrix, n: int, seed,
-             keep_counts: bool = True) -> Trajectory:
+def simulate(initial, R: ReplacementMatrix, n: int, seed) -> Trajectory:
     """Run one trajectory of n draws from a unit-mass initial state."""
     c0 = initial_counts(initial, R)
     if n < 0:
         raise ValueError("n must be nonnegative")
     rng = np.random.default_rng(seed)
-    rows = R.matrix
-    counts = c0.copy()
-    draws = np.empty(n, dtype=np.int64)
-    hist = np.empty((n + 1, c0.size)) if keep_counts else None
-    if hist is not None:
-        hist[0] = counts
+    rows = R.matrix.tolist()
+    counts = c0.tolist()
+    draws = []
     # one vector of draws equals n scalar calls on the same stream
     targets = (rng.random(n) * np.arange(1.0, n + 1.0)).tolist()
     for j in range(n):
         i = _draw(counts, j + 1.0, targets[j])
-        counts += rows[i]
-        draws[j] = i
-        if hist is not None:
-            hist[j + 1] = counts
-    return Trajectory(R, c0, draws, seed, hist)
+        counts = [c + r for c, r in zip(counts, rows[i])]
+        draws.append(i)
+    return Trajectory(R, c0, np.array(draws, dtype=np.int64), seed)
 
 
 @dataclass

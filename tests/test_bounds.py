@@ -20,11 +20,13 @@ from urnbound import (
     jordan_chain,
     jordan_weights,
     rate_function,
+    simulate,
     spread,
     statistic_bound,
     tail_products,
     validate_matrix,
 )
+from urnbound.decomposition import expand
 
 from oracles import tail_reference
 
@@ -259,3 +261,50 @@ def test_statistic_bound_model_pairs_match_checked_triples(S):
     np.testing.assert_array_equal(a.increment_bounds, b.increment_bounds)
     assert (a.tail, a.zeroth_shift, a.statistic) == (
         b.tail, b.zeroth_shift, b.statistic)
+
+
+# Every kind of spectral member: eigenvectors (R2, R3_FLOAT, a full
+# repeated eigenspace), a Jordan chain (RJ, lambda = 1/4), a lambda = 0
+# chain and a frozen lambda = 0 eigenvector.
+MEMBER_MATRICES = {
+    "R2": [[0.7, 0.3], [0.4, 0.6]],
+    "RJ": [[5 / 8, 3 / 8, 0.0], [1 / 8, 3 / 8, 1 / 2], [1 / 4, 1 / 4, 1 / 2]],
+    "R0": [[1 / 3, 1 / 3, 1 / 3], [1 / 3, 1 / 3, 1 / 3],
+           [1 / 2, 1 / 6, 1 / 3]],
+    "RS": [[0.5, 0.25, 0.25], [0.25, 0.5, 0.25], [0.25, 0.25, 0.5]],
+    "frozen": [[0.5, 0.5], [0.5, 0.5]],
+    "R3_FLOAT": [[0.5772156649, 0.3, 0.1227843351],
+                 [0.1414213562, 0.6, 0.2585786438],
+                 [0.2, 0.3678794412, 0.4321205588]],
+}
+MEMBER_CASES = [
+    pytest.param(name, k, id=f"{name}-{k}")
+    for name, rows in MEMBER_MATRICES.items()
+    for k in range(len(decompose(validate_matrix(rows)).members))
+]
+
+
+@pytest.mark.parametrize("name,k", MEMBER_CASES)
+def test_bound_and_expansion_agree_for_every_member(name, k):
+    # the bound's center is the expansion's deterministic part, and every
+    # weighted step of the expansion lies within the bound's range for it
+    S = decompose(validate_matrix(MEMBER_MATRICES[name]))
+    member = S.members[k]
+    d = S.matrix.dim
+    n = 200
+    for seed in range(5):
+        c0 = np.full(d, 1.0 / d) if seed % 2 else np.eye(d)[0]
+        report = statistic_bound(S, [(1.0, member)], n, 0.1, initial=c0)
+        exp = expand(simulate(c0, S.matrix, n, seed), member)
+        if member.partner is None:
+            zeroth = exp.zeroth
+            steps = exp.weights * exp.increments
+        else:
+            zeroth = exp.zeroth_xi3 + exp.zeroth_xi2
+            steps = (exp.direct_weights * exp.direct_increments
+                     + exp.nested_weights * exp.nested_increments)
+        assert report.zeroth_shift == pytest.approx(zeroth, rel=1e-12,
+                                                    abs=1e-12)
+        # 1e-12 relative: the bound and the step round differently
+        assert np.all(np.abs(steps)
+                      <= report.increment_bounds * (1.0 + 1e-12))

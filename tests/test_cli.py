@@ -128,6 +128,24 @@ def test_threads_must_be_positive(tmp_path):
     assert not (out / "manifest.json").exists()
 
 
+def test_threads_env_must_be_positive(tmp_path, monkeypatch, capsys):
+    cfg = write(tmp_path, TWO_COLOR)
+    out = tmp_path / "o"
+    monkeypatch.setenv("URNBOUND_THREADS", "-4")
+    assert run(["simulate", "--config", cfg, "--out", str(out)]) == 1
+    assert "URNBOUND_THREADS must be at least 1" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("selector", ["eigen:x", "color:1.5"])
+def test_non_integer_statistic_index_is_a_config_error(tmp_path, capsys,
+                                                       selector):
+    cfg = write(tmp_path, TWO_COLOR.replace("eigen:0", selector))
+    assert run(["bound", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert repr(selector) in err and "integer index" in err
+
+
 # -- commands -------------------------------------------------------------------
 
 def test_spectrum_two_color(tmp_path):

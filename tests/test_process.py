@@ -109,11 +109,11 @@ def test_balance_along_trajectory(rows, n):
 
 
 def test_counts_matrix_matches_stored_history():
-    traj = simulate([1.0, 0.0], R2, 200, 3, keep_counts=True)
+    traj = simulate([1.0, 0.0], R2, 200, 3)
     stored = traj.counts_matrix()
     rebuilt = type(traj)(traj.matrix, traj.initial, traj.draws,
                          traj.seed).counts_matrix()
-    np.testing.assert_allclose(stored, rebuilt, atol=1e-10)
+    np.testing.assert_array_equal(stored, rebuilt)
 
 
 def test_linear_statistic_all_ones_is_time():
@@ -167,7 +167,7 @@ def test_strong_law_sanity(rows, pi):
     c0 = np.zeros(R.dim)
     c0[0] = 1.0
     n = 100_000
-    traj = simulate(c0, R, n, 77, keep_counts=False)
+    traj = simulate(c0, R, n, 77)
     final = traj.final_count().counts / (n + 1.0)
     assert np.max(np.abs(final - np.array(pi))) <= 0.05
 
@@ -265,6 +265,30 @@ def test_simulate_stream_matches_golden_hash():
         "a981ca7da6a408fca09a59aad898ea17abd796a6d23cf73c1a0390e54c680f5a")
     assert _sha256(traj.counts_matrix()) == (
         "60d06f0e8348b6cf120674006167b9e75e588f0211deede8616c6d93ba609918")
+
+
+# RJ's dyadic entries make every summation order agree; on these
+# non-dyadic matrices the history pins the order C_0 + r_1 + r_2 + ...
+# in which simulate() advances the urn.
+@pytest.mark.parametrize("rows,c0,draws_hash,counts_hash", [
+    pytest.param(
+        [[0.7, 0.3], [0.4, 0.6]], [1.0, 0.0],
+        "2cfd893a83c115da5d22e5ea491d0b0566bf4ec5b129cf38783571df434021a3",
+        "a3f564024f52274d5403f97c74fe080b24946b5712e81a76ff3093bf4d70d17b",
+        id="R2"),
+    pytest.param(
+        [[0.5772156649, 0.3, 0.1227843351],
+         [0.1414213562, 0.6, 0.2585786438],
+         [0.2, 0.3678794412, 0.4321205588]], [1.0, 0.0, 0.0],
+        "41236a98936c8d23d2675222d6361c7666d0472ab1978cec9dd073ecd717359b",
+        "715c466e9937a9b8c39cba4026f60471acdbb3dd121c68648d6dfd35a00e9b0f",
+        id="R3_FLOAT"),
+])
+def test_simulate_history_matches_golden_hash(rows, c0, draws_hash,
+                                              counts_hash):
+    traj = simulate(c0, validate_matrix(rows), 20_000, 7)
+    assert _sha256(traj.draws) == draws_hash
+    assert _sha256(traj.counts_matrix()) == counts_hash
 
 
 def _assert_kernel_matches_reference(rows, c0, n, m, seed, keep_draws):

@@ -1,0 +1,111 @@
+"""Write every CLI artifact of a fixed config set, to compare two trees.
+
+    python tools/artifacts.py SRC OUT
+
+Imports urnbound from SRC (a tree's `src` directory) and runs all six
+commands, in csv and in json format, on each config of CONFIGS: seven
+matrices that together hold every kind of spectral member (eigenvector,
+Jordan chain, lambda = 0 chain, full repeated eigenspace, a frozen
+lambda = 0 eigenvector, negative and non-dyadic eigenvalues), eigen,
+color and vector statistics, and the exact, auto and mc modes (mc with a
+small replica count).  The calls are `cli.main(argv)` in this process.
+Each invocation writes its artifacts to OUT/<config>/<command>-<format>/;
+OUT/log.txt gets one line per invocation with its exit code and stderr.
+
+A refactor that must not change any output is checked with
+
+    python tools/artifacts.py PARENT/src /tmp/before
+    python tools/artifacts.py src /tmp/after
+    diff -r /tmp/before /tmp/after
+
+This is a tool, not a test: a change may move numbers on purpose.
+"""
+import contextlib
+import io
+import os
+import sys
+
+MATRICES = {
+    "r2": ([[0.7, 0.3], [0.4, 0.6]], "0.25, 0.75"),
+    "neg": ([[0.2, 0.8], [0.7, 0.3]], "0.5, 0.5"),
+    "frozen": ([[0.5, 0.5], [0.5, 0.5]], "0.75, 0.25"),
+    "rj": ([[0.625, 0.375, 0.0], [0.125, 0.375, 0.5], [0.25, 0.25, 0.5]],
+           "0.2, 0.3, 0.5"),
+    "r0": ([[1 / 3, 1 / 3, 1 / 3], [1 / 3, 1 / 3, 1 / 3],
+            [1 / 2, 1 / 6, 1 / 3]], "0.5, 0.25, 0.25"),
+    "rs": ([[0.5, 0.25, 0.25], [0.25, 0.5, 0.25], [0.25, 0.25, 0.5]],
+           "0.2, 0.3, 0.5"),
+    "r3float": ([[0.5772156649, 0.3, 0.1227843351],
+                 [0.1414213562, 0.6, 0.2585786438],
+                 [0.2, 0.3678794412, 0.4321205588]], "0.2, 0.3, 0.5"),
+}
+VECTORS = {2: "0.75, -1", 3: "1, 2, -3"}
+COMMANDS = ("spectrum", "simulate", "decompose", "bound", "verify", "sweep")
+FORMATS = ("csv", "json")
+
+
+def _statistics(d: int):
+    """Every eigen and color selector of a d-color matrix, and one vector
+    (eigen:K runs over the structures, at most d - 1 of them)."""
+    return ([f"eigen:{k}" for k in range(d - 1)]
+            + [f"color:{k}" for k in range(d)] + [f"vector:{VECTORS[d]}"])
+
+
+def configs():
+    """(name, config text) for every matrix, statistic and mode."""
+    for label, (rows, initial) in MATRICES.items():
+        matrix = "\n".join(", ".join(repr(x) for x in row) for row in rows)
+        for k, stat in enumerate(_statistics(len(rows))):
+            for mode in ("exact", "auto", "mc"):
+                lines = [matrix, f"statistic = {stat}", f"mode = {mode}",
+                         "horizon = 10", "horizons = 4, 10",
+                         "thresholds = 0.05, 0.1, 0.2", "seed = 3",
+                         "replicas = 3000"]
+                if mode != "exact":
+                    lines.append(f"initial = {initial}")
+                yield f"{label}-s{k}-{mode}", "\n".join(lines) + "\n"
+
+
+def run(argv, main) -> tuple[int, str]:
+    """Exit code and stderr of one in-process CLI call."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        except Exception as exc:  # an uncaught error is an outcome too
+            code = f"raised {type(exc).__name__}: {exc}"
+    return code, err.getvalue()
+
+
+def main(src: str, out: str) -> int:
+    sys.path.insert(0, os.path.abspath(src))
+    os.environ.pop("URNBOUND_THREADS", None)
+    from urnbound.cli import main as cli_main
+
+    os.makedirs(out, exist_ok=True)
+    count = 0
+    with open(os.path.join(out, "log.txt"), "w") as log:
+        for name, text in configs():
+            base = os.path.join(out, name)
+            os.makedirs(base, exist_ok=True)
+            config = os.path.join(base, "config.txt")
+            with open(config, "w") as fh:
+                fh.write(text)
+            for command in COMMANDS:
+                for fmt in FORMATS:
+                    where = os.path.join(base, f"{command}-{fmt}")
+                    code, err = run([command, "--config", config, "--out",
+                                     where, "--format", fmt], cli_main)
+                    log.write(f"{name} {command} {fmt} exit={code} "
+                              f"stderr={err!r}\n")
+                    count += 1
+    print(f"{count} invocations, artifacts in {out}")
+    return 0
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 3:
+        sys.exit(__doc__)
+    sys.exit(main(sys.argv[1], sys.argv[2]))
