@@ -1,9 +1,10 @@
-"""Azuma deviation bounds checked against exact enumeration and
+"""Azuma deviation bounds checked against the exact law and
 Monte Carlo tails.
 
-Small horizon: the full distribution over all d^n paths gives exact tail
-probabilities.  Large horizon: seeded replicas give estimates with a
-Wilson upper confidence limit.  Both must sit under the bound.
+Small horizon: the exact law of C_n, from a forward DP over how often
+each color has been drawn, gives exact tail probabilities.  Large
+horizon: seeded replicas give estimates with a Wilson upper confidence
+limit.  Both must sit under the bound.
 
 Run with: python3 demos/bounds_vs_truth.py
 """
@@ -36,7 +37,8 @@ def print_table(title, table):
 
 def exact_mode(n=12):
     dist = exact_distribution(C0, R, n)
-    print(f"enumerated {len(dist.atoms)} final states over {2 ** n} paths")
+    print(f"exact law: {len(dist.atoms)} final states from a DP over "
+          f"{n + 1} draw-count layers")
     reports = [statistic_bound(S, [(1.0, XI, LAM)], n, t, initial=C0)
                for t in T_GRID]
     truths = [exact_tail(dist, XI, rep.zeroth_shift + n * rep.t)
@@ -56,7 +58,7 @@ def mc_mode(n=5_000, replicas=50_000):
 
 def color_mode(n=2_000, replicas=50_000):
     color = 0
-    reports = [color_deviation_bound(R, color, n, t, initial=C0)
+    reports = [color_deviation_bound(S, color, n, t, initial=C0)
                for t in T_GRID]
     e0 = [1.0, 0.0]
     thresholds = [S.pi[color] * (n + 1) + rep.zeroth_shift + rep.t * (n + 1)

@@ -17,8 +17,8 @@ Config files are flat key = value text; lines without '=' are matrix rows
 parsed as JSON with the same keys.  Keys: initial, horizon, horizons,
 thresholds, replicas, seed, statistic (eigen:K | color:K | vector:...),
 mode (auto | exact | mc).  Both formats go through one typed check: a
-value of the wrong type or range, an unknown key, a key given twice or
---threads below 1 is a configuration error (exit 1).
+value of the wrong type or range, an unknown key, a key given twice, a
+negative --seed or --threads below 1 is a configuration error (exit 1).
 """
 from __future__ import annotations
 
@@ -31,7 +31,6 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-import scipy
 
 from . import __version__
 from ._format import write_csv, write_json
@@ -42,7 +41,6 @@ from .process import initial_counts, simulate
 from .spectral import decompose, validate_matrix
 from .verification import (
     STATE_BUDGET,
-    DominanceTable,
     dominance_check,
     exact_distribution,
     exact_states,
@@ -339,11 +337,10 @@ def _truths(cfg, S, stat, reports, n, c0, threads):
     if mode == "auto":
         fits = exact_states(S.matrix.dim, n) <= STATE_BUDGET
         mode = "exact" if fits else "mc"
+    thresholds = [_raw_threshold(stat, r, n) for r in reports]
     if mode == "exact":
         dist = exact_distribution(c0, S.matrix, n)
-        return [exact_tail(dist, stat.vector, _raw_threshold(stat, r, n))
-                for r in reports], "exact"
-    thresholds = [_raw_threshold(stat, r, n) for r in reports]
+        return [exact_tail(dist, stat.vector, x) for x in thresholds], "exact"
     return tail_estimates(c0, S.matrix, n, stat.vector, thresholds,
                           cfg.replicas, cfg.seed, threads=threads), "mc"
 
@@ -353,14 +350,12 @@ def _verify(cfg, S, args, out_dir, horizons) -> int:
     table and one bounds.json; exit 3 if any row fails."""
     c0 = _initial(cfg, S.matrix)
     stat = resolve_statistic(cfg.statistic, S)
-    rows = []
-    reports = []
+    reports, truths = [], []
     for n in horizons:
         at_n = _bound_reports(cfg, S, stat, n, c0)
-        truths, _ = _truths(cfg, S, stat, at_n, n, c0, args.threads)
-        rows.extend(dominance_check(at_n, truths).rows)
         reports.extend(at_n)
-    table = DominanceTable(rows)
+        truths.extend(_truths(cfg, S, stat, at_n, n, c0, args.threads)[0])
+    table = dominance_check(reports, truths)
     _write_table(out_dir, "dominance", args.format, table.table)
     _write_bounds(out_dir, stat, reports)
     return 0 if table.all_pass else 3
@@ -412,7 +407,6 @@ def _write_manifest(out_dir, command, config_hash, cfg, args) -> None:
         "versions": {
             "urnbound": __version__,
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
         },
     })
 
@@ -436,12 +430,14 @@ def main(argv=None) -> int:
         args.threads = _threads(args.threads)
         cfg, config_hash = load_config(args.config)
         if args.seed is not None:
-            cfg.seed = args.seed
+            cfg.seed = _checked("seed", args.seed)
         matrix = validate_matrix(cfg.matrix)
         S = decompose(matrix)
         os.makedirs(args.out, exist_ok=True)
+        code = COMMANDS[args.command](cfg, S, args, args.out)
+        # the manifest marks a finished run: a failed one writes none
         _write_manifest(args.out, args.command, config_hash, cfg, args)
-        return COMMANDS[args.command](cfg, S, args, args.out)
+        return code
     except (UrnboundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, (ComplexSpectrum, NotIrreducible)) else 1

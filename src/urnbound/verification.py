@@ -4,13 +4,16 @@ Two independent routes produce the probability that a bound must
 dominate.  exact_distribution() computes the law of C_n by a forward DP
 over the vectors k counting how often each color has been drawn: C_t =
 C_0 + k^T R depends on the draws only through k, so n draws from d
-colors need C(n+d-1, d-1) states instead of d^n paths.  It runs in
-rational arithmetic whenever the matrix and initial state are exactly
-small-denominator fractions and n <= 24, in float arithmetic otherwise,
-and refuses (TooLarge) beyond STATE_BUDGET states.  tail_estimates()
-runs seeded Monte Carlo replicas with a one-sided Wilson upper
-confidence limit.  dominance_check() lines the probabilities up against
-BoundReports and flags the margin at every grid point.
+colors need C(n+d-1, d-1) states instead of d^n paths.  The law is the
+DP's own arrays: the counts and the mass of every state, in state
+order.  It runs in rational arithmetic whenever the matrix and initial
+state are exactly small-denominator fractions and n <= 24, in float
+arithmetic otherwise, and refuses (TooLarge) beyond STATE_BUDGET
+states.  exact_tail() reads a tail off the arrays with one mask.
+tail_estimates() runs seeded Monte Carlo replicas with a one-sided
+Wilson upper confidence limit.  dominance_check() lines the
+probabilities up against BoundReports and flags the margin at every
+grid point.
 """
 from __future__ import annotations
 
@@ -29,7 +32,6 @@ from .spectral import ReplacementMatrix
 STATE_BUDGET = 1 << 14
 RATIONAL_DENOMINATOR = 10_000
 FRACTION_HORIZON = 24   # Fraction denominators grow with every draw
-MERGE_DECIMALS = 12
 TIE_RTOL = 1e-12
 WILSON_LEVEL = 0.99
 
@@ -41,14 +43,15 @@ def _as_fraction(x) -> Fraction | None:
 
 @dataclass(frozen=True)
 class ExactDistribution:
-    """Full law of C_n as a finite atom map terminal counts -> probability."""
+    """Full law of C_n: atom i holds the counts atoms[i] (one row per DP
+    state with positive mass, in state order) with probability mass[i].
+    Both arrays hold Fractions when rational, floats otherwise; states
+    with equal counts (a singular R) stay separate atoms."""
 
     n: int
-    atoms: dict
+    atoms: np.ndarray
+    mass: np.ndarray
     rational: bool
-
-    def total(self) -> float:
-        return float(sum(self.atoms.values()))
 
 
 def exact_states(d: int, n: int) -> int:
@@ -96,10 +99,9 @@ def exact_distribution(initial, R: ReplacementMatrix, n: int) -> ExactDistributi
     holds the C(t+d-1, d-1) vectors with sum(k) = t and their
     probabilities.  Arithmetic is exact (Fraction) when the matrix and
     initial state are small-denominator fractions and n <= 24, float
-    otherwise.  Atoms are keyed by the terminal counts, rounded to 12
-    decimals in float mode, and hold positive mass (a float atom below
-    the smallest double is left out).  Raises TooLarge, before any work,
-    when C(n+d-1, d-1) exceeds STATE_BUDGET.
+    otherwise.  The atoms are the states of layer n with positive mass
+    (a float state below the smallest double is left out).  Raises
+    TooLarge, before any work, when C(n+d-1, d-1) exceeds STATE_BUDGET.
     """
     c0 = initial_counts(initial, R)
     d = R.dim
@@ -136,34 +138,31 @@ def exact_distribution(initial, R: ReplacementMatrix, n: int) -> ExactDistributi
             mass[succ[i, :m]] += flow[i]
         prob = mass
 
-    atoms: dict = {}
-    for counts, p in zip((c0 + K @ rows).tolist(), prob.tolist()):
-        if not p:
-            continue
-        key = (tuple(counts) if rational
-               else tuple(round(x, MERGE_DECIMALS) for x in counts))
-        atoms[key] = atoms.get(key, 0) + p
-    return ExactDistribution(n, atoms, rational)
+    kept = prob != 0
+    return ExactDistribution(n, (c0 + K @ rows)[kept], prob[kept], rational)
 
 
 def exact_tail(dist: ExactDistribution, v, threshold: float) -> float:
     """P(C_n . v > threshold) summed over the exact atoms.
 
-    An atom within a relative TIE_RTOL of the threshold counts as above
-    it, the side on which a bound must still dominate, so last-bit
-    rounding of the atom values cannot drop a tie from the tail.
+    An atom within a relative TIE_RTOL of the threshold (math.isclose)
+    counts as above it, the side on which a bound must still dominate,
+    so last-bit rounding of the atom values cannot drop a tie from the
+    tail.  The values are built column by column and the masses summed
+    one at a time in state order, so a float law gives the same bits
+    as a loop over the atoms.
     """
     v = np.asarray(v, dtype=float)
-    total = 0
-    for counts, prob in dist.atoms.items():
-        if len(counts) != v.size:
-            raise DimensionMismatch(
-                f"atom has {len(counts)} colors, vector {v.size}")
-        value = float(sum(float(c) * x for c, x in zip(counts, v)))
-        if value > threshold or math.isclose(value, threshold,
-                                             rel_tol=TIE_RTOL):
-            total += prob
-    return float(total)
+    if dist.atoms.shape[1] != v.size:
+        raise DimensionMismatch(
+            f"atoms have {dist.atoms.shape[1]} colors, vector {v.size}")
+    value = sum(c.astype(float) * x for c, x in zip(dist.atoms.T, v))
+    gap = np.abs(value - threshold)
+    hit = ((value >= threshold)
+           | (np.isfinite(value) & math.isfinite(threshold)
+              & (gap <= TIE_RTOL * np.maximum(np.abs(value),
+                                               abs(threshold)))))
+    return float(np.cumsum(dist.mass[hit])[-1]) if hit.any() else 0.0
 
 
 def wilson_upper(hits: int, trials: int, level: float = WILSON_LEVEL) -> float:

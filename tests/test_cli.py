@@ -146,6 +146,49 @@ def test_non_integer_statistic_index_is_a_config_error(tmp_path, capsys,
     assert repr(selector) in err and "integer index" in err
 
 
+@pytest.mark.parametrize("command", ["simulate", "verify", "bound"])
+def test_negative_seed_flag_is_a_config_error(tmp_path, capsys, command):
+    cfg = write(tmp_path, TWO_COLOR)
+    out = tmp_path / "o"
+    assert run([command, "--config", cfg, "--out", str(out),
+                "--seed", "-5"]) == 1
+    assert "seed must be at least 0, got -5" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("text,env,message", [
+    (TWO_COLOR.replace("eigen:0", "eigen:5"), None, "eigen:5 out of range"),
+    (TWO_COLOR.replace("eigen:0", "color:9"), None, "color:9 out of range"),
+    (TWO_COLOR.replace("eigen:0", "vector:1, x"), None,
+     "bad statistic vector: could not convert string to float: 'x'"),
+    (TWO_COLOR.replace("eigen:0", "vector:1, 2, 3"), None,
+     "statistic vector has 3 entries for 2 colors"),
+    (TWO_COLOR.replace("eigen:0", "bogus:1"), None,
+     "unknown statistic selector: 'bogus:1'"),
+    (TWO_JSON % '"horizon": 5,', None, "invalid JSON config"),
+    (TWO_COLOR, "two", "invalid URNBOUND_THREADS"),
+], ids=["eigen-range", "color-range", "vector-text", "vector-length",
+        "selector", "json", "threads-env"])
+def test_typed_errors_exit_1_and_write_nothing(tmp_path, capsys, monkeypatch,
+                                               text, env, message):
+    # errors raised inside a command as well as before it
+    if env is not None:
+        monkeypatch.setenv("URNBOUND_THREADS", env)
+    cfg = write(tmp_path, text)
+    out = tmp_path / "o"
+    assert run(["bound", "--config", cfg, "--out", str(out)]) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
+def test_default_initial_state_is_one_unit_of_color_0(tmp_path):
+    cfg = write(tmp_path, JORDAN_TEXT.replace("initial = 1, 0, 0\n", ""))
+    out = tmp_path / "out"
+    assert "initial" not in (tmp_path / "exp.cfg").read_text()
+    assert run(["simulate", "--config", cfg, "--out", str(out)]) == 0
+    assert (out / "trajectory.csv").read_text().splitlines()[1] == "0,1,0,0,"
+
+
 # -- commands -------------------------------------------------------------------
 
 def test_spectrum_two_color(tmp_path):
@@ -448,9 +491,9 @@ def test_csv_and_json_tables_hold_the_same_cells(tmp_path, command, text,
     assert [",".join(_cell(obj[k]) for k in header) for obj in objects] == lines
 
 
-def test_import_leaves_scipy_stats_and_sparse_unloaded():
+def test_import_leaves_scipy_unloaded():
     code = ("import sys, urnbound.cli; print(sorted(m for m in sys.modules "
-            "if m.startswith(('scipy.stats', 'scipy.sparse'))))")
+            "if m == 'scipy' or m.startswith('scipy.')))")
     proc = subprocess.run([sys.executable, "-c", code],
                           capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "[]"

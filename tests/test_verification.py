@@ -11,6 +11,7 @@ from urnbound import (
     EstimateReport,
     GridMismatch,
     TooLarge,
+    color_deviation_bound,
     decompose,
     dominance_check,
     exact_distribution,
@@ -36,41 +37,55 @@ RJ = validate_matrix([[5 / 8, 3 / 8, 0.0], [1 / 8, 3 / 8, 1 / 2],
 R3_FLOAT = validate_matrix([[0.5772156649, 0.3, 0.1227843351],
                             [0.1414213562, 0.6, 0.2585786438],
                             [0.2, 0.3678794412, 0.4321205588]])
+RS = validate_matrix([[0.5, 0.25, 0.25], [0.25, 0.5, 0.25],
+                      [0.25, 0.25, 0.5]])
 
 
 def assert_law_matches(dist, initial, R):
-    """The DP law equals the depth-first oracle: atom for atom on the
-    Fraction path, within 1e-14 per atom on the float path (summation
-    order differs; a key may round across a 1e-12 boundary, so each
-    oracle key is matched to the nearest DP key)."""
+    """The DP law equals the depth-first oracle: exactly on the Fraction
+    path, within 1e-14 per atom on the float path (summation order
+    differs).  A singular R gives several DP states the same counts, and
+    the oracle merges its keys after rounding to 12 decimals, so both
+    laws are pooled onto the first DP atom within 1e-9 of each key."""
     ref = exact_law_reference(initial, R.matrix, dist.n, dist.rational)
+    assert len(dist.atoms) == len(dist.mass)
     if dist.rational:
-        assert dist.atoms == ref
+        law = {}
+        for counts, prob in zip(map(tuple, dist.atoms.tolist()),
+                                dist.mass.tolist()):
+            law[counts] = law.get(counts, 0) + prob
+        assert law == ref
         return
-    keys = list(dist.atoms)
-    merged = dict.fromkeys(keys, 0.0)
+    atoms = dist.atoms.astype(float)
+
+    def home(counts):
+        gaps = np.max(np.abs(atoms - counts), axis=1)
+        first = int(np.argmax(gaps <= 1e-9))
+        assert gaps[first] <= 1e-9
+        return first
+
+    pooled = {}
+    for counts, prob in zip(atoms, dist.mass):
+        first = home(counts)
+        pooled[first] = pooled.get(first, 0.0) + prob
     for key, prob in ref.items():
-        gaps = np.max(np.abs(np.array(keys) - key), axis=1)
-        nearest = int(np.argmin(gaps))
-        assert gaps[nearest] <= 1e-9
-        merged[keys[nearest]] += prob
-    for key in keys:
-        assert abs(dist.atoms[key] - merged[key]) <= 1e-14
+        first = home(np.array(key))
+        pooled[first] = pooled.get(first, 0.0) - prob
+    assert all(abs(diff) <= 1e-14 for diff in pooled.values())
 
 
 def test_exact_distribution_one_forced_draw():
     dist = exact_distribution(C0, R2, 1)
     assert dist.rational
-    assert len(dist.atoms) == 1
-    ((counts, prob),) = dist.atoms.items()
-    assert [float(c) for c in counts] == [1.7, 0.3]
-    assert prob == 1
+    assert len(dist.atoms) == len(dist.mass) == 1
+    assert [float(c) for c in dist.atoms[0]] == [1.7, 0.3]
+    assert dist.mass[0] == 1
 
 
 def test_exact_distribution_two_draws():
     dist = exact_distribution(C0, R2, 2)
     probs = {tuple(float(c) for c in k): float(p)
-             for k, p in dist.atoms.items()}
+             for k, p in zip(dist.atoms, dist.mass)}
     assert probs == {(2.4, 0.6): pytest.approx(0.85, abs=1e-15),
                      (2.1, 0.9): pytest.approx(0.15, abs=1e-15)}
 
@@ -78,7 +93,7 @@ def test_exact_distribution_two_draws():
 def test_exact_distribution_total_probability():
     dist = exact_distribution(C0, R2, 10)
     assert dist.rational
-    assert dist.total() == Fraction(1)
+    assert dist.mass.sum() == Fraction(1)
 
 
 def test_exact_distribution_float_mode():
@@ -86,7 +101,7 @@ def test_exact_distribution_float_mode():
     R = validate_matrix([[0.38197, 0.61803], [0.5, 0.5]])
     dist = exact_distribution(C0, R, 6)
     assert not dist.rational
-    assert dist.total() == pytest.approx(1.0, abs=1e-12)
+    assert dist.mass.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_exact_distribution_guards_path_budget():
@@ -133,9 +148,9 @@ def test_exact_distribution_matches_oracle_on_reversible_matrices(
     dist = exact_distribution(initial, R, n)
     assert_law_matches(dist, initial, R)
     if dist.rational:
-        assert sum(dist.atoms.values()) == 1
+        assert dist.mass.sum() == 1
     else:
-        assert dist.total() == pytest.approx(1.0, abs=1e-12)
+        assert dist.mass.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("R,initial,structure,n", [
@@ -151,10 +166,35 @@ def test_exact_law_keeps_the_martingale_mean(R, initial, structure, n):
     lam, xi = eigen.value, eigen.vectors[0]
     dist = exact_distribution(np.array(initial), R, n)
     assert not dist.rational
-    mean = sum(p * float(np.dot(k, xi)) for k, p in dist.atoms.items())
+    mean = sum(p * float(np.dot(k, xi))
+               for k, p in zip(dist.atoms, dist.mass))
     assert mean == pytest.approx(
         growth_product(lam, n) * float(np.dot(initial, xi)), rel=1e-9)
-    assert dist.total() == pytest.approx(1.0, abs=1e-12)
+    assert dist.mass.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("R,n", [(R2, 12), (R2, 150), (R2, 1000),
+                                 (RJ, 20), (RJ, 150), (R3_FLOAT, 20),
+                                 (R3_FLOAT, 150), (RS, 20), (RS, 150)])
+def test_bound_dominates_the_exact_lower_tail(R, n):
+    # the Azuma-Hoeffding bound is two-sided: P(C_n.v < centre - deviation),
+    # ties counted in, is the upper tail of -C_n.v at deviation - centre
+    S = decompose(R)
+    c0 = np.eye(R.dim)[0]
+    dist = exact_distribution(c0, R, n)
+    for t in (0.02, 0.05, 0.1, 0.2, 0.3):
+        cases = []
+        for structure in S.structures:
+            member = structure.members[-1]
+            rep = statistic_bound(S, [(1.0, member)], n, t, initial=c0)
+            cases.append((member.vector, rep.zeroth_shift, rep))
+        for color in range(R.dim):
+            rep = color_deviation_bound(S, color, n, t, initial=c0)
+            cases.append((np.eye(R.dim)[color],
+                          S.pi[color] * (n + 1.0) + rep.zeroth_shift, rep))
+        for v, centre, rep in cases:
+            lower = exact_tail(dist, -v, rep.deviation - centre)
+            assert lower <= rep.tail, (rep.statistic, t)
 
 
 def test_exact_tail_infinite_thresholds():
@@ -190,7 +230,7 @@ def test_exact_marginals_match_simulator():
     n, replicas = 10, 100_000
     dist = exact_distribution(C0, R2, n)
     sample = simulate_replicas(C0, R2, n, replicas, seed=31).statistics(E0)
-    for counts, prob in dist.atoms.items():
+    for counts, prob in zip(dist.atoms, dist.mass):
         p = float(prob)
         value = float(counts[0])
         hits = np.sum(np.abs(sample - value) < 1e-9)
@@ -322,7 +362,7 @@ def test_batch_and_exact_agree_on_mean():
     dist = exact_distribution(C0, R2, n)
     exact_mean = sum(float(p) * float(sum(float(c) * x
                                           for c, x in zip(k, xi)))
-                     for k, p in dist.atoms.items())
+                     for k, p in zip(dist.atoms, dist.mass))
     assert exact_mean == pytest.approx(growth_product(0.3, n) * 0.75,
                                        rel=1e-12)
     sample = simulate_replicas(C0, R2, n, 50_000, seed=17).statistics(xi)
