@@ -4,6 +4,7 @@ byte-identical reruns.
 Commands run in-process through cli.main(argv); one subprocess test covers
 the installed console script.
 """
+import hashlib
 import json
 import subprocess
 import sys
@@ -489,6 +490,66 @@ def test_csv_and_json_tables_hold_the_same_cells(tmp_path, command, text,
     objects = json.loads((tmp_path / "json" / f"{name}.json").read_text())
     assert all(sorted(obj) == sorted(header) for obj in objects)
     assert [",".join(_cell(obj[k]) for k in header) for obj in objects] == lines
+
+
+R3_FLOAT_TEXT = """\
+0.5772156649, 0.3, 0.1227843351
+0.1414213562, 0.6, 0.2585786438
+0.2, 0.3678794412, 0.4321205588
+horizon = 40
+seed = 4
+statistic = eigen:0
+"""
+
+SWEEP_TEXT = TWO_COLOR.replace("horizon = 12", "horizons = 8, 12, 16")
+
+# sha256 of each table artifact, recorded from the per-cell writer
+# (format() of every cell); a writer change must reproduce them byte for
+# byte.  RJ's cells are dyadic, R3_FLOAT's need all 17 digits.
+GOLDEN_TABLES = {
+    "r2/dominance.csv":
+        "9f676bda32b0c0ff0cf667bd8117a0456682f7b2045dfb23505283bfd496f178",
+    "r2/dominance.json":
+        "d293521f811fde2cee20aca7a467329922967d3e526ec1bea577dd6776e13148",
+    "r3float/expansion.csv":
+        "83755ab9762393ba516abd590f1330c216201b592d48ef3a142c206b4edba36c",
+    "r3float/expansion.json":
+        "6d6e2382cbe392dec55ac10380e83cde7eba79995ea4a60844ad8c92ec3df97f",
+    "r3float/trajectory.csv":
+        "97d7bb5ec614613b180c45f82d17daf85d12e45446c7335b4affcc33efe6aa5e",
+    "r3float/trajectory.json":
+        "5aba4c0031f7d087b1fcd7f8086f85ab39b40d47914501e07860adaffe3c5416",
+    "rj/expansion.csv":
+        "efee38a602620338c62e9f9932039bacc07c90ee4eea7d0ed31af4db763fc34d",
+    "rj/expansion.json":
+        "cccee5c7b67660bd2f27a1c7a132d6c0c5d24d31b9f8865646fd67d9f4d031f7",
+    "rj/trajectory.csv":
+        "e117864925c66c802f24dc7cfadbcda1e6fa0880334d9c89e483af66eea29dec",
+    "rj/trajectory.json":
+        "cdfc61c81eb4c61051de193e8a099e2250eec87b07b4bbc73c514ae2c980038d",
+}
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_table_artifacts_match_golden_hashes(tmp_path):
+    runs = [("rj", JORDAN_TEXT, "simulate", "trajectory"),
+            ("rj", JORDAN_TEXT, "decompose", "expansion"),
+            ("r3float", R3_FLOAT_TEXT, "simulate", "trajectory"),
+            ("r3float", R3_FLOAT_TEXT, "decompose", "expansion"),
+            ("r2", SWEEP_TEXT, "sweep", "dominance")]
+    found = {}
+    for label, text, command, name in runs:
+        cfg = write(tmp_path, text.replace("horizon = 40", "horizon = 5000")
+                    .replace("seed = 4", "seed = 3"), f"{label}.cfg")
+        for fmt in ("csv", "json"):
+            out = tmp_path / label / command / fmt
+            assert run([command, "--config", cfg, "--out", str(out),
+                        "--format", fmt]) == 0
+            found[f"{label}/{name}.{fmt}"] = _sha256(out / f"{name}.{fmt}")
+    assert found == GOLDEN_TABLES
 
 
 def test_import_leaves_scipy_unloaded():
