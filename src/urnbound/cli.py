@@ -258,12 +258,11 @@ def _need(cfg, key: str):
 def _write_table(out_dir, name, fmt, table) -> None:
     """Write a (header, rows) table as NAME.csv or as NAME.json, a list of
     one object per row; None is an empty cell or null."""
-    header, rows = table
     path = os.path.join(out_dir, f"{name}.{fmt}")
     if fmt == "json":
-        write_json(path, [dict(zip(header, row)) for row in rows])
+        write_json(path, table)
     else:
-        write_csv(path, header, rows)
+        write_csv(path, *table)
 
 
 def _write_bounds(out_dir, stat, reports) -> None:
@@ -424,8 +423,19 @@ def _threads(requested) -> int:
     return value
 
 
+def _missing_dirs(path) -> list[str]:
+    """The directories os.makedirs(path) would create, innermost first."""
+    missing = []
+    path = os.path.abspath(path)
+    while not os.path.exists(path):
+        missing.append(path)
+        path = os.path.dirname(path)
+    return missing
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    new_dirs = _missing_dirs(args.out)
     try:
         args.threads = _threads(args.threads)
         cfg, config_hash = load_config(args.config)
@@ -441,6 +451,12 @@ def main(argv=None) -> int:
     except (UrnboundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, (ComplexSpectrum, NotIrreducible)) else 1
+    finally:
+        # a failed run takes back the empty directories it made
+        for path in new_dirs:
+            if not os.path.isdir(path) or os.listdir(path):
+                break
+            os.rmdir(path)
 
 
 if __name__ == "__main__":

@@ -31,7 +31,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._format import columns
+from ._format import Table, columns
 from .errors import (
     IndexOrder,
     LambdaOutOfRange,
@@ -112,7 +112,7 @@ class MartingaleExpansion:
         return self.zeroth + np.cumsum(self.weights * self.increments)
 
     @property
-    def table(self) -> tuple[list[str], list[tuple]]:
+    def table(self) -> Table:
         """(header, rows): one row per draw j with its running sum."""
         return columns(["j", "weight", "increment", "partial_sum"],
                        range(self.weights.size), self.weights,
@@ -345,7 +345,7 @@ class JordanExpansion:
         return abs(self.reconstructed - self.actual) / max(1.0, abs(self.actual))
 
     @property
-    def table(self) -> tuple[list[str], list[tuple]]:
+    def table(self) -> Table:
         """(header, rows): one row per draw j with its running sum."""
         partial = (self.zeroth_xi3 + self.zeroth_xi2
                    + np.cumsum(self.direct_weights * self.direct_increments

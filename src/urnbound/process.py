@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._format import columns, write_csv
+from ._format import Table, columns, write_csv
 from .errors import DimensionMismatch
 from .spectral import ReplacementMatrix
 
@@ -123,7 +123,7 @@ class Trajectory:
         return ColorCount(self.counts_matrix()[-1], self.n_draws)
 
     @property
-    def table(self) -> tuple[list[str], list[tuple]]:
+    def table(self) -> Table:
         """(header, rows) with columns time, count_0..count_{d-1}, draw.
 
         Row j >= 1 records the draw that produced state C_j; the draw of
@@ -131,8 +131,7 @@ class Trajectory:
         """
         hist = self.counts_matrix()
         return columns(["time"] + [f"count_{i}" for i in range(hist.shape[1])]
-                       + ["draw"], range(hist.shape[0]), *hist.T,
-                       [None] + self.draws.tolist())
+                       + ["draw"], range(hist.shape[0]), *hist.T, self.draws)
 
     def to_csv(self, path) -> None:
         write_csv(path, *self.table)

@@ -24,6 +24,7 @@ from statistics import NormalDist
 
 import numpy as np
 
+from ._format import Table, columns
 from .bounds import BoundReport
 from .errors import DimensionMismatch, GridMismatch, TooLarge
 from .process import initial_counts, simulate_replicas
@@ -223,11 +224,17 @@ class DominanceTable:
         return all(r.passed for r in self.rows)
 
     @property
-    def table(self) -> tuple[list[str], list[list]]:
+    def table(self) -> Table:
         """(header, rows), one row per grid point; pass is "true"/"false"."""
-        return (["n", "t", "bound", "probability", "mode", "margin", "pass"],
-                [[r.n, r.t, r.bound, r.probability, r.mode, r.margin,
-                  "true" if r.passed else "false"] for r in self.rows])
+        def column(name, dtype=float):
+            return np.array([getattr(r, name) for r in self.rows], dtype)
+
+        return columns(
+            ["n", "t", "bound", "probability", "mode", "margin", "pass"],
+            column("n", np.int64), column("t"), column("bound"),
+            column("probability"), [r.mode for r in self.rows],
+            column("margin"),
+            ["true" if r.passed else "false" for r in self.rows])
 
 
 def dominance_check(reports, truths) -> DominanceTable:

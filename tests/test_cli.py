@@ -37,6 +37,16 @@ seed = 4
 statistic = eigen:0
 """
 
+# Non-dyadic entries: most cells need all 17 digits.
+R3_FLOAT_TEXT = """\
+0.5772156649, 0.3, 0.1227843351
+0.1414213562, 0.6, 0.2585786438
+0.2, 0.3678794412, 0.4321205588
+horizon = 40
+seed = 4
+statistic = eigen:0
+"""
+
 
 def write(tmp_path, text, name="exp.cfg"):
     path = tmp_path / name
@@ -240,6 +250,22 @@ def test_failed_write_leaves_no_partial_file(tmp_path):
         write_csv(str(csv_path), ["a"], [[2.0], [float("nan")]])
     assert csv_path.read_text() == "a\n1\n"
     assert list(tmp_path.iterdir()) == [csv_path]
+
+
+def test_failed_run_removes_the_out_directories_it_made(tmp_path, capsys):
+    cfg = write(tmp_path, TWO_COLOR.replace("eigen:0", "color:9"))
+    out = tmp_path / "fresh" / "out"
+    assert run(["bound", "--config", cfg, "--out", str(out)]) == 1
+    assert "color:9 out of range" in capsys.readouterr().err
+    assert not (tmp_path / "fresh").exists()
+
+
+def test_failed_run_keeps_an_existing_out_directory(tmp_path):
+    cfg = write(tmp_path, TWO_COLOR.replace("eigen:0", "color:9"))
+    out = tmp_path / "out"
+    out.mkdir()
+    assert run(["bound", "--config", cfg, "--out", str(out)]) == 1
+    assert out.is_dir() and list(out.iterdir()) == []
 
 
 def test_decompose_simple_eigenvalue(tmp_path):
@@ -478,6 +504,8 @@ def _cell(value) -> str:
     ("decompose", TWO_COLOR, "expansion"),
     ("decompose", JORDAN_TEXT, "expansion"),
     ("verify", TWO_COLOR, "dominance"),
+    ("simulate", JORDAN_TEXT, "trajectory"),
+    ("decompose", R3_FLOAT_TEXT, "expansion"),
 ])
 def test_csv_and_json_tables_hold_the_same_cells(tmp_path, command, text,
                                                  name):
@@ -491,15 +519,6 @@ def test_csv_and_json_tables_hold_the_same_cells(tmp_path, command, text,
     assert all(sorted(obj) == sorted(header) for obj in objects)
     assert [",".join(_cell(obj[k]) for k in header) for obj in objects] == lines
 
-
-R3_FLOAT_TEXT = """\
-0.5772156649, 0.3, 0.1227843351
-0.1414213562, 0.6, 0.2585786438
-0.2, 0.3678794412, 0.4321205588
-horizon = 40
-seed = 4
-statistic = eigen:0
-"""
 
 SWEEP_TEXT = TWO_COLOR.replace("horizon = 12", "horizons = 8, 12, 16")
 

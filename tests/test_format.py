@@ -5,9 +5,10 @@ import struct
 import tempfile
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from urnbound._format import columns, fmt, write_csv
+from urnbound._format import columns, fmt, render_json, write_csv, write_json
 
 # Values where shortest-repr and 17-digit rendering are easiest to get
 # wrong: signed zeros, subnormals, integers past 2**53, |x| >= 1e16.
@@ -50,3 +51,55 @@ def test_csv_lines_match_fmt_of_every_cell(cols):
     text = _written(write_csv, "t.csv", *columns(header, *cols))
     assert text.splitlines() == [",".join(header)] + [
         ",".join(fmt(x) for x in row) for row in zip(*cols)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(numeric_columns(), st.booleans())
+def test_json_rows_match_render_json_of_row_objects(cols, short):
+    # keys out of sorted order; a short last column leaves row 0 a null
+    header = [f"c{len(cols) - j}" for j in range(len(cols))]
+    if short and len(cols[-1]):
+        cols[-1] = cols[-1][1:]
+    n = max(map(len, cols))
+    cells = [[None] * (n - len(c)) + c.tolist() for c in cols]
+    expected = render_json([dict(zip(header, row)) for row in zip(*cells)])
+    text = _written(write_json, "t.json", columns(header, *cols))
+    assert text == expected + "\n"
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+@pytest.mark.parametrize("suffix", ["csv", "json"])
+def test_non_finite_column_fails_the_table_write(tmp_path, bad, suffix):
+    values = np.arange(10.0)
+    values[5] = bad
+    table = columns(["time", "x", "draw"], range(10), values, np.arange(9))
+    path = tmp_path / f"t.{suffix}"
+
+    def write():
+        if suffix == "json":
+            write_json(str(path), table)
+        else:
+            write_csv(str(path), *table)
+
+    with pytest.raises(ValueError, match=f"non-finite value in output: {bad}"):
+        write()
+    assert list(tmp_path.iterdir()) == []  # no artifact, no temporary
+    path.write_text("kept\n")
+    with pytest.raises(ValueError, match=f"non-finite value in output: {bad}"):
+        write()
+    assert path.read_text() == "kept\n"
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_rows_read_as_python_scalars():
+    header, rows = columns(["time", "x", "draw"], range(3),
+                           np.array([0.5, 1.0, 2.0]), np.array([2, 0]))
+    assert header == ["time", "x", "draw"]
+    assert len(rows) == 3
+    assert rows[0] == (0, 0.5, None) and rows[-1] == (2, 2.0, 0)
+    assert type(rows[1][1]) is float and type(rows[1][2]) is int
+    assert rows[1:] == [(1, 1.0, 2), (2, 2.0, 0)]
+    assert rows == [[0, 0.5, None], [1, 1.0, 2], [2, 2.0, 0]]
+    assert list(rows) == rows[:]
+    with pytest.raises(IndexError):
+        rows[3]
