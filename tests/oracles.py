@@ -2,9 +2,10 @@
 
 Everything here is written with plain Python floats and literal loops,
 deliberately avoiding the vectorized recurrences in the package, so that
-agreement between the two routes is meaningful.  The one exception is
-replica_chunk_reference, the earlier row-major replica kernel, kept
-verbatim because the package kernel must reproduce its numbers bit for bit.
+agreement between the two routes is meaningful.  The two exceptions are
+kept verbatim because the package must reproduce their numbers bit for
+bit: replica_chunk_reference, the earlier row-major replica kernel, and
+dn_constant_reference, the earlier D_n envelope calibration.
 """
 from __future__ import annotations
 
@@ -12,6 +13,13 @@ import math
 from fractions import Fraction
 
 import numpy as np
+
+from urnbound.decomposition import (
+    CALIBRATION_MAX_LOG2,
+    _calibration_grid,
+    _regime,
+    dn_exact,
+)
 
 
 def growth_reference(lam: float, n: int) -> float:
@@ -33,6 +41,14 @@ def tail_reference(lam: float, j: int, n: int) -> float:
 def dn_reference(lam: float, n: int) -> float:
     """sum_{j=0}^{n} tail(lam, j, n)^2, each tail from its own loop."""
     return sum(tail_reference(lam, j, n) ** 2 for j in range(n + 1))
+
+
+def dn_constant_reference(lam: float) -> float:
+    """Envelope constant as one dn_exact call per calibration grid point:
+    max of dn_exact / g over the dense grid up to 2^20."""
+    _, g = _regime(lam)
+    return max(dn_exact(lam, n) / g(float(n))
+               for n in _calibration_grid(1 << CALIBRATION_MAX_LOG2))
 
 
 def k_weight_reference(lam: float, i: int, n: int) -> float:

@@ -571,6 +571,44 @@ def test_table_artifacts_match_golden_hashes(tmp_path):
     assert found == GOLDEN_TABLES
 
 
+# sha256 of bounds.json from `bound`, which alone carries rate_value (the
+# (n+1)^2 / D_n envelope rate); the D_n calibration must reproduce it
+# bit for bit.  Eigenvalues 0.3 (R2), 0.25 (RJ) and 0.4007900800,
+# 0.2085461400 (R3_FLOAT).
+GOLDEN_BOUNDS = {
+    "r2/40":
+        "2b04c7081704a367f178657de8b59941ba06c2b1a1f234f3b439542986aa0fb9",
+    "r2/5000":
+        "1d217173a75bf0b82d8955d1c56d69700cf38d19c74c77722594ba4fc13f590c",
+    "r3float/40":
+        "00d2a4ee221772d2b0ac81ab8bf3b1a24094e0efaa3e2bfbd5a2eb3efb4b1986",
+    "r3float/5000":
+        "44b8d9bf3c712c7e96618982599d245b1b7ae207fff988b32250e17b8c8d5ddd",
+    "rj/40":
+        "64135c21a88569fc89ad29a43308eca85e3c00a40ce61317b44dd09fd4af2d5e",
+    "rj/5000":
+        "403ea061cf73730cecf7915124e568700382e1e57aefa3c526b90acd6895ecce",
+}
+
+
+def test_bound_json_matches_golden_hashes(tmp_path):
+    runs = [("r2", TWO_COLOR, "eigen:0"), ("rj", JORDAN_TEXT, "color:0"),
+            ("r3float", R3_FLOAT_TEXT, "color:0")]
+    found = {}
+    for label, text, stat in runs:
+        for n in (40, 5000):
+            lines = [line for line in text.splitlines()
+                     if not line.startswith(("horizon", "statistic",
+                                             "thresholds"))]
+            lines += [f"horizon = {n}", f"statistic = {stat}",
+                      "thresholds = 0.05, 0.2"]
+            cfg = write(tmp_path, "\n".join(lines) + "\n", f"{label}.cfg")
+            out = tmp_path / label / str(n)
+            assert run(["bound", "--config", cfg, "--out", str(out)]) == 0
+            found[f"{label}/{n}"] = _sha256(out / "bounds.json")
+    assert found == GOLDEN_BOUNDS
+
+
 def test_import_leaves_scipy_unloaded():
     code = ("import sys, urnbound.cli; print(sorted(m for m in sys.modules "
             "if m == 'scipy' or m.startswith('scipy.')))")

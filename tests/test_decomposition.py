@@ -34,11 +34,17 @@ from urnbound import (
     validate_matrix,
 )
 
-from urnbound.decomposition import JordanExpansion, MartingaleExpansion, expand
+from urnbound.decomposition import (
+    JordanExpansion,
+    MartingaleExpansion,
+    _dn_constant,
+    expand,
+)
 
 from oracles import (
     appendix_reference,
     appendix_reference_slow,
+    dn_constant_reference,
     dn_reference,
     growth_reference,
     k_weight_reference,
@@ -201,6 +207,18 @@ def test_dn_asymptotic_dominates(lam):
     for n in (1, 10, 100, 1000, 10_000, 100_000, 1_000_000):
         _, bound = dn_asymptotic(lam, n)
         assert dn_exact(lam, n) <= bound * (1.0 + 1e-12)
+
+
+# 25 lambdas across (-1, 1), 1/2 and either side of the regime-c
+# tolerance, and the eigenvalues of the benchmark's matrices
+DN_CONSTANT_LAMBDAS = ([float(lam) for lam in np.linspace(-0.99, 0.99, 25)]
+                       + [0.0, 0.5, 0.5 - 1e-11, 0.5 + 1e-11,
+                          0.3, 0.25, 0.4007900800, 0.2085461400])
+
+
+@pytest.mark.parametrize("lam", DN_CONSTANT_LAMBDAS)
+def test_dn_constant_matches_reference_bit_for_bit(lam):
+    assert _dn_constant.__wrapped__(lam) == dn_constant_reference(lam)
 
 
 def test_dn_asymptotic_regime_labels():
