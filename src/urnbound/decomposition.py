@@ -17,7 +17,8 @@ the weights jordan_weights().  member_weights() tabulates these pieces
 per kind of spectral member for the expansions and the bounds alike.
 All weighted sums of squares needed by the deviation bounds are
 available exactly (dn_exact) and through calibrated closed-form
-envelopes (dn_asymptotic).
+envelopes (dn_asymptotic), which dominate dn_exact for n <= 2^20, the
+range they are calibrated on.
 
 Index conventions follow the one-step recursion: weights for a statistic
 observed after N draws use tail_products(lam, N-1)[j] for j = 0 .. N-1,
@@ -197,18 +198,36 @@ def _dn_constant(lam: float) -> float:
 
     The ratio moves slowly (through log n), so the geometric grid brackets
     its maximum; small n, where the ratio can peak, are covered one by one.
+    One forward pass over the grid, D_n = D_m T(m, n)^2 + sum_{j=m+1}^{n}
+    T(j, n)^2 from the previous grid point m, locates the maximum; only
+    the points within a relative 1e-9 of it, far above the pass's rounding
+    error, are recomputed with dn_exact, so the result has the bits of
+    the maximum of dn_exact / g over the whole grid.
     """
     _, g = _regime(lam)
+    grid = list(_calibration_grid(1 << CALIBRATION_MAX_LOG2))
+    ratios = np.empty(len(grid))
+    dn, m = 1.0, 0  # D_0 = T(0, 0)^2
+    for i, n in enumerate(grid):
+        tails = np.cumprod(1.0 + lam / np.arange(n + 1, m + 1, -1))
+        dn = dn * tails[-1] ** 2 + tails[:-1] @ tails[:-1] + 1.0
+        ratios[i] = dn / g(float(n))
+        m = n
+    near = ratios >= ratios.max() * (1.0 - 1e-9)
     return max(dn_exact(lam, n) / g(float(n))
-               for n in _calibration_grid(1 << CALIBRATION_MAX_LOG2))
+               for n, keep in zip(grid, near) if keep)
 
 
 def dn_asymptotic(lam: float, n: int) -> tuple[str, float]:
-    """Labeled regime and explicit envelope C(lam) * g(n) >= dn_exact(lam, n).
+    """Labeled regime and explicit envelope C(lam) * g(n), which is at
+    least dn_exact(lam, n) for 1 <= n <= 2^20.
 
     Regimes: (a) lam < 0 and (b) 0 <= lam < 1/2 grow linearly, (c) lam =
     1/2 grows like n(1 + log n), (d) lam > 1/2 grows like n^(2 lam).  The
-    constant is calibrated once per lam over powers of two up to 2^20.
+    constant is calibrated once per lam as the maximum of dn_exact / g
+    over the dense grid of _calibration_grid up to 2^20.  Above 2^20 the
+    envelope is not guaranteed: for lam in about [0.3, 1/2), where
+    dn_exact / g is still rising at 2^20, it falls below dn_exact.
     """
     lam = _check_lambda(lam)
     if n < 1:
