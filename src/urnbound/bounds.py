@@ -84,7 +84,8 @@ def rate_function(lam: float, n: int) -> tuple[str, float]:
 
     Linear below lam = 1/2, n / log n at the critical value, and
     n^(2 - 2 lam) above it.  f(n) is at most (n+1)^2 / dn_exact for
-    n <= 2^20, the domain of the envelope (see dn_asymptotic).
+    n <= 2^20, the domain of the envelope; larger n raise TooLarge (see
+    dn_asymptotic).
     """
     regime, envelope = dn_asymptotic(lam, n)  # checks lam and n
     label = {"c": "n/log n",
@@ -193,15 +194,15 @@ def _combined_report(members, n, t, s, label, initial) -> BoundReport:
         raise IndexOrder(f"horizon n={n} must be at least 1")
     if t < 0:
         raise ValueError(f"t={t} must be nonnegative")
+    moving = [mem.lam for mem in members if not mem.frozen]
+    lam_star = max(moving) if moving else 0.0
+    regime, rate_value = rate_function(lam_star, max(n - 1, 1))
     c = np.zeros(n)
     for mem in members:
         c += mem.increment_bounds(n)
     sum_sq = float(np.sum((2.0 * c) ** 2))
     log_tail = azuma_log_tail(s, c)
     tail = math.exp(log_tail) if log_tail > -math.inf else 0.0
-    moving = [mem.lam for mem in members if not mem.frozen]
-    lam_star = max(moving) if moving else 0.0
-    regime, rate_value = rate_function(lam_star, max(n - 1, 1))
     shift = None
     if initial is not None:
         initial = np.asarray(initial, dtype=float)

@@ -18,7 +18,7 @@ per kind of spectral member for the expansions and the bounds alike.
 All weighted sums of squares needed by the deviation bounds are
 available exactly (dn_exact) and through calibrated closed-form
 envelopes (dn_asymptotic), which dominate dn_exact for n <= 2^20, the
-range they are calibrated on.
+range they are calibrated on and the only one they accept.
 
 Index conventions follow the one-step recursion: weights for a statistic
 observed after N draws use tail_products(lam, N-1)[j] for j = 0 .. N-1,
@@ -38,12 +38,14 @@ from .errors import (
     LambdaOutOfRange,
     NotEigenpair,
     NotJordanPair,
+    TooLarge,
 )
 from .process import Trajectory
 from .spectral import Member
 
 EIGEN_RESID_TOL = 1e-8
 CALIBRATION_MAX_LOG2 = 20  # constants cover n up to 2**20
+_BLOCK = 1 << 15  # tail products are walked in blocks of this length
 
 
 def _check_lambda(lam: float, allow_one: bool = False,
@@ -76,10 +78,28 @@ def tail_products(lam: float, n: int) -> np.ndarray:
     lam = _check_lambda(lam, allow_one=True)
     if n < 0:
         raise IndexOrder(f"n={n} must be nonnegative")
-    factors = 1.0 + lam / np.arange(2, n + 2)
     out = np.ones(n + 1)
-    out[:n] = np.cumprod(factors[::-1])[::-1]
+    top = n
+    for block in _tail_blocks(lam, n, 0):
+        out[top - block.size:top] = block[::-1]
+        top -= block.size
     return out
+
+
+def _tail_blocks(lam: float, n: int, stop: int):
+    """T(j, n) for j = n-1 down to stop, in blocks of at most _BLOCK.
+
+    Each block's cumprod is seeded with the product carried from the
+    block above, so every value is the same running product, bit for
+    bit, whatever the block size.  Memory is O(_BLOCK).
+    """
+    carry = 1.0
+    for hi in range(n + 1, stop + 1, -_BLOCK):
+        block = 1.0 + lam / np.arange(hi, max(hi - _BLOCK, stop + 1), -1)
+        block[0] *= carry
+        np.cumprod(block, out=block)
+        carry = block[-1]
+        yield block
 
 
 def _prefix_products(lam: float, m: int) -> np.ndarray:
@@ -165,8 +185,21 @@ def dn_exact(lam: float, n: int) -> float:
     lam = _check_lambda(lam)
     if n < 0:
         raise IndexOrder(f"n={n} must be nonnegative")
-    t = tail_products(lam, n)
-    return float(t @ t)
+    return 1.0 + _tail_squares(lam, n, 0)[0]
+
+
+def _tail_squares(lam: float, n: int, stop: int) -> tuple[float, float]:
+    """(sum_{j=stop}^{n-1} T(j, n)^2, T(stop, n)) for 0 <= stop <= n.
+
+    Each block's squares are summed by np.add.reduce and the block sums
+    added in order: no BLAS call, so the bits do not depend on how many
+    threads the machine's BLAS runs.
+    """
+    total, last = 0.0, 1.0
+    for block in _tail_blocks(lam, n, stop):
+        total += float(np.add.reduce(block * block))
+        last = block[-1]
+    return total, float(last)
 
 
 def _regime(lam: float):
@@ -198,20 +231,20 @@ def _dn_constant(lam: float) -> float:
 
     The ratio moves slowly (through log n), so the geometric grid brackets
     its maximum; small n, where the ratio can peak, are covered one by one.
-    One forward pass over the grid, D_n = D_m T(m, n)^2 + sum_{j=m+1}^{n}
-    T(j, n)^2 from the previous grid point m, locates the maximum; only
-    the points within a relative 1e-9 of it, far above the pass's rounding
-    error, are recomputed with dn_exact, so the result has the bits of
-    the maximum of dn_exact / g over the whole grid.
+    One forward pass over the grid, carrying D_n - 1 = (D_m - 1) T(m, n)^2
+    + sum_{j=m}^{n-1} T(j, n)^2 from the previous grid point m, locates
+    the maximum; only the points within a relative 1e-9 of it, far above
+    the pass's rounding error, are recomputed with dn_exact, so the result
+    has the bits of the maximum of dn_exact / g over the whole grid.
     """
     _, g = _regime(lam)
     grid = list(_calibration_grid(1 << CALIBRATION_MAX_LOG2))
     ratios = np.empty(len(grid))
-    dn, m = 1.0, 0  # D_0 = T(0, 0)^2
+    excess, m = 0.0, 0  # D_n - 1 = sum_{j<n} T(j, n)^2, 0 at n = 0
     for i, n in enumerate(grid):
-        tails = np.cumprod(1.0 + lam / np.arange(n + 1, m + 1, -1))
-        dn = dn * tails[-1] ** 2 + tails[:-1] @ tails[:-1] + 1.0
-        ratios[i] = dn / g(float(n))
+        gap, tail = _tail_squares(lam, n, m)
+        excess = excess * tail ** 2 + gap
+        ratios[i] = (1.0 + excess) / g(float(n))
         m = n
     near = ratios >= ratios.max() * (1.0 - 1e-9)
     return max(dn_exact(lam, n) / g(float(n))
@@ -226,12 +259,16 @@ def dn_asymptotic(lam: float, n: int) -> tuple[str, float]:
     1/2 grows like n(1 + log n), (d) lam > 1/2 grows like n^(2 lam).  The
     constant is calibrated once per lam as the maximum of dn_exact / g
     over the dense grid of _calibration_grid up to 2^20.  Above 2^20 the
-    envelope is not guaranteed: for lam in about [0.3, 1/2), where
-    dn_exact / g is still rising at 2^20, it falls below dn_exact.
+    envelope is not guaranteed (for lam in about [0.3, 1/2), where
+    dn_exact / g is still rising at 2^20, it falls below dn_exact), so
+    n > 2^20 raises TooLarge.
     """
     lam = _check_lambda(lam)
     if n < 1:
         raise IndexOrder(f"n={n} must be at least 1")
+    if n > 1 << CALIBRATION_MAX_LOG2:
+        raise TooLarge(f"n={n} is above 2^{CALIBRATION_MAX_LOG2}, where the "
+                       "D_n envelope is calibrated and known to hold")
     label, g = _regime(lam)
     return label, _dn_constant(lam) * g(float(n))
 

@@ -76,7 +76,8 @@ class DimensionMismatch(UrnboundError):
 # -- verification -------------------------------------------------------------
 
 class TooLarge(UrnboundError):
-    """The exact law would exceed the state budget."""
+    """The exact law would exceed the state budget, or a horizon lies
+    beyond the range the D_n envelope is calibrated on."""
 
 
 class GridMismatch(UrnboundError):

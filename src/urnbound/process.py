@@ -21,7 +21,6 @@ golden hashes in the tests pin the streams.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -242,6 +241,8 @@ def simulate_replicas(initial, R: ReplacementMatrix, n: int, replicas: int,
     seqs = [np.random.SeedSequence(seed, spawn_key=(c,)) for c in range(len(sizes))]
     jobs = [(rows, c0, n, m, ss, keep_draws) for m, ss in zip(sizes, seqs)]
     if threads > 1 and len(jobs) > 1:
+        # imported here, so a run on one thread never loads it
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=threads) as pool:
             parts = list(pool.map(lambda args: _run_chunk(*args), jobs))
     else:

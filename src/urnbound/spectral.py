@@ -105,13 +105,14 @@ def _strong_components(adjacency: np.ndarray) -> int:
 
     k boolean squarings of (adjacency or identity) give reachability in
     up to 2^k steps, and d nodes need at most d - 1; two nodes share a
-    component exactly when each reaches the other.
+    component exactly when each reaches the other, so the components are
+    the distinct rows of the mutual-reachability matrix.
     """
     d = adjacency.shape[0]
     reach = adjacency | np.eye(d, dtype=bool)
     for _ in range(d.bit_length()):
         reach = reach @ reach
-    return len(np.unique(reach & reach.T, axis=0))
+    return len({row.tobytes() for row in reach & reach.T})
 
 
 def stationary_vector(R: ReplacementMatrix) -> np.ndarray:

@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from statistics import NormalDist
 
 import numpy as np
 
@@ -170,6 +169,8 @@ def wilson_upper(hits: int, trials: int, level: float = WILSON_LEVEL) -> float:
     """One-sided upper confidence limit for a binomial proportion."""
     if trials < 1:
         raise ValueError("need at least one trial")
+    # imported here, so only Monte Carlo runs load it
+    from statistics import NormalDist
     z = NormalDist().inv_cdf(level)
     p = hits / trials
     z2n = z * z / trials

@@ -6,6 +6,9 @@ agreement between the two routes is meaningful.  The two exceptions are
 kept verbatim because the package must reproduce their numbers bit for
 bit: replica_chunk_reference, the earlier row-major replica kernel, and
 dn_constant_reference, the earlier D_n envelope calibration.
+dn_exact_reference reuses the package's tail products, which
+tail_reference checks, and sums their squares exactly, so it tests the
+summation alone.
 """
 from __future__ import annotations
 
@@ -19,6 +22,7 @@ from urnbound.decomposition import (
     _calibration_grid,
     _regime,
     dn_exact,
+    tail_products,
 )
 
 
@@ -41,6 +45,11 @@ def tail_reference(lam: float, j: int, n: int) -> float:
 def dn_reference(lam: float, n: int) -> float:
     """sum_{j=0}^{n} tail(lam, j, n)^2, each tail from its own loop."""
     return sum(tail_reference(lam, j, n) ** 2 for j in range(n + 1))
+
+
+def dn_exact_reference(lam: float, n: int) -> float:
+    """sum_{j=0}^{n} T(j, n)^2, correctly rounded by math.fsum."""
+    return math.fsum(tail_products(lam, n) ** 2)
 
 
 def dn_constant_reference(lam: float) -> float:

@@ -192,6 +192,20 @@ def test_typed_errors_exit_1_and_write_nothing(tmp_path, capsys, monkeypatch,
     assert not (out / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("command,key", [("bound", "horizon"),
+                                         ("verify", "horizon"),
+                                         ("sweep", "horizons")])
+def test_horizon_above_the_envelope_domain_exits_1(tmp_path, capsys, command,
+                                                   key):
+    # horizon N bounds with the envelope at N - 1, calibrated up to 2^20
+    cfg = write(tmp_path, TWO_COLOR.replace("horizon = 12",
+                                            f"{key} = {(1 << 20) + 2}"))
+    out = tmp_path / "o"
+    assert run([command, "--config", cfg, "--out", str(out)]) == 1
+    assert "n=1048577 is above 2^20" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
 def test_default_initial_state_is_one_unit_of_color_0(tmp_path):
     cfg = write(tmp_path, JORDAN_TEXT.replace("initial = 1, 0, 0\n", ""))
     out = tmp_path / "out"
@@ -573,17 +587,17 @@ def test_table_artifacts_match_golden_hashes(tmp_path):
 
 # sha256 of bounds.json from `bound`, which alone carries rate_value (the
 # (n+1)^2 / D_n envelope rate); the D_n calibration must reproduce it
-# bit for bit.  Eigenvalues 0.3 (R2), 0.25 (RJ) and 0.4007900800,
-# 0.2085461400 (R3_FLOAT).
+# bit for bit, whatever the BLAS thread count.  Eigenvalues 0.3 (R2),
+# 0.25 (RJ) and 0.4007900800, 0.2085461400 (R3_FLOAT).
 GOLDEN_BOUNDS = {
     "r2/40":
         "2b04c7081704a367f178657de8b59941ba06c2b1a1f234f3b439542986aa0fb9",
     "r2/5000":
         "1d217173a75bf0b82d8955d1c56d69700cf38d19c74c77722594ba4fc13f590c",
     "r3float/40":
-        "00d2a4ee221772d2b0ac81ab8bf3b1a24094e0efaa3e2bfbd5a2eb3efb4b1986",
+        "1865acaeec321d402a8cd77719cc5f00f7a435fdc544cae591c3246ce22d693f",
     "r3float/5000":
-        "44b8d9bf3c712c7e96618982599d245b1b7ae207fff988b32250e17b8c8d5ddd",
+        "e51d0a95e263580d1b2494e0bc9f8c4047ceb6081c12e9e72a2f246e69dbb9cb",
     "rj/40":
         "64135c21a88569fc89ad29a43308eca85e3c00a40ce61317b44dd09fd4af2d5e",
     "rj/5000":
@@ -612,6 +626,21 @@ def test_bound_json_matches_golden_hashes(tmp_path):
 def test_import_leaves_scipy_unloaded():
     code = ("import sys, urnbound.cli; print(sorted(m for m in sys.modules "
             "if m == 'scipy' or m.startswith('scipy.')))")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"
+
+
+def test_bound_run_leaves_unused_modules_unloaded():
+    code = ("import sys, urnbound.cli\n"
+            "from urnbound import (color_deviation_bound, decompose,\n"
+            "                      validate_matrix)\n"
+            "R = validate_matrix([[0.5772156649, 0.3, 0.1227843351],\n"
+            "                     [0.1414213562, 0.6, 0.2585786438],\n"
+            "                     [0.2, 0.3678794412, 0.4321205588]])\n"
+            "color_deviation_bound(decompose(R), 0, 40, 0.1)\n"
+            "print(sorted(m for m in ('numpy.ma', 'concurrent.futures',\n"
+            "                         'statistics') if m in sys.modules))\n")
     proc = subprocess.run([sys.executable, "-c", code],
                           capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "[]"

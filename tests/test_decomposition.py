@@ -4,6 +4,10 @@ Jordan weights, the appendix coefficient and the normalized martingale.
 Frozen values were computed by hand or with the literal-loop references in
 oracles.py; the vectorized implementations must reproduce them.
 """
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -12,6 +16,7 @@ from urnbound import (
     LambdaOutOfRange,
     NotEigenpair,
     NotJordanPair,
+    TooLarge,
     Trajectory,
     appendix_zeroth,
     dm_martingale,
@@ -35,6 +40,7 @@ from urnbound import (
 )
 
 from urnbound.decomposition import (
+    _BLOCK,
     JordanExpansion,
     MartingaleExpansion,
     _dn_constant,
@@ -45,6 +51,7 @@ from oracles import (
     appendix_reference,
     appendix_reference_slow,
     dn_constant_reference,
+    dn_exact_reference,
     dn_reference,
     growth_reference,
     k_weight_reference,
@@ -202,6 +209,36 @@ def test_dn_exact_matches_reference(lam):
                                                  rel=1e-12)
 
 
+# the eigenvalues of the benchmark's matrices, then 10 across (-1, 1)
+DN_SUM_LAMBDAS = ([0.3, 0.25, 0.40079008156005286, 0.20854614213994688]
+                  + [float(lam) for lam in np.linspace(-0.99, 0.99, 10)])
+DN_SUM_HORIZONS = (0, 1, 2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1,
+                   100_000, 1 << 20)
+
+
+@pytest.mark.parametrize("lam", DN_SUM_LAMBDAS)
+def test_dn_exact_matches_the_correctly_rounded_sum(lam):
+    for n in DN_SUM_HORIZONS:
+        ref = dn_exact_reference(lam, n)
+        assert abs(dn_exact(lam, n) - ref) <= 1e-13 * ref, n
+
+
+def test_dn_bits_do_not_depend_on_blas_threads():
+    code = ("from urnbound.decomposition import dn_exact, _dn_constant\n"
+            "for lam in (0.3, 0.25, 0.40079008156005286, "
+            "0.20854614213994688):\n"
+            "    print(dn_exact(lam, 1 << 20).hex(), "
+            "_dn_constant(lam).hex())\n")
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, check=True)
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+    assert len(outputs[0].split()) == 8
+
+
 @pytest.mark.parametrize("lam", LAMBDA_GRID)
 def test_dn_asymptotic_dominates(lam):
     for n in (1, 10, 100, 1000, 10_000, 100_000, 1_000_000, 1 << 20):
@@ -219,6 +256,13 @@ DN_CONSTANT_LAMBDAS = ([float(lam) for lam in np.linspace(-0.99, 0.99, 25)]
 @pytest.mark.parametrize("lam", DN_CONSTANT_LAMBDAS)
 def test_dn_constant_matches_reference_bit_for_bit(lam):
     assert _dn_constant.__wrapped__(lam) == dn_constant_reference(lam)
+
+
+def test_dn_asymptotic_refuses_horizons_above_its_calibration():
+    for lam in (-0.5, 0.3, 0.40079008156005286, 0.5, 0.75):
+        assert dn_asymptotic(lam, 1 << 20)[1] > 0.0
+        with pytest.raises(TooLarge):
+            dn_asymptotic(lam, (1 << 20) + 1)
 
 
 def test_dn_asymptotic_regime_labels():
