@@ -42,6 +42,15 @@ def tail_reference(lam: float, j: int, n: int) -> float:
     return out
 
 
+def tails_reference(lam: float, n: int) -> list[float]:
+    """T(j, n) for j = 0 .. n by the backward recurrence
+    T(j, n) = T(j+1, n) * (1 + lam/(j+2)), one multiplication per step."""
+    tails = [1.0] * (n + 1)
+    for j in range(n - 1, -1, -1):
+        tails[j] = tails[j + 1] * (1.0 + lam / (j + 2.0))
+    return tails
+
+
 def dn_reference(lam: float, n: int) -> float:
     """sum_{j=0}^{n} tail(lam, j, n)^2, each tail from its own loop."""
     return sum(tail_reference(lam, j, n) ** 2 for j in range(n + 1))

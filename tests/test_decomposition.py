@@ -56,6 +56,7 @@ from oracles import (
     growth_reference,
     k_weight_reference,
     tail_reference,
+    tails_reference,
 )
 
 R2 = validate_matrix([[0.7, 0.3], [0.4, 0.6]])
@@ -123,6 +124,13 @@ def test_tail_products_match_scalar_route(lam):
     batch = tail_products(lam, n)
     singles = [tail_reference(lam, j, n) for j in range(n + 1)]
     np.testing.assert_allclose(batch, singles, rtol=1e-13)
+
+
+@pytest.mark.parametrize("lam", [-0.6, 0.40079008156005286, 0.9])
+def test_tail_products_are_one_running_product_across_blocks(lam):
+    # the blocks must carry the product exactly: same bits as one loop
+    for n in (_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1, 100_000):
+        assert tail_products(lam, n).tolist() == tails_reference(lam, n), n
 
 
 def test_zeroth_term_values():
