@@ -2,10 +2,11 @@
 
 Everything here is written with plain Python floats and literal loops,
 deliberately avoiding the vectorized recurrences in the package, so that
-agreement between the two routes is meaningful.  The two exceptions are
+agreement between the two routes is meaningful.  Three exceptions are
 kept verbatim because the package must reproduce their numbers bit for
-bit: replica_chunk_reference, the earlier row-major replica kernel, and
-dn_constant_reference, the earlier D_n envelope calibration.
+bit: simulate_reference, the earlier per-draw trajectory loop (with its
+draw rule _draw), replica_chunk_reference, the earlier row-major replica
+kernel, and dn_constant_reference, the earlier D_n envelope calibration.
 dn_exact_reference reuses the package's tail products, which
 tail_reference checks, and sums their squares exactly, so it tests the
 summation alone.
@@ -24,6 +25,41 @@ from urnbound.decomposition import (
     dn_exact,
     tail_products,
 )
+
+
+def _draw(counts, total: float, u: float) -> int:
+    """Index i with cumulative counts straddling u in [0, total)."""
+    acc = 0.0
+    last = 0
+    for i, c in enumerate(counts):
+        if c > 0:
+            acc += c
+            last = i
+            if u < acc:
+                return i
+    return last  # float edge: u landed on the top boundary
+
+
+def simulate_reference(initial, R, n: int, seed):
+    """One trajectory, one _draw call and one row add per step, on the
+    stream default_rng(seed) that simulate() uses.
+
+    Returns the draws (n,) as int64 and the states C_0 .. C_n (n + 1, d)
+    in the order the loop produced them.
+    """
+    rng = np.random.default_rng(seed)
+    rows = R.matrix.tolist()
+    counts = np.array(initial, dtype=float).tolist()
+    draws = []
+    history = [counts]
+    # one vector of draws equals n scalar calls on the same stream
+    targets = (rng.random(n) * np.arange(1.0, n + 1.0)).tolist()
+    for j in range(n):
+        i = _draw(counts, j + 1.0, targets[j])
+        counts = [c + r for c, r in zip(counts, rows[i])]
+        draws.append(i)
+        history.append(counts)
+    return np.array(draws, dtype=np.int64), np.array(history)
 
 
 def growth_reference(lam: float, n: int) -> float:

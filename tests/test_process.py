@@ -5,20 +5,21 @@ import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy import stats
 
 from urnbound import (
     ColorCount,
     DimensionMismatch,
     ReplicaBatch,
+    UrnboundError,
     simulate,
     simulate_replicas,
     validate_matrix,
 )
-from urnbound.process import _draw, _run_chunk
+from urnbound.process import _run_chunk
 
-from oracles import replica_chunk_reference
+from oracles import _draw, replica_chunk_reference, simulate_reference
 
 R2 = validate_matrix([[0.7, 0.3], [0.4, 0.6]])
 RJ = validate_matrix([[5 / 8, 3 / 8, 0.0], [1 / 8, 3 / 8, 1 / 2],
@@ -349,3 +350,33 @@ def test_replica_kernel_matches_reference_on_fixed_cases(rows, c0,
                                                          keep_draws):
     _assert_kernel_matches_reference(np.array(rows), np.array(c0), 200, 300,
                                      17, keep_draws)
+
+
+def _assert_simulate_matches_reference(c0, R, n, seed):
+    ref_draws, ref_counts = simulate_reference(c0, R, n, seed)
+    traj = simulate(c0, R, n, seed)
+    np.testing.assert_array_equal(traj.draws, ref_draws, strict=True)
+    np.testing.assert_array_equal(traj.counts_matrix(), ref_counts,
+                                  strict=True)
+    return traj
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), d=st.integers(2, 5), n=st.integers(0, 3000),
+       seed=st.integers(0, 2**32 - 1))
+def test_simulate_matches_per_draw_reference(data, d, n, seed):
+    try:
+        R = validate_matrix(data.draw(_unit_rows(d)))
+    except UrnboundError:
+        assume(False)  # reducible: simulate only takes irreducible R
+    mass = np.array(data.draw(st.lists(st.integers(0, 3), min_size=d,
+                                       max_size=d).filter(any)), dtype=float)
+    _assert_simulate_matches_reference(mass / mass.sum(), R, n, seed)
+
+
+def test_simulate_matches_reference_on_the_trajectory_io_config():
+    # RJ from one unit of color 0 at n = 10^5, seed 3; hash recorded from
+    # the per-draw loop
+    traj = _assert_simulate_matches_reference([1.0, 0.0, 0.0], RJ, 100_000, 3)
+    assert _sha256(traj.draws) == (
+        "64cc6c07ce857727b5d44eeab539fa83965dd57753187e4846bf5eb381afb418")
