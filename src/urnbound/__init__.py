@@ -53,8 +53,6 @@ from .decomposition import (
     growth_product,
     increment_conditional_means,
     jordan_decompose,
-    jordan_weight_bound,
-    jordan_weight_constant,
     jordan_weights,
     martingale_decompose,
     repeated_zero_decompose,
@@ -65,8 +63,6 @@ from .bounds import (
     azuma_log_tail,
     azuma_tail,
     color_deviation_bound,
-    color_threshold_factor,
-    increment_bound,
     rate_function,
     spread,
     statistic_bound,

@@ -31,7 +31,6 @@ from .decomposition import (
     EIGEN_RESID_TOL,
     dn_asymptotic,
     member_weights,
-    tail_products,
 )
 from .errors import IndexOrder, LambdaOutOfRange, NotEigenpair
 from .spectral import (
@@ -47,13 +46,6 @@ def spread(xi) -> float:
     """max(xi) - min(xi): the range an increment of chi.xi can cover."""
     xi = np.asarray(xi, dtype=float)
     return float(np.max(xi) - np.min(xi))
-
-
-def increment_bound(xi, lam: float, j: int, n: int) -> float:
-    """Symmetric bound c_j on the weighted increment at step j of n + 1."""
-    if not 0 <= j <= n:
-        raise IndexOrder(f"need 0 <= j <= n, got j={j}, n={n}")
-    return abs(lam) * spread(xi) * tail_products(lam, n)[j]
 
 
 def azuma_tail(s: float, c) -> float:
@@ -248,14 +240,3 @@ def color_deviation_bound(R, color: int, n: int, t: float,
     label = (f"color {color} deviation per unit mass; members: "
              + " + ".join(mem.describe() for mem in members))
     return _combined_report(members, n, t, (n + 1.0) * t, label, initial)
-
-
-def color_threshold_factor(S: SpectralDecomposition, color: int) -> float:
-    """Two-color conversion: deviation t of the color count corresponds to
-    deviation t * factor of the eigen-statistic C_n.xi.
-
-    The factor is 1/alpha_2, which equals xi[0] - xi[1] for color 0 (and
-    the negative for color 1)."""
-    if S.matrix.dim != 2:
-        raise ValueError("threshold factor is a two-color notion")
-    return 1.0 / S.alphas[color][1]

@@ -302,37 +302,6 @@ def jordan_weights(lam: float, n: int) -> np.ndarray:
     return (prefix[n + 1] / prefix[1:n + 2]) * suffix[1:n + 2]
 
 
-def jordan_weight_bound(lam: float, i: int, n: int) -> float:
-    """Closed-form envelope (n/i)^lam * (1 + log n) * max-factor.
-
-    The max-factor is 1 for lam > 0 and (1/2)^lam for lam < 0 (the worst
-    single step of the prefix ratio).  Valid for 1 <= i <= n up to the
-    calibrated constant jordan_weight_constant(lam).
-    """
-    lam = _check_lambda(lam, allow_zero=False)
-    if not 1 <= i <= n:
-        raise IndexOrder(f"need 1 <= i <= n, got i={i}, n={n}")
-    factor = 1.0 if lam > 0 else 0.5 ** lam
-    return (n / i) ** lam * (1.0 + math.log(n)) * factor
-
-
-@lru_cache(maxsize=None)
-def jordan_weight_constant(lam: float) -> float:
-    """max over 1 <= i <= n <= 10^4 of K(i, n) / jordan_weight_bound.
-
-    Every i is checked; n runs over the same dense grid as _dn_constant.
-    """
-    lam = _check_lambda(lam, allow_zero=False)
-    factor = 1.0 if lam > 0 else 0.5 ** lam
-    best = 0.0
-    for n in _calibration_grid(10_000):
-        k = jordan_weights(lam, n)[1:]
-        i = np.arange(1, n + 1, dtype=float)
-        bound = (n / i) ** lam * (1.0 + math.log(n)) * factor
-        best = max(best, float(np.max(k / bound)))
-    return best
-
-
 def appendix_zeroth(lam: float, n: int) -> float:
     """Deterministic coefficient Z(n, lam) on C_0.xi2, written as the
     three-part sum: the j = 0 term, the j = 1 term, then j >= 2.

@@ -4,13 +4,26 @@ State C_n is a vector of d nonnegative real counts with total mass n + 1.
 At time n a color is drawn with probability C_n[i] / (n + 1) and row i of
 the replacement matrix is added, so the total always grows by exactly 1.
 
-Two simulation paths are provided: simulate() runs one trajectory step by
-step and returns its draws, from which states and statistic paths are
-rebuilt, while simulate_replicas() advances many independent replicas in
+Two simulation paths are provided: simulate() runs one trajectory and
+returns its draws, from which states and statistic paths are rebuilt,
+while simulate_replicas() advances many independent replicas in
 lockstep with vectorized draws.  Replica streams are derived from
 (seed, chunk) via numpy SeedSequence spawn keys, chunks have a fixed
 size, and chunk results are merged in index order, so results are
 deterministic and independent of thread scheduling.
+
+simulate() draws in verified windows.  It holds a frontier f and the
+exact state C_f, guesses the next w draws (draws recomputed by the last
+window where it has them, else from C_f's cumulative sums scaled to each
+step's mass), rebuilds C_f .. C_{f+w} from the guesses with one cumsum
+down the rows (the same adds, in the same order, as stepping one draw at
+a time) and recomputes every draw from its state with _draws.  The
+window is accepted up to and including its first mismatch: by induction
+on j, while the guesses before step j are right the state at j is exact,
+so the draw computed at j is too.  The window doubles after a clean
+pass and halves after a mismatch, between _MIN_WINDOW and _MAX_WINDOW.
+The draws equal, bit for bit, those of the per-draw loop it replaced,
+which the tests keep as their reference.
 
 The replica kernel (_run_chunk) keeps a chunk's counts column-major, as d
 contiguous length-m vectors, one per color, with preallocated per-draw
@@ -31,6 +44,8 @@ from .spectral import ReplacementMatrix
 
 BALANCE_TOL = 1e-9
 DEFAULT_CHUNK = 16384
+_MIN_WINDOW = 16
+_MAX_WINDOW = 4096
 
 
 @dataclass(frozen=True)
@@ -72,17 +87,22 @@ def _statistic_vector(v, d: int) -> np.ndarray:
     return v
 
 
-def _draw(counts, total: float, u: float) -> int:
-    """Index i with cumulative counts straddling u in [0, total)."""
-    acc = 0.0
-    last = 0
-    for i, c in enumerate(counts):
-        if c > 0:
-            acc += c
-            last = i
-            if u < acc:
-                return i
-    return last  # float edge: u landed on the top boundary
+def _draws(states: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Color drawn from each state (one per row) by its target in [0, mass).
+
+    The draw is the number of left-to-right cumulative sums of the state
+    that the target reaches: the first color whose running sum exceeds the
+    target, never an empty one, since an empty color repeats the sum
+    before it.  A target that reaches every sum (the float top edge)
+    draws the last nonempty color.
+    """
+    drawn = np.count_nonzero(targets[:, None] >= np.cumsum(states, axis=1),
+                             axis=1)
+    top = np.flatnonzero(drawn == states.shape[1])
+    if top.size:
+        nonempty = states[top, ::-1] > 0
+        drawn[top] = states.shape[1] - 1 - np.argmax(nonempty, axis=1)
+    return drawn
 
 
 @dataclass
@@ -142,16 +162,37 @@ def simulate(initial, R: ReplacementMatrix, n: int, seed) -> Trajectory:
     if n < 0:
         raise ValueError("n must be nonnegative")
     rng = np.random.default_rng(seed)
-    rows = R.matrix.tolist()
-    counts = c0.tolist()
-    draws = []
-    # one vector of draws equals n scalar calls on the same stream
-    targets = (rng.random(n) * np.arange(1.0, n + 1.0)).tolist()
-    for j in range(n):
-        i = _draw(counts, j + 1.0, targets[j])
-        counts = [c + r for c, r in zip(counts, rows[i])]
-        draws.append(i)
-    return Trajectory(R, c0, np.array(draws, dtype=np.int64), seed)
+    targets = rng.random(n) * np.arange(1.0, n + 1.0)
+    rows = R.matrix
+    draws = np.empty(n, dtype=np.int64)
+    state = c0           # C_f, exact: the loop's state after f draws
+    f = 0
+    width = _MIN_WINDOW
+    guess = draws[:0]    # draws recomputed past the frontier, reused
+    while f < n:
+        width = min(width, n - f)
+        start = f + guess.size
+        if start < f + width:
+            # new positions: C_f's cumulative sums, scaled to each mass
+            scale = np.arange(start + 1.0, f + width + 1.0) / (f + 1.0)
+            sums = np.cumsum(state)[:-1]
+            fresh = np.count_nonzero(
+                targets[start:f + width, None] >= scale[:, None] * sums,
+                axis=1)
+            guess = np.concatenate([guess, fresh])
+        guess = guess[:width]
+        states = np.vstack([state, rows[guess]])
+        np.cumsum(states, axis=0, out=states)
+        got = _draws(states[:-1], targets[f:f + width])
+        miss = np.flatnonzero(got != guess)
+        accepted = miss[0] + 1 if miss.size else width
+        draws[f:f + accepted] = got[:accepted]
+        state = states[accepted - 1] + rows[got[accepted - 1]]
+        guess = got[accepted:]
+        f += accepted
+        width = (max(width // 2, _MIN_WINDOW) if miss.size
+                 else min(2 * width, _MAX_WINDOW))
+    return Trajectory(R, c0, draws, seed)
 
 
 @dataclass

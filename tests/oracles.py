@@ -9,22 +9,30 @@ draw rule _draw), replica_chunk_reference, the earlier row-major replica
 kernel, and dn_constant_reference, the earlier D_n envelope calibration.
 dn_exact_reference reuses the package's tail products, which
 tail_reference checks, and sums their squares exactly, so it tests the
-summation alone.
+summation alone.  The last section holds helpers that only tests use:
+the Jordan weight envelope and its calibrated constant, the scalar
+increment bound and the two-color threshold conversion.
 """
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
+from urnbound.bounds import spread
 from urnbound.decomposition import (
     CALIBRATION_MAX_LOG2,
     _calibration_grid,
+    _check_lambda,
     _regime,
     dn_exact,
+    jordan_weights,
     tail_products,
 )
+from urnbound.errors import IndexOrder
+from urnbound.spectral import SpectralDecomposition
 
 
 def _draw(counts, total: float, u: float) -> int:
@@ -226,3 +234,52 @@ def replica_chunk_reference(rows, c0, n: int, m: int, seed_seq,
         if keep_draws:
             draws[:, j] = chosen
     return counts, draws
+
+
+def jordan_weight_bound(lam: float, i: int, n: int) -> float:
+    """Closed-form envelope (n/i)^lam * (1 + log n) * max-factor.
+
+    The max-factor is 1 for lam > 0 and (1/2)^lam for lam < 0 (the worst
+    single step of the prefix ratio).  Valid for 1 <= i <= n up to the
+    calibrated constant jordan_weight_constant(lam).
+    """
+    lam = _check_lambda(lam, allow_zero=False)
+    if not 1 <= i <= n:
+        raise IndexOrder(f"need 1 <= i <= n, got i={i}, n={n}")
+    factor = 1.0 if lam > 0 else 0.5 ** lam
+    return (n / i) ** lam * (1.0 + math.log(n)) * factor
+
+
+@lru_cache(maxsize=None)
+def jordan_weight_constant(lam: float) -> float:
+    """max over 1 <= i <= n <= 10^4 of K(i, n) / jordan_weight_bound.
+
+    Every i is checked; n runs over the same dense grid as _dn_constant.
+    """
+    lam = _check_lambda(lam, allow_zero=False)
+    factor = 1.0 if lam > 0 else 0.5 ** lam
+    best = 0.0
+    for n in _calibration_grid(10_000):
+        k = jordan_weights(lam, n)[1:]
+        i = np.arange(1, n + 1, dtype=float)
+        bound = (n / i) ** lam * (1.0 + math.log(n)) * factor
+        best = max(best, float(np.max(k / bound)))
+    return best
+
+
+def increment_bound(xi, lam: float, j: int, n: int) -> float:
+    """Symmetric bound c_j on the weighted increment at step j of n + 1."""
+    if not 0 <= j <= n:
+        raise IndexOrder(f"need 0 <= j <= n, got j={j}, n={n}")
+    return abs(lam) * spread(xi) * tail_products(lam, n)[j]
+
+
+def color_threshold_factor(S: SpectralDecomposition, color: int) -> float:
+    """Two-color conversion: deviation t of the color count corresponds to
+    deviation t * factor of the eigen-statistic C_n.xi.
+
+    The factor is 1/alpha_2, which equals xi[0] - xi[1] for color 0 (and
+    the negative for color 1)."""
+    if S.matrix.dim != 2:
+        raise ValueError("threshold factor is a two-color notion")
+    return 1.0 / S.alphas[color][1]

@@ -13,10 +13,8 @@ from urnbound import (
     azuma_log_tail,
     azuma_tail,
     color_deviation_bound,
-    color_threshold_factor,
     decompose,
     growth_product,
-    increment_bound,
     jordan_chain,
     jordan_weights,
     rate_function,
@@ -28,7 +26,7 @@ from urnbound import (
 )
 from urnbound.decomposition import expand
 
-from oracles import tail_reference
+from oracles import color_threshold_factor, increment_bound, tail_reference
 
 R2 = validate_matrix([[0.7, 0.3], [0.4, 0.6]])
 S2 = decompose(R2)

@@ -29,8 +29,6 @@ from urnbound import (
     increment_conditional_means,
     jordan_chain,
     jordan_decompose,
-    jordan_weight_bound,
-    jordan_weight_constant,
     jordan_weights,
     martingale_decompose,
     repeated_zero_decompose,
@@ -54,6 +52,8 @@ from oracles import (
     dn_exact_reference,
     dn_reference,
     growth_reference,
+    jordan_weight_bound,
+    jordan_weight_constant,
     k_weight_reference,
     tail_reference,
     tails_reference,

@@ -17,13 +17,14 @@ from urnbound import (
     simulate_replicas,
     validate_matrix,
 )
-from urnbound.process import _run_chunk
+from urnbound.process import _draws, _run_chunk
 
 from oracles import _draw, replica_chunk_reference, simulate_reference
 
 R2 = validate_matrix([[0.7, 0.3], [0.4, 0.6]])
 RJ = validate_matrix([[5 / 8, 3 / 8, 0.0], [1 / 8, 3 / 8, 1 / 2],
                       [1 / 4, 1 / 4, 1 / 2]])
+THIRD = 1.0 / 3.0
 
 
 def test_color_count_validates_balance():
@@ -39,6 +40,31 @@ def test_draw_indicator_vector():
     counts = np.array([0.0, 1.0, 0.0])
     assert [_draw(counts, 1.0, u) for u in (0.0, 0.5, 1.0)] == [1, 1, 1]
     assert _draw(np.array([0.25, 0.75]), 1.0, 0.25) == 1
+
+
+@pytest.mark.parametrize("state", [
+    [0.0, 1.0, 2.0],                  # empty first color
+    [1.0, 0.0, 2.0],                  # empty middle color
+    [1.0, 2.0, 0.0],                  # empty last color
+    [0.0, 3.0, 0.0, 0.0],
+    [0.1, 0.2, 0.0, 0.3, 0.4],        # sums that round: 0.1 + 0.2
+    [THIRD, 0.0, 2.0 * THIRD, 0.0],
+    [0.7, 0.3],
+])
+def test_vectorized_draw_rule_matches_scalar_rule_at_its_edges(state):
+    state = np.array(state)
+    edges = [0.0]
+    for s in np.cumsum(state):
+        # on each running sum and one ulp either side of it
+        edges += [np.nextafter(s, 0.0), s, np.nextafter(s, np.inf)]
+    total = state.sum()
+    edges += [total, 2.0 * total]     # at and past the top edge
+    targets = np.array(edges)
+    got = _draws(np.tile(state, (targets.size, 1)), targets)
+    want = [_draw(state, total, u) for u in targets]
+    assert got.tolist() == want
+    assert all(state[i] > 0 for i in want)
+    assert want[-1] == np.flatnonzero(state)[-1]
 
 
 def test_step_forced_draw():
@@ -326,9 +352,6 @@ def test_replica_kernel_matches_row_major_reference(data, d, n, m, seed,
                                        max_size=d).filter(any)), dtype=float)
     _assert_kernel_matches_reference(rows, mass / mass.sum(), n, m, seed,
                                      keep_draws)
-
-
-THIRD = 1.0 / 3.0
 
 
 @pytest.mark.parametrize("keep_draws", [False, True])
