@@ -96,8 +96,11 @@ def _draws(states: np.ndarray, targets: np.ndarray) -> np.ndarray:
     before it.  A target that reaches every sum (the float top edge)
     draws the last nonempty color.
     """
-    drawn = np.count_nonzero(targets[:, None] >= np.cumsum(states, axis=1),
-                             axis=1)
+    running = states[:, 0]
+    drawn = (targets >= running).astype(np.intp)
+    for column in states.T[1:]:
+        running = running + column
+        drawn += targets >= running
     top = np.flatnonzero(drawn == states.shape[1])
     if top.size:
         nonempty = states[top, ::-1] > 0
@@ -157,7 +160,8 @@ class Trajectory:
 
 
 def simulate(initial, R: ReplacementMatrix, n: int, seed) -> Trajectory:
-    """Run one trajectory of n draws from a unit-mass initial state."""
+    """Run one trajectory of n draws from a unit-mass initial state, in
+    verified windows (see the module docstring)."""
     c0 = initial_counts(initial, R)
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -165,7 +169,7 @@ def simulate(initial, R: ReplacementMatrix, n: int, seed) -> Trajectory:
     targets = rng.random(n) * np.arange(1.0, n + 1.0)
     rows = R.matrix
     draws = np.empty(n, dtype=np.int64)
-    state = c0           # C_f, exact: the loop's state after f draws
+    state = c0           # C_f, exact: the state after f accepted draws
     f = 0
     width = _MIN_WINDOW
     guess = draws[:0]    # draws recomputed past the frontier, reused
@@ -173,15 +177,18 @@ def simulate(initial, R: ReplacementMatrix, n: int, seed) -> Trajectory:
         width = min(width, n - f)
         start = f + guess.size
         if start < f + width:
-            # new positions: C_f's cumulative sums, scaled to each mass
-            scale = np.arange(start + 1.0, f + width + 1.0) / (f + 1.0)
-            sums = np.cumsum(state)[:-1]
-            fresh = np.count_nonzero(
-                targets[start:f + width, None] >= scale[:, None] * sums,
-                axis=1)
+            # new positions: each target, scaled to C_f's mass, against
+            # C_f's cumulative sums
+            scaled = (targets[start:f + width] * (f + 1.0)
+                      / np.arange(start + 1.0, f + width + 1.0))
+            fresh = np.searchsorted(np.cumsum(state)[:-1], scaled,
+                                    side="right")
             guess = np.concatenate([guess, fresh])
         guess = guess[:width]
-        states = np.vstack([state, rows[guess]])
+        states = np.empty((width + 1, rows.shape[1]))
+        states[0] = state
+        rows.take(guess, axis=0, out=states[1:])
+        # the row adds of one draw at a time, in draw order
         np.cumsum(states, axis=0, out=states)
         got = _draws(states[:-1], targets[f:f + width])
         miss = np.flatnonzero(got != guess)
