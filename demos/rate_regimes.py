@@ -4,7 +4,7 @@ The sum of squared martingale-difference weights decides how fast the
 deviation bound decays: linearly in n below lambda = 1/2, with an extra
 log at the boundary, and like n^(2 lambda) above it.  This script prints
 the measured log-log slopes, the Euler-product ratios behind the
-constants, and the deterministic coefficient identity used in the
+envelope, and the deterministic coefficient identity used in the
 defective case.
 
 Run with: python3 demos/rate_regimes.py

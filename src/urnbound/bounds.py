@@ -76,8 +76,7 @@ def rate_function(lam: float, n: int) -> tuple[str, float]:
 
     Linear below lam = 1/2, n / log n at the critical value, and
     n^(2 - 2 lam) above it.  f(n) is at most (n+1)^2 / dn_exact for
-    n <= 2^20, the domain of the envelope; larger n raise TooLarge (see
-    dn_asymptotic).
+    every n, because the envelope dominates dn_exact (see dn_asymptotic).
     """
     regime, envelope = dn_asymptotic(lam, n)  # checks lam and n
     label = {"c": "n/log n",

@@ -16,9 +16,8 @@ appendix_zeroth(), and nested martingale increments against xi2 carrying
 the weights jordan_weights().  member_weights() tabulates these pieces
 per kind of spectral member for the expansions and the bounds alike.
 All weighted sums of squares needed by the deviation bounds are
-available exactly (dn_exact) and through calibrated closed-form
-envelopes (dn_asymptotic), which dominate dn_exact for n <= 2^20, the
-range they are calibrated on and the only one they accept.
+available exactly (dn_exact) and through a proven closed-form envelope
+(dn_asymptotic), which dominates dn_exact for every n.
 
 Index conventions follow the one-step recursion: weights for a statistic
 observed after N draws use tail_products(lam, N-1)[j] for j = 0 .. N-1,
@@ -28,7 +27,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -38,13 +36,11 @@ from .errors import (
     LambdaOutOfRange,
     NotEigenpair,
     NotJordanPair,
-    TooLarge,
 )
 from .process import Trajectory
 from .spectral import Member
 
 EIGEN_RESID_TOL = 1e-8
-CALIBRATION_MAX_LOG2 = 20  # constants cover n up to 2**20
 _BLOCK = 1 << 15  # tail products are walked in blocks of this length
 
 
@@ -80,22 +76,22 @@ def tail_products(lam: float, n: int) -> np.ndarray:
         raise IndexOrder(f"n={n} must be nonnegative")
     out = np.ones(n + 1)
     top = n
-    for block in _tail_blocks(lam, n, 0):
+    for block in _tail_blocks(lam, n):
         out[top - block.size:top] = block[::-1]
         top -= block.size
     return out
 
 
-def _tail_blocks(lam: float, n: int, stop: int):
-    """T(j, n) for j = n-1 down to stop, in blocks of at most _BLOCK.
+def _tail_blocks(lam: float, n: int):
+    """T(j, n) for j = n-1 down to 0, in blocks of at most _BLOCK.
 
     Each block's cumprod is seeded with the product carried from the
     block above, so every value is the same running product, bit for
     bit, whatever the block size.  Memory is O(_BLOCK).
     """
     carry = 1.0
-    for hi in range(n + 1, stop + 1, -_BLOCK):
-        block = 1.0 + lam / np.arange(hi, max(hi - _BLOCK, stop + 1), -1)
+    for hi in range(n + 1, 1, -_BLOCK):
+        block = 1.0 + lam / np.arange(hi, max(hi - _BLOCK, 1), -1)
         block[0] *= carry
         np.cumprod(block, out=block)
         carry = block[-1]
@@ -181,96 +177,73 @@ def increment_conditional_means(traj: Trajectory, xi, lam: float) -> np.ndarray:
 
 
 def dn_exact(lam: float, n: int) -> float:
-    """Sum of squared tail products, j = 0 .. n (the exact variance scale)."""
-    lam = _check_lambda(lam)
-    if n < 0:
-        raise IndexOrder(f"n={n} must be nonnegative")
-    return 1.0 + _tail_squares(lam, n, 0)[0]
-
-
-def _tail_squares(lam: float, n: int, stop: int) -> tuple[float, float]:
-    """(sum_{j=stop}^{n-1} T(j, n)^2, T(stop, n)) for 0 <= stop <= n.
+    """Sum of squared tail products, j = 0 .. n (the exact variance scale).
 
     Each block's squares are summed by np.add.reduce and the block sums
     added in order: no BLAS call, so the bits do not depend on how many
     threads the machine's BLAS runs.
     """
-    total, last = 0.0, 1.0
-    for block in _tail_blocks(lam, n, stop):
+    lam = _check_lambda(lam)
+    if n < 0:
+        raise IndexOrder(f"n={n} must be nonnegative")
+    total = 0.0
+    for block in _tail_blocks(lam, n):
         total += float(np.add.reduce(block * block))
-        last = block[-1]
-    return total, float(last)
+    return 1.0 + total
 
 
-def _regime(lam: float):
-    """Regime label and growth function g(n) for the D_n envelope."""
+def _regime(lam: float) -> str:
+    """Regime label of the D_n envelope: (a) lam < 0, (b) 0 <= lam < 1/2,
+    (c) lam = 1/2 within 1e-12, (d) lam > 1/2."""
     if abs(lam - 0.5) <= 1e-12:
-        return "c", lambda n: n * (1.0 + np.log(n))
+        return "c"
     if lam < 0.0:
-        return "a", lambda n: float(n)
-    if lam < 0.5:
-        return "b", lambda n: float(n)
-    return "d", lambda n: float(n) ** (2.0 * lam)
-
-
-def _calibration_grid(limit: int):
-    """1 .. 64 exhaustively, then geometric steps up to and past limit."""
-    n = 1
-    while n <= 64:
-        yield n
-        n += 1
-    while n < limit:
-        yield n
-        n = max(n + 1, int(n * 1.2))
-    yield limit
-
-
-@lru_cache(maxsize=None)
-def _dn_constant(lam: float) -> float:
-    """Envelope constant: max of dn_exact / g over a dense grid up to 2^20.
-
-    The ratio moves slowly (through log n), so the geometric grid brackets
-    its maximum; small n, where the ratio can peak, are covered one by one.
-    One forward pass over the grid, carrying D_n - 1 = (D_m - 1) T(m, n)^2
-    + sum_{j=m}^{n-1} T(j, n)^2 from the previous grid point m, locates
-    the maximum; only the points within a relative 1e-9 of it, far above
-    the pass's rounding error, are recomputed with dn_exact, so the result
-    has the bits of the maximum of dn_exact / g over the whole grid.
-    """
-    _, g = _regime(lam)
-    grid = list(_calibration_grid(1 << CALIBRATION_MAX_LOG2))
-    ratios = np.empty(len(grid))
-    excess, m = 0.0, 0  # D_n - 1 = sum_{j<n} T(j, n)^2, 0 at n = 0
-    for i, n in enumerate(grid):
-        gap, tail = _tail_squares(lam, n, m)
-        excess = excess * tail ** 2 + gap
-        ratios[i] = (1.0 + excess) / g(float(n))
-        m = n
-    near = ratios >= ratios.max() * (1.0 - 1e-9)
-    return max(dn_exact(lam, n) / g(float(n))
-               for n, keep in zip(grid, near) if keep)
+        return "a"
+    return "b" if lam < 0.5 else "d"
 
 
 def dn_asymptotic(lam: float, n: int) -> tuple[str, float]:
-    """Labeled regime and explicit envelope C(lam) * g(n), which is at
-    least dn_exact(lam, n) for 1 <= n <= 2^20.
+    """Labeled regime and a closed-form envelope that is at least
+    dn_exact(lam, n) for every n >= 1.
 
-    Regimes: (a) lam < 0 and (b) 0 <= lam < 1/2 grow linearly, (c) lam =
-    1/2 grows like n(1 + log n), (d) lam > 1/2 grows like n^(2 lam).  The
-    constant is calibrated once per lam as the maximum of dn_exact / g
-    over the dense grid of _calibration_grid up to 2^20.  Above 2^20 the
-    envelope is not guaranteed (for lam in about [0.3, 1/2), where
-    dn_exact / g is still rising at 2^20, it falls below dn_exact), so
-    n > 2^20 raises TooLarge.
+    With N = n + 1, T(j, n) = prod_{m=j+2}^{N} (1 + lam/m), and every case
+    starts from log(1 + x) <= x:
+
+    - lam < 0, mu = -lam: sum_{m=j+2}^{N} 1/m >= log((n+2)/(j+2)), so
+      T(j, n) <= ((j+2)/(n+2))^mu; as x^(2 mu) increases, sum_{j=0}^{n}
+      (j+2)^(2 mu) <= int_2^{n+3} x^(2 mu) dx, and D_n <=
+      (n+3)^(2 mu + 1) / ((2 mu + 1) (n+2)^(2 mu)).
+    - lam >= 0: sum_{m=j+2}^{N} 1/m <= log(N/(j+1)), so T(j, n) <=
+      (N/(j+1))^lam and D_n <= N^(2 lam) sum_{i=1}^{N} i^(-2 lam).  For
+      2 lam <= 1 each term (N/i)^(2 lam) is at most N/i and the harmonic
+      sum is at most 1 + log N; for 2 lam < 1 the decreasing terms are
+      also below int_0^N x^(-2 lam) dx.  So D_n <= N min(1/(1 - 2 lam),
+      1 + log N), which is N (1 + log N) at lam = 1/2; for lam > 1/2,
+      i^(-2 lam) <= 1/i gives D_n <= N^(2 lam) (1 + log N).
+    - lam > 1/2 also: 1/m <= log((m + 1/2)/(m - 1/2)), so T(j, n) <=
+      ((n + 3/2)/(j + 3/2))^lam, and by convexity (j + 3/2)^(-2 lam) <=
+      int_{j+1}^{j+2} x^(-2 lam) dx, so the sum over j is at most
+      int_1^inf x^(-2 lam) dx and D_n <= (N + 1/2)^(2 lam) / (2 lam - 1).
+
+    The envelope is the smaller of the bounds its case has.  Regimes:
+    (a) and (b) grow linearly, (c) like n (1 + log n), (d) like n^(2 lam).
     """
     lam = _check_lambda(lam)
     if n < 1:
         raise IndexOrder(f"n={n} must be at least 1")
-    if n > 1 << CALIBRATION_MAX_LOG2:
-        raise TooLarge(f"n={n} is above 2^{CALIBRATION_MAX_LOG2}, where the "
-                       "D_n envelope is calibrated and known to hold")
-    label, g = _regime(lam)
-    return label, _dn_constant(lam) * g(float(n))
+    big, twice = n + 1.0, 2.0 * lam
+    harmonic = 1.0 + math.log(big)
+    if lam < 0.0:
+        power = 1.0 - twice
+        envelope = (n + 3.0) ** power / (power * (n + 2.0) ** (power - 1.0))
+    elif twice == 1.0:
+        envelope = big * harmonic
+    elif twice < 1.0:
+        envelope = big * min(1.0 / (1.0 - twice), harmonic)
+    else:
+        envelope = min((big + 0.5) ** twice / (twice - 1.0),
+                       big ** twice * harmonic)
+    return _regime(lam), envelope
 
 
 def euler_ratio(lam: float, n: int) -> float:

@@ -76,8 +76,7 @@ class DimensionMismatch(UrnboundError):
 # -- verification -------------------------------------------------------------
 
 class TooLarge(UrnboundError):
-    """The exact law would exceed the state budget, or a horizon lies
-    beyond the range the D_n envelope is calibrated on."""
+    """The exact law would exceed the state budget."""
 
 
 class GridMismatch(UrnboundError):

@@ -2,11 +2,12 @@
 
 Everything here is written with plain Python floats and literal loops,
 deliberately avoiding the vectorized recurrences in the package, so that
-agreement between the two routes is meaningful.  Three exceptions are
+agreement between the two routes is meaningful.  Two exceptions are
 kept verbatim because the package must reproduce their numbers bit for
 bit: simulate_reference, the earlier per-draw trajectory loop (with its
-draw rule _draw), replica_chunk_reference, the earlier row-major replica
-kernel, and dn_constant_reference, the earlier D_n envelope calibration.
+draw rule _draw), and replica_chunk_reference, the earlier row-major
+replica kernel.  The D_n envelope needs no reference: it is a closed
+form with a proof, and the tests check it against dn_exact.
 dn_exact_reference reuses the package's tail products, which
 tail_reference checks, and sums their squares exactly, so it tests the
 summation alone.  The last section holds helpers that only tests use:
@@ -23,11 +24,7 @@ import numpy as np
 
 from urnbound.bounds import spread
 from urnbound.decomposition import (
-    CALIBRATION_MAX_LOG2,
-    _calibration_grid,
     _check_lambda,
-    _regime,
-    dn_exact,
     jordan_weights,
     tail_products,
 )
@@ -103,14 +100,6 @@ def dn_reference(lam: float, n: int) -> float:
 def dn_exact_reference(lam: float, n: int) -> float:
     """sum_{j=0}^{n} T(j, n)^2, correctly rounded by math.fsum."""
     return math.fsum(tail_products(lam, n) ** 2)
-
-
-def dn_constant_reference(lam: float) -> float:
-    """Envelope constant as one dn_exact call per calibration grid point:
-    max of dn_exact / g over the dense grid up to 2^20."""
-    _, g = _regime(lam)
-    return max(dn_exact(lam, n) / g(float(n))
-               for n in _calibration_grid(1 << CALIBRATION_MAX_LOG2))
 
 
 def k_weight_reference(lam: float, i: int, n: int) -> float:
@@ -250,11 +239,23 @@ def jordan_weight_bound(lam: float, i: int, n: int) -> float:
     return (n / i) ** lam * (1.0 + math.log(n)) * factor
 
 
+def _calibration_grid(limit: int):
+    """1 .. 64 exhaustively, then geometric steps up to and past limit."""
+    n = 1
+    while n <= 64:
+        yield n
+        n += 1
+    while n < limit:
+        yield n
+        n = max(n + 1, int(n * 1.2))
+    yield limit
+
+
 @lru_cache(maxsize=None)
 def jordan_weight_constant(lam: float) -> float:
     """max over 1 <= i <= n <= 10^4 of K(i, n) / jordan_weight_bound.
 
-    Every i is checked; n runs over the same dense grid as _dn_constant.
+    Every i is checked; n runs over the dense grid of _calibration_grid.
     """
     lam = _check_lambda(lam, allow_zero=False)
     factor = 1.0 if lam > 0 else 0.5 ** lam

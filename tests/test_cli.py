@@ -192,20 +192,6 @@ def test_typed_errors_exit_1_and_write_nothing(tmp_path, capsys, monkeypatch,
     assert not (out / "manifest.json").exists()
 
 
-@pytest.mark.parametrize("command,key", [("bound", "horizon"),
-                                         ("verify", "horizon"),
-                                         ("sweep", "horizons")])
-def test_horizon_above_the_envelope_domain_exits_1(tmp_path, capsys, command,
-                                                   key):
-    # horizon N bounds with the envelope at N - 1, calibrated up to 2^20
-    cfg = write(tmp_path, TWO_COLOR.replace("horizon = 12",
-                                            f"{key} = {(1 << 20) + 2}"))
-    out = tmp_path / "o"
-    assert run([command, "--config", cfg, "--out", str(out)]) == 1
-    assert "n=1048577 is above 2^20" in capsys.readouterr().err
-    assert not (out / "manifest.json").exists()
-
-
 def test_default_initial_state_is_one_unit_of_color_0(tmp_path):
     cfg = write(tmp_path, JORDAN_TEXT.replace("initial = 1, 0, 0\n", ""))
     out = tmp_path / "out"
@@ -586,22 +572,23 @@ def test_table_artifacts_match_golden_hashes(tmp_path):
 
 
 # sha256 of bounds.json from `bound`, which alone carries rate_value (the
-# (n+1)^2 / D_n envelope rate); the D_n calibration must reproduce it
-# bit for bit, whatever the BLAS thread count.  Eigenvalues 0.3 (R2),
-# 0.25 (RJ) and 0.4007900800, 0.2085461400 (R3_FLOAT).
+# (n+1)^2 / D_n envelope rate); the closed-form D_n envelope, which holds
+# for every n, must reproduce it bit for bit, whatever the BLAS thread
+# count.  Eigenvalues 0.3 (R2), 0.25 (RJ) and 0.4007900800, 0.2085461400
+# (R3_FLOAT).
 GOLDEN_BOUNDS = {
     "r2/40":
-        "2b04c7081704a367f178657de8b59941ba06c2b1a1f234f3b439542986aa0fb9",
+        "a6f10ef8352a26bd8d31047914688f63657cf2874b0b2ba1935dfe3f48290b64",
     "r2/5000":
-        "1d217173a75bf0b82d8955d1c56d69700cf38d19c74c77722594ba4fc13f590c",
+        "f31044c3e3409b66c0dc616ab5dd365f2ddde4ba7dec0bce00d114d484300698",
     "r3float/40":
-        "1865acaeec321d402a8cd77719cc5f00f7a435fdc544cae591c3246ce22d693f",
+        "522c05de415e6db70fc16c805380cfd2153cda004ac8caaf70e0e39ab524285d",
     "r3float/5000":
-        "e51d0a95e263580d1b2494e0bc9f8c4047ceb6081c12e9e72a2f246e69dbb9cb",
+        "02d067735de1fe685b2d21f6990475f38c29092153e1abbc1d8e8a8b8311d590",
     "rj/40":
-        "64135c21a88569fc89ad29a43308eca85e3c00a40ce61317b44dd09fd4af2d5e",
+        "82363e3b694a7e8334d153bd360aab692f87a336dbc23202796cef699bcca2e1",
     "rj/5000":
-        "403ea061cf73730cecf7915124e568700382e1e57aefa3c526b90acd6895ecce",
+        "b611f6928a431087b6bc07150de404305aa81a283ba04d2e720793da68d78098",
 }
 
 

@@ -10,13 +10,13 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from urnbound import (
     IndexOrder,
     LambdaOutOfRange,
     NotEigenpair,
     NotJordanPair,
-    TooLarge,
     Trajectory,
     appendix_zeroth,
     dm_martingale,
@@ -31,6 +31,7 @@ from urnbound import (
     jordan_decompose,
     jordan_weights,
     martingale_decompose,
+    rate_function,
     repeated_zero_decompose,
     simulate,
     tail_products,
@@ -41,14 +42,12 @@ from urnbound.decomposition import (
     _BLOCK,
     JordanExpansion,
     MartingaleExpansion,
-    _dn_constant,
     expand,
 )
 
 from oracles import (
     appendix_reference,
     appendix_reference_slow,
-    dn_constant_reference,
     dn_exact_reference,
     dn_reference,
     growth_reference,
@@ -232,11 +231,11 @@ def test_dn_exact_matches_the_correctly_rounded_sum(lam):
 
 
 def test_dn_bits_do_not_depend_on_blas_threads():
-    code = ("from urnbound.decomposition import dn_exact, _dn_constant\n"
+    code = ("from urnbound.decomposition import dn_exact, dn_asymptotic\n"
             "for lam in (0.3, 0.25, 0.40079008156005286, "
             "0.20854614213994688):\n"
             "    print(dn_exact(lam, 1 << 20).hex(), "
-            "_dn_constant(lam).hex())\n")
+            "dn_asymptotic(lam, 1 << 22)[1].hex())\n")
     outputs = []
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
@@ -249,28 +248,31 @@ def test_dn_bits_do_not_depend_on_blas_threads():
 
 @pytest.mark.parametrize("lam", LAMBDA_GRID)
 def test_dn_asymptotic_dominates(lam):
-    for n in (1, 10, 100, 1000, 10_000, 100_000, 1_000_000, 1 << 20):
+    for n in (1, 10, 100, 1000, 10_000, 100_000, 1_000_000, 1 << 20,
+              1 << 22, 1 << 24):
         _, bound = dn_asymptotic(lam, n)
         assert dn_exact(lam, n) <= bound * (1.0 + 1e-12)
 
 
-# 25 lambdas across (-1, 1), 1/2 and either side of the regime-c
-# tolerance, and the eigenvalues of the benchmark's matrices
-DN_CONSTANT_LAMBDAS = ([float(lam) for lam in np.linspace(-0.99, 0.99, 25)]
-                       + [0.0, 0.5, 0.5 - 1e-11, 0.5 + 1e-11,
-                          0.3, 0.25, 0.4007900800, 0.2085461400])
+@settings(max_examples=200, deadline=None)
+@given(lam=st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True),
+       n=st.integers(1, 1 << 16))
+@example(lam=0.0, n=1)
+@example(lam=0.5, n=1000)
+@example(lam=0.5 - 1e-12, n=1000)
+@example(lam=0.5 + 1e-12, n=1000)
+@example(lam=0.5 - 1e-4, n=1 << 16)
+@example(lam=0.5 + 1e-4, n=1 << 16)
+def test_dn_asymptotic_dominates_any_lambda_and_horizon(lam, n):
+    _, bound = dn_asymptotic(lam, n)
+    assert dn_exact(lam, n) <= bound * (1.0 + 1e-12)
 
 
-@pytest.mark.parametrize("lam", DN_CONSTANT_LAMBDAS)
-def test_dn_constant_matches_reference_bit_for_bit(lam):
-    assert _dn_constant.__wrapped__(lam) == dn_constant_reference(lam)
-
-
-def test_dn_asymptotic_refuses_horizons_above_its_calibration():
+def test_rate_function_holds_above_two_to_the_twenty():
     for lam in (-0.5, 0.3, 0.40079008156005286, 0.5, 0.75):
-        assert dn_asymptotic(lam, 1 << 20)[1] > 0.0
-        with pytest.raises(TooLarge):
-            dn_asymptotic(lam, (1 << 20) + 1)
+        for n in ((1 << 20) + 1, 1 << 22):
+            _, rate = rate_function(lam, n)
+            assert rate <= (n + 1.0) ** 2 / dn_exact(lam, n)
 
 
 def test_dn_asymptotic_regime_labels():
@@ -281,13 +283,14 @@ def test_dn_asymptotic_regime_labels():
 
 
 def test_dn_asymptotic_growth_shapes():
-    # regime (b) linear, regime (d) power 2*lam
-    _, b1 = dn_asymptotic(0.25, 1000)
-    _, b2 = dn_asymptotic(0.25, 2000)
+    # regime (b) linear in N = n + 1, regime (d) power 2*lam of N + 1/2
+    _, b1 = dn_asymptotic(0.25, 999)
+    _, b2 = dn_asymptotic(0.25, 1999)
     assert b2 / b1 == pytest.approx(2.0, rel=1e-12)
-    _, d1 = dn_asymptotic(0.75, 1000)
-    _, d2 = dn_asymptotic(0.75, 2000)
-    assert d2 / d1 == pytest.approx(2.0 ** 1.5, rel=1e-12)
+    _, d1 = dn_asymptotic(0.75, 999)
+    _, d2 = dn_asymptotic(0.75, 1999)
+    assert d2 / d1 == pytest.approx(((1999 + 1.5) / (999 + 1.5)) ** 1.5,
+                                    rel=1e-12)
 
 
 def test_euler_ratio_lambda_zero_is_exactly_one():

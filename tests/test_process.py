@@ -5,13 +5,12 @@ import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy import stats
 
 from urnbound import (
     ColorCount,
     DimensionMismatch,
-    ReplicaBatch,
     UrnboundError,
     simulate,
     simulate_replicas,
