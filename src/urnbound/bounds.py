@@ -23,7 +23,7 @@ and tail (tail underflows to exact 0 rather than overflowing).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -84,8 +84,7 @@ def rate_function(lam: float, n: int) -> tuple[str, float]:
     return label, (n + 1.0) ** 2 / envelope
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """Deviation bound for one (horizon, threshold) pair.
 
     n counts draws: the event concerns C_n, deviates by s from its

@@ -9,8 +9,8 @@ bound      deviation-bound reports over the threshold grid -> bounds.json
 verify     bounds against the exact law or Monte Carlo -> dominance file
 sweep      bound + verify over a grid of horizons
 
-Exit codes: 0 success, 1 configuration error, 2 complex spectrum or
-reducible matrix, 3 dominance failure.
+Exit codes: 0 success, 1 configuration error, 2 a bad command line,
+complex spectrum or reducible matrix, 3 dominance failure.
 
 Config files are flat key = value text; lines without '=' are matrix rows
 (comma-separated).  A file whose first non-space character is '{' is
@@ -28,7 +28,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,8 +53,7 @@ class ConfigError(UrnboundError):
     """Bad or missing configuration."""
 
 
-@dataclass
-class ExperimentConfig:
+class ExperimentConfig(NamedTuple):
     matrix: list[list[float]]
     initial: list[float] | None = None
     horizon: int | None = None
@@ -172,8 +171,7 @@ def load_config(path: str) -> tuple[ExperimentConfig, str]:
     return parse_config(raw.decode()), hashlib.sha256(raw).hexdigest()
 
 
-@dataclass
-class Statistic:
+class Statistic(NamedTuple):
     """Resolved statistic: what to project C_n on and how to bound it."""
 
     kind: str            # "eigen" | "color" | "vector"
@@ -313,7 +311,7 @@ def cmd_decompose(cfg, S, args, out_dir) -> int:
         raise ConfigError("decompose needs an eigen:K statistic")
     (_, member), = stat.terms
     exp = expand(simulate(c0, S.matrix, n, cfg.seed), member)
-    summary = {k: v for k, v in vars(exp).items()
+    summary = {k: v for k, v in exp._asdict().items()
                if not isinstance(v, np.ndarray)}
     summary["residual"] = exp.residual
     _write_table(out_dir, "expansion", args.format, exp.table)
@@ -382,17 +380,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="urnbound",
         description="Balanced urn simulation, decompositions and deviation bounds")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", required=True, help="experiment config file")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the config seed")
-        p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--threads", type=int, default=None,
-                       help="worker threads (default: URNBOUND_THREADS or 1)")
-        p.add_argument("--format", choices=("csv", "json"), default="csv",
-                       help="tabular output format")
+    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("--config", required=True, help="experiment config file")
+    parser.add_argument("--seed", type=int, default=None,
+                        help="override the config seed")
+    parser.add_argument("--out", default=".", help="output directory")
+    parser.add_argument("--threads", type=int, default=None,
+                        help="worker threads (default: URNBOUND_THREADS or 1)")
+    parser.add_argument("--format", choices=("csv", "json"), default="csv",
+                        help="tabular output format")
     return parser
 
 
@@ -440,7 +436,7 @@ def main(argv=None) -> int:
         args.threads = _threads(args.threads)
         cfg, config_hash = load_config(args.config)
         if args.seed is not None:
-            cfg.seed = _checked("seed", args.seed)
+            cfg = cfg._replace(seed=_checked("seed", args.seed))
         matrix = validate_matrix(cfg.matrix)
         S = decompose(matrix)
         os.makedirs(args.out, exist_ok=True)

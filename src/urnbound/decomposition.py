@@ -26,7 +26,7 @@ and the empty product (j = N-1) equals 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -105,8 +105,7 @@ def _prefix_products(lam: float, m: int) -> np.ndarray:
     return out
 
 
-@dataclass
-class MartingaleExpansion:
+class MartingaleExpansion(NamedTuple):
     """Exact expansion of C_N.xi for one trajectory of N draws.
 
     reconstructed = zeroth + weights . increments and must match the
@@ -319,8 +318,7 @@ def member_weights(member: Member, n: int):
             jordan_weights(lam, n - 1))
 
 
-@dataclass
-class JordanExpansion:
+class JordanExpansion(NamedTuple):
     """Exact expansion of C_N.xi3 for a defective eigenvalue.
 
     reconstructed = zeroth_xi3 + zeroth_xi2
@@ -429,8 +427,7 @@ def expand(traj: Trajectory, member: Member) -> MartingaleExpansion | JordanExpa
 
 # -- normalized martingale for the defective case -----------------------------
 
-@dataclass
-class MartingaleSeries:
+class MartingaleSeries(NamedTuple):
     """Values M_0 .. M_N of the normalized defective-case martingale.
 
     M_m = C_m.xi3 / P_m - sum_{j=0}^{m-1} C_j.xi2 / ((j+1) P_{j+1}) with

@@ -34,7 +34,7 @@ golden hashes in the tests pin the streams.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,29 +44,28 @@ from .spectral import ReplacementMatrix
 
 BALANCE_TOL = 1e-9
 DEFAULT_CHUNK = 16384
-_MIN_WINDOW = 16
+_MIN_WINDOW = 1024   # each window pays a fixed numpy overhead
 _MAX_WINDOW = 4096
 
 
-@dataclass(frozen=True)
-class ColorCount:
+class ColorCount(NamedTuple("ColorCount",
+                             [("counts", np.ndarray), ("time", int)])):
     """Counts at a fixed time; total mass must equal time + 1."""
 
-    counts: np.ndarray
-    time: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        c = np.array(self.counts, dtype=float)
+    def __new__(cls, counts, time: int):
+        c = np.array(counts, dtype=float)
         if c.ndim != 1 or c.size < 2:
             raise ValueError("counts must be a vector of at least 2 colors")
         if np.min(c) < 0:
             raise ValueError(f"negative count: {c.min()}")
-        mass = self.time + 1.0
+        mass = time + 1.0
         if abs(c.sum() - mass) > BALANCE_TOL * mass:
             raise ValueError(
-                f"counts sum to {c.sum()!r}, expected {mass} at time {self.time}")
+                f"counts sum to {c.sum()!r}, expected {mass} at time {time}")
         c.flags.writeable = False
-        object.__setattr__(self, "counts", c)
+        return super().__new__(cls, c, time)
 
 
 def initial_counts(initial, R: ReplacementMatrix) -> np.ndarray:
@@ -108,8 +107,7 @@ def _draws(states: np.ndarray, targets: np.ndarray) -> np.ndarray:
     return drawn
 
 
-@dataclass
-class Trajectory:
+class Trajectory(NamedTuple):
     """One simulated urn, held as its draws.
 
     `draws[j]` is the color drawn at time j (producing C_{j+1}).  States
@@ -202,8 +200,7 @@ def simulate(initial, R: ReplacementMatrix, n: int, seed) -> Trajectory:
     return Trajectory(R, c0, draws, seed)
 
 
-@dataclass
-class ReplicaBatch:
+class ReplicaBatch(NamedTuple):
     """Final states (and optionally draw histories) of many replicas."""
 
     matrix: ReplacementMatrix

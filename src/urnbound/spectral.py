@@ -22,7 +22,7 @@ Conventions
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,20 +47,20 @@ RESIDUAL_TOL = 1e-10    # eigen relations must hold this tightly
 ZERO_TOL = 1e-12        # |lam| at or below this is the eigenvalue 0
 
 
-@dataclass(frozen=True)
-class ReplacementMatrix:
+class ReplacementMatrix(NamedTuple("ReplacementMatrix",
+                                    [("matrix", np.ndarray)])):
     """Validated row-stochastic irreducible replacement matrix."""
 
-    matrix: np.ndarray
+    __slots__ = ()
 
-    def __post_init__(self):
-        m = np.array(self.matrix, dtype=float)
+    def __new__(cls, matrix):
+        m = np.array(matrix, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"matrix must be square, got shape {m.shape}")
         if m.shape[0] < 2:
             raise ValueError("need at least two colors")
         m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
+        return super().__new__(cls, m)
 
     @property
     def dim(self) -> int:
@@ -262,8 +262,7 @@ def _chain(R: ReplacementMatrix, lam: float, alg: int,
     return xi2, xi3
 
 
-@dataclass(frozen=True)
-class Member:
+class Member(NamedTuple):
     """One right vector of the basis and what it is.
 
     `partner` is xi2 when `vector` is the generalized member xi3 of a
@@ -285,8 +284,7 @@ class Member:
         return abs(self.value) <= ZERO_TOL
 
 
-@dataclass(frozen=True)
-class EigenStructure:
+class EigenStructure(NamedTuple):
     """Right vectors attached to one nonprincipal eigenvalue.
 
     For a simple eigenvalue `vectors` holds one eigenvector; for a
@@ -309,15 +307,14 @@ class EigenStructure:
         return tuple(Member(self.value, v) for v in self.vectors)
 
 
-@dataclass(frozen=True)
-class SpectralDecomposition:
+class SpectralDecomposition(NamedTuple):
     """Stationary vector, real spectrum and right-vector basis of R."""
 
     matrix: ReplacementMatrix
     pi: np.ndarray
     eigenvalues: tuple[tuple[float, int, int], ...]
     structures: tuple[EigenStructure, ...]
-    alphas: np.ndarray | None = field(default=None)
+    alphas: np.ndarray | None = None
 
     @property
     def members(self) -> tuple[Member, ...]:
@@ -357,7 +354,7 @@ def decompose(R: ReplacementMatrix) -> SpectralDecomposition:
             vectors = _chain(R, lam, alg, geo)
         structures.append(EigenStructure(lam, alg, geo, vectors, geo < alg))
     dec = SpectralDecomposition(R, pi, tuple(spectrum), tuple(structures))
-    return replace(dec, alphas=np.vstack(
+    return dec._replace(alphas=np.vstack(
         [indicator_coefficients(dec, c) for c in range(R.dim)]))
 
 

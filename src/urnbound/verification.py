@@ -18,8 +18,7 @@ grid point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,12 +36,13 @@ WILSON_LEVEL = 0.99
 
 
 def _as_fraction(x) -> Fraction | None:
+    # imported here, so only the exact law loads it
+    from fractions import Fraction
     f = Fraction(x).limit_denominator(RATIONAL_DENOMINATOR)
     return f if float(f) == float(x) else None
 
 
-@dataclass(frozen=True)
-class ExactDistribution:
+class ExactDistribution(NamedTuple):
     """Full law of C_n: atom i holds the counts atoms[i] (one row per DP
     state with positive mass, in state order) with probability mass[i].
     Both arrays hold Fractions when rational, floats otherwise; states
@@ -117,6 +117,7 @@ def exact_distribution(initial, R: ReplacementMatrix, n: int) -> ExactDistributi
     rational = (n <= FRACTION_HORIZON
                 and all(e is not None for e in entries + start))
     if rational:
+        from fractions import Fraction
         rows = np.array(entries, dtype=object).reshape(d, d)
         c0 = np.array(start, dtype=object)
         prob = np.array([Fraction(1)], dtype=object)
@@ -180,8 +181,7 @@ def wilson_upper(hits: int, trials: int, level: float = WILSON_LEVEL) -> float:
     return min(1.0, max(p, float((center + half) / (1.0 + z2n))))
 
 
-@dataclass
-class EstimateReport:
+class EstimateReport(NamedTuple):
     """Monte Carlo tail estimate with its upper confidence limit."""
 
     replicas: int
@@ -205,8 +205,7 @@ def tail_estimates(initial, R: ReplacementMatrix, n: int, v, thresholds,
     return out
 
 
-@dataclass(frozen=True)
-class DominanceRow:
+class DominanceRow(NamedTuple):
     n: int
     t: float
     bound: float
@@ -216,8 +215,7 @@ class DominanceRow:
     passed: bool
 
 
-@dataclass
-class DominanceTable:
+class DominanceTable(NamedTuple):
     rows: list[DominanceRow]
 
     @property

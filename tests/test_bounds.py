@@ -8,12 +8,20 @@ import pytest
 
 from urnbound import (
     BoundReport,
+    ColorCount,
+    DominanceRow,
+    EigenStructure,
+    ExactDistribution,
     LambdaOutOfRange,
     NotEigenpair,
+    ReplacementMatrix,
+    SpectralDecomposition,
     azuma_log_tail,
     azuma_tail,
     color_deviation_bound,
     decompose,
+    dominance_check,
+    exact_distribution,
     growth_product,
     jordan_chain,
     jordan_weights,
@@ -25,6 +33,7 @@ from urnbound import (
     validate_matrix,
 )
 from urnbound.decomposition import expand
+from urnbound.spectral import Member
 
 from oracles import color_threshold_factor, increment_bound, tail_reference
 
@@ -241,11 +250,31 @@ def test_bound_report_monotone_in_t():
     assert all(a >= b for a, b in zip(tails, tails[1:]))
 
 
-def test_bound_report_is_frozen():
-    report = statistic_bound(S2, [(1.0, XI, 0.3)], 10, 0.1)
-    assert isinstance(report, BoundReport)
+def _report():
+    return statistic_bound(S2, [(1.0, XI, 0.3)], 10, 0.1)
+
+
+# record type -> (a factory for one, a field to assign)
+FROZEN = {
+    ReplacementMatrix: (lambda: R2, "matrix"),
+    Member: (lambda: S2.members[0], "value"),
+    EigenStructure: (lambda: S2.structures[0], "value"),
+    SpectralDecomposition: (lambda: S2, "alphas"),
+    ColorCount: (lambda: ColorCount([0.25, 0.75], 0), "counts"),
+    ExactDistribution: (lambda: exact_distribution([1, 0], R2, 3), "n"),
+    DominanceRow: (lambda: dominance_check([_report()], [0.0]).rows[0],
+                   "passed"),
+    BoundReport: (_report, "tail"),
+}
+
+
+@pytest.mark.parametrize("record_type", FROZEN, ids=lambda t: t.__name__)
+def test_bound_report_is_frozen(record_type):
+    make, field = FROZEN[record_type]
+    record = make()
+    assert type(record) is record_type
     with pytest.raises(AttributeError):
-        report.tail = 0.5
+        setattr(record, field, 0.5)
 
 
 @pytest.mark.parametrize("S", [S23, SJ])

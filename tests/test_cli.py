@@ -627,7 +627,8 @@ def test_bound_run_leaves_unused_modules_unloaded():
             "                     [0.2, 0.3678794412, 0.4321205588]])\n"
             "color_deviation_bound(decompose(R), 0, 40, 0.1)\n"
             "print(sorted(m for m in ('numpy.ma', 'concurrent.futures',\n"
-            "                         'statistics') if m in sys.modules))\n")
+            "                         'statistics', 'dataclasses',\n"
+            "                         'fractions') if m in sys.modules))\n")
     proc = subprocess.run([sys.executable, "-c", code],
                           capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "[]"

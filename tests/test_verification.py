@@ -315,8 +315,7 @@ def test_dominance_check_corrupted_bound_fails():
     S = decompose(R2)
     xi = np.array([0.75, -1.0])
     good = statistic_bound(S, [(1.0, xi, 0.3)], 5, 0.2)
-    from dataclasses import replace
-    bad = replace(good, tail=0.0)
+    bad = good._replace(tail=0.0)
     table = dominance_check([good, bad], [0.01, 0.01])
     assert table.rows[0].passed
     assert not table.rows[1].passed
