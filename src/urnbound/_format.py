@@ -11,7 +11,9 @@ or a range.  Both are bit-equal to fmt(): `'%.17g' % x` and
 double, and `'%d' % k == str(k)` for a Python int.  A float column is
 checked once with np.isfinite, where fmt() checks each value.  The cells
 no column template covers (strings, None) still go through fmt() one by
-one.  A file is written to a temporary sibling and moved into place when
+one.  render_json() writes a list of Python floats the same way, with
+one `%.17g` template and one finiteness check for the whole list.  A
+file is written to a temporary sibling and moved into place when
 complete, so a write that fails leaves no partial artifact.
 """
 from __future__ import annotations
@@ -60,8 +62,15 @@ def render_json(obj, indent: int = 0) -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        items = ",\n".join(inner + render_json(v, indent + 1) for v in obj)
-        return "[\n" + items + "\n" + pad + "]"
+        if all(type(v) is float for v in obj):
+            # fmt()'s bytes from one template, finiteness checked once;
+            # fmt() raises on the first non-finite value
+            if not all(map(math.isfinite, obj)):
+                fmt(next(v for v in obj if not math.isfinite(v)))
+            items = map("%.17g".__mod__, obj)
+        else:
+            items = (render_json(v, indent + 1) for v in obj)
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
     if isinstance(obj, dict):
         if not obj:
             return "{}"

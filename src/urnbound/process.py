@@ -25,12 +25,16 @@ pass and halves after a mismatch, between _MIN_WINDOW and _MAX_WINDOW.
 The draws equal, bit for bit, those of the per-draw loop it replaced,
 which the tests keep as their reference.
 
-The replica kernel (_run_chunk) keeps a chunk's counts column-major, as d
-contiguous length-m vectors, one per color, with preallocated per-draw
-buffers.  Its draw rule counts the left-to-right cumulative sums of
-colors 0 .. d-2 that the uniform reaches, which equals, bit for bit, the
-row-major rule min(sum(u >= cumsum(counts)), d - 1) it replaced; the
-golden hashes in the tests pin the streams.
+The replica kernel (_run_chunk) holds a chunk's draw counts k, the
+state the exact law enumerates: C_j = C_0 + k^T R.  Each draw rebuilds
+the cumulative sums of colors 0 .. d-2 from k as products with fixed
+row differences, counts the sums the uniform reaches (a sum counts only
+where the one before it does) and adds 1 to the drawn color's count.
+There are no per-color gathers, and the final counts are formed once
+from k.  Its draws differ from those of the row-major rule
+min(sum(u >= cumsum(counts)), d - 1) it replaced only where a uniform
+lands within one rounding of a sum; they are equal on every stream the
+tests check, and golden hashes pin the streams.
 """
 from __future__ import annotations
 
@@ -46,6 +50,7 @@ BALANCE_TOL = 1e-9
 DEFAULT_CHUNK = 16384
 _MIN_WINDOW = 1024   # each window pays a fixed numpy overhead
 _MAX_WINDOW = 4096
+_UNIFORM_BYTES = 1 << 20   # one rng call per 8 draws of a full chunk
 
 
 class ColorCount(NamedTuple("ColorCount",
@@ -201,7 +206,12 @@ def simulate(initial, R: ReplacementMatrix, n: int, seed) -> Trajectory:
 
 
 class ReplicaBatch(NamedTuple):
-    """Final states (and optionally draw histories) of many replicas."""
+    """Final states (and optionally draw histories) of many replicas.
+
+    final_counts[r] is C_0 + k^T R for replica r's draw counts k, while
+    trajectory(r) adds the rows in draw order, so for a non-dyadic R its
+    final_count() can differ from final_counts[r] in the last bits.
+    """
 
     matrix: ReplacementMatrix
     initial: np.ndarray
@@ -229,44 +239,80 @@ def _run_chunk(rows: np.ndarray, c0: np.ndarray, n: int, m: int,
                seed_seq: np.random.SeedSequence, keep_draws: bool):
     """Advance m replicas by n draws on the stream default_rng(seed_seq).
 
-    The counts are held column by column: cols[i] is the length-m vector
-    of color i, and table[i] = R[:, i] is the amount each drawn color adds
-    to it.  Every per-draw buffer is allocated once.  At draw j the
-    uniforms u in [0, j + 1) pick color chosen = sum_{i < d-1}
-    [u >= c_0 + ... + c_i], the running sum taken left to right.  This is
-    the same number, bit for bit, as the row-major rule
-    min(sum_i [u >= cumsum(counts)_i], d - 1): the last cumulative sum can
-    only add the step that the cap removes.
+    A balanced urn has C_j = C_0 + k^T R, where k counts the draws of
+    each color, so a replica holds only its draw counts: k_c for the
+    colors c = 1 .. d-1, as rows of length-m float vectors that hold
+    exact integers, and k_0 = j - sum_c k_c.  With rc = cumsum(R, axis=1)
+    and cc = cumsum(C_0), cumulative sum i of C_j is
+
+        s_i = sum_{c >= 1} k_c (rc[c, i] - rc[0, i]) + (cc_i + j rc[0, i]),
+
+    the products added in color order, then the offset.  At draw j the
+    uniform u in [0, j + 1) picks color sum_{i < d-1} [u >= s_i], the rule
+    of the row-major kernel this one replaced.  At d >= 3 rounding can
+    put two equal sums out of order, so sum i counts as reached only
+    where sum i - 1 is: the rule applied to s_i raised to s_{i-1}.  The
+    hits are then monotone, color c >= 1 is drawn where sum c - 1 is
+    reached and sum c is not, and a draw counts once.  Each uniform block
+    comes from one rng.random call and is scaled by j + 1 in one product:
+    the same doubles and the same products as one call per draw.  The
+    final counts are built once, c0_i + k_0 R[0, i] + k_1 R[1, i] + ...,
+    added in color order.
+
+    The draws equal the row-major kernel's except where a uniform lands
+    within one rounding of a sum.  At an empty color such a window can
+    remain: about 2^-52 wide for a middle color whose sum rounds above
+    the one before it, and at the top edge for the last color, whose sum
+    can round below the mass, as in the kernel this one replaced.  The
+    final counts differ from n sequential row adds in their last bits,
+    and not at all when R is dyadic.
 
     Returns the final counts (m, d) and, with keep_draws, the drawn colors
     (m, n) as int16.
     """
     rng = np.random.default_rng(seed_seq)
-    cols = [np.full(m, c) for c in c0]
-    table = [np.ascontiguousarray(column) for column in rows.T]
-    u = np.empty(m)
-    cumulative = np.empty(m)
-    hit = np.empty(m, dtype=bool)
-    chosen = np.empty(m, dtype=np.intp)
-    step = np.empty(m)
+    d = rows.shape[0]
+    rc = np.cumsum(rows, axis=1)
+    gains = (rc[1:, :-1] - rc[0, :-1])[:, :, None]   # gains[c - 1][i]
+    cc, rc0 = np.cumsum(c0)[:-1, None], rc[0, :-1, None]
+    k = np.zeros((d - 1, m))
+    sums = np.empty((d - 1, m))
+    step = np.empty((d - 1, m))     # also the products' scratch
+    hits = np.empty((d - 1, m), dtype=bool)
+    reached_below = list(zip(hits[1:], hits[:-1]))
+    take_off = list(zip(step[:-1], step[1:]))
     draws = np.empty((m, n), dtype=np.int16) if keep_draws else None
-    for j in range(n):
-        rng.random(out=u)
-        u *= j + 1.0
-        np.greater_equal(u, cols[0], out=hit)
-        np.copyto(chosen, hit)
-        running = cols[0]
-        for col in cols[1:-1]:
-            running = np.add(running, col, out=cumulative)
-            np.greater_equal(u, running, out=hit)
-            chosen += hit
-        for col, column_of_R in zip(cols, table):
-            # chosen is always in range; "clip" skips take's buffered check
-            column_of_R.take(chosen, out=step, mode="clip")
-            col += step
-        if keep_draws:
-            draws[:, j] = chosen
-    return np.stack(cols, axis=1), draws
+    per_call = max(1, _UNIFORM_BYTES // (8 * m))
+    uniforms = np.empty((min(per_call, n), m))
+    for j0 in range(0, n, per_call):
+        block = uniforms[:n - j0]
+        times = np.arange(j0, j0 + len(block))
+        rng.random(out=block)
+        block *= (times + 1.0)[:, None]
+        offsets = cc + times[:, None, None] * rc0
+        for j, u, offset in zip(times, block, offsets):
+            np.multiply(gains[0], k[0], out=sums)
+            for gain, kc in zip(gains[1:], k[1:]):
+                sums += np.multiply(gain, kc, out=step)
+            sums += offset
+            np.greater_equal(u, sums, out=hits)
+            for hit, below in reached_below:
+                hit &= below
+            # color c >= 1 is drawn where sum c - 1 is reached and sum c
+            # is not
+            np.copyto(step, hits)
+            for drawn, beyond in take_off:
+                drawn -= beyond
+            k += step
+            if keep_draws:
+                hits.sum(axis=0, dtype=np.int16, out=draws[:, j])
+    k = np.vstack([n - k.sum(axis=0), k])    # now k_0 .. k_{d-1}
+    finals = np.empty((m, d))
+    for col, c0_i, column in zip(finals.T, c0, rows.T):
+        col[:] = c0_i + k[0] * column[0]
+        for kc, r in zip(k[1:], column[1:]):
+            col += kc * r
+    return finals, draws
 
 
 def simulate_replicas(initial, R: ReplacementMatrix, n: int, replicas: int,

@@ -5,9 +5,11 @@ deliberately avoiding the vectorized recurrences in the package, so that
 agreement between the two routes is meaningful.  Two exceptions are
 kept verbatim because the package must reproduce their numbers bit for
 bit: simulate_reference, the earlier per-draw trajectory loop (with its
-draw rule _draw), and replica_chunk_reference, the earlier row-major
-replica kernel.  The D_n envelope needs no reference: it is a closed
-form with a proof, and the tests check it against dn_exact.
+draw rule _draw), and the draws of replica_chunk_reference, the earlier
+row-major replica kernel.  replica_counts_reference rebuilds a replica's
+final counts from its draws, c0 + sum_c k_c R[c] in color order, the sum
+the replica kernel forms.  The D_n envelope needs no reference: it is a
+closed form with a proof, and the tests check it against dn_exact.
 dn_exact_reference reuses the package's tail products, which
 tail_reference checks, and sums their squares exactly, so it tests the
 summation alone.  The last section holds helpers that only tests use:
@@ -223,6 +225,21 @@ def replica_chunk_reference(rows, c0, n: int, m: int, seed_seq,
         if keep_draws:
             draws[:, j] = chosen
     return counts, draws
+
+
+def replica_counts_reference(rows, c0, draws) -> np.ndarray:
+    """Final counts (m, d) of replicas with the given draws (m, n):
+    c0 + k_0 R[0] + k_1 R[1] + ..., added in color order, where k counts
+    each replica's draws of each color."""
+    d = rows.shape[0]
+    out = []
+    for replica in draws:
+        k = np.bincount(replica, minlength=d)
+        counts = np.array(c0, dtype=float)
+        for c in range(d):
+            counts = counts + k[c] * rows[c]
+        out.append(counts)
+    return np.array(out)
 
 
 def jordan_weight_bound(lam: float, i: int, n: int) -> float:

@@ -67,6 +67,42 @@ def test_json_rows_match_render_json_of_row_objects(cols, short):
     assert text == expected + "\n"
 
 
+def _render_items(obj, indent):
+    """render_json() of a list, one item at a time."""
+    pad, inner = "  " * indent, "  " * (indent + 1)
+    return "[\n" + ",\n".join(inner + render_json(v, indent + 1)
+                               for v in obj) + "\n" + pad + "]"
+
+
+LIST_SPECIAL = SPECIAL + [9.999999999999998e16, 2.5]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(FLOATS, st.sampled_from(LIST_SPECIAL)),
+                min_size=1, max_size=20),
+       st.integers(0, 3))
+def test_float_list_renders_like_each_item(values, indent):
+    assert render_json(values, indent) == _render_items(values, indent)
+    assert render_json(np.array(values), indent) == _render_items(values,
+                                                                  indent)
+
+
+@pytest.mark.parametrize("values", [
+    [1, 2.5, True], [2.5, None, -0.0], [np.float64(0.1), 0.2],
+    [2.5, [1.0, -0.0]], [0.5, "x"], [2.0 ** 53 + 1, 1],
+])
+def test_mixed_list_renders_like_each_item(values):
+    assert render_json(values, 1) == _render_items(values, 1)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_float_in_a_list_fails(bad):
+    for values in ([bad], [1.0, bad, 2.0], [1.0, 2.0, bad]):
+        with pytest.raises(ValueError,
+                           match=f"non-finite value in output: {bad}"):
+            render_json(values)
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
 @pytest.mark.parametrize("suffix", ["csv", "json"])
 def test_non_finite_column_fails_the_table_write(tmp_path, bad, suffix):

@@ -18,7 +18,12 @@ from urnbound import (
 )
 from urnbound.process import _draws, _run_chunk
 
-from oracles import _draw, replica_chunk_reference, simulate_reference
+from oracles import (
+    _draw,
+    replica_chunk_reference,
+    replica_counts_reference,
+    simulate_reference,
+)
 
 R2 = validate_matrix([[0.7, 0.3], [0.4, 0.6]])
 RJ = validate_matrix([[5 / 8, 3 / 8, 0.0], [1 / 8, 3 / 8, 1 / 2],
@@ -251,14 +256,16 @@ def _sha256(a: np.ndarray) -> str:
 
 
 # Recorded from the row-major kernel (tests/oracles.py:
-# replica_chunk_reference); a kernel change must reproduce them bit for bit.
+# replica_chunk_reference), except R2's counts, re-recorded when the kernel
+# came to build them as c0 + sum_c k_c R[c]; a kernel change must
+# reproduce them bit for bit.
 # Replica counts are not multiples of the chunk size, so the last chunk is
 # short.
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("R,c0,n,replicas,chunk,seed,counts_hash,draws_hash", [
     pytest.param(
         R2, [1.0, 0.0], 100, 40_000, 16_384, 5,
-        "58e8a33c7eefabe7bc1b53b9127854a787a06d07bd6f6db956b3580754abf1e7",
+        "0dadac28fdc4562e12713bae0670b78240358eeb8b8f2904404a814afdc530b2",
         "5db0528907b338e8dd4fcb2e9aa24361156f741762ea99d7cdf902bbf4cc486d",
         id="R2"),
     pytest.param(
@@ -318,16 +325,23 @@ def test_simulate_history_matches_golden_hash(rows, c0, draws_hash,
 
 
 def _assert_kernel_matches_reference(rows, c0, n, m, seed, keep_draws):
+    # the draws equal the row-major kernel's; the counts are exactly
+    # c0 + sum_c k_c R[c] in color order, and within the rounding of n
+    # sequential row adds of the row-major counts
     def stream():
         return np.random.SeedSequence(seed, spawn_key=(3,))
     ref_counts, ref_draws = replica_chunk_reference(rows, c0, n, m, stream(),
-                                                    keep_draws)
+                                                    True)
     counts, draws = _run_chunk(rows, c0, n, m, stream(), keep_draws)
-    np.testing.assert_array_equal(counts, ref_counts, strict=True)
     if keep_draws:
         np.testing.assert_array_equal(draws, ref_draws, strict=True)
     else:
         assert draws is None
+    np.testing.assert_array_equal(
+        counts, replica_counts_reference(rows, c0, ref_draws), strict=True)
+    d = rows.shape[0]
+    np.testing.assert_allclose(counts, ref_counts, rtol=0,
+                               atol=(n + d) * (n + 1) * 2.0**-52)
 
 
 @st.composite
@@ -372,6 +386,70 @@ def test_replica_kernel_matches_reference_on_fixed_cases(rows, c0,
                                                          keep_draws):
     _assert_kernel_matches_reference(np.array(rows), np.array(c0), 200, 300,
                                      17, keep_draws)
+
+
+class _ScriptedUniforms(np.random.Generator):
+    """A generator whose random(out=...) gives every replica the uniform
+    script[j] at draw j; default_rng returns it unchanged."""
+
+    def __init__(self, script):
+        super().__init__(np.random.PCG64(0))
+        self.script = list(script)
+
+    def random(self, size=None, dtype=np.float64, out=None):
+        out[...] = np.array(self.script[:len(out)])[:, None]
+        del self.script[:len(out)]
+        return out
+
+
+def _draw_counts(rows, c0, counts):
+    """k with counts = c0 + k^T R for an invertible R, checked integral."""
+    k = np.linalg.solve(rows.T, (counts - c0).T).T
+    whole = np.round(k)
+    np.testing.assert_allclose(k, whole, rtol=0, atol=1e-6)
+    return whole.astype(np.int64)
+
+
+def test_replica_kernel_draws_no_empty_color_between_sums_out_of_order():
+    # after three draws of color 2 color 1 is empty, sums 0 and 1 both
+    # equal 24/13, and the kernel's order rounds them to
+    # 1.8461538461538465 > 1.8461538461538463; u * 4 lands on the second
+    rows = np.array([[0.1, 0.1, 0.8], [0.35, 0.4, 0.25], [8 / 13, 0, 5 / 13]])
+    c0 = np.array([0.0, 0.0, 1.0])
+    rng = _ScriptedUniforms([0.999] * 3 + [1.8461538461538463 / 4])
+    counts, draws = _run_chunk(rows, c0, 4, 3, rng, True)
+    np.testing.assert_array_equal(draws, [[2, 2, 2, 0]] * 3)
+    np.testing.assert_array_equal(
+        counts, replica_counts_reference(rows, c0, draws), strict=True)
+    np.testing.assert_array_equal(_draw_counts(rows, c0, counts),
+                                  [[1, 0, 3]] * 3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), d=st.integers(2, 5), n=st.integers(0, 60),
+       m=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+def test_replica_draw_counts_sum_to_n(data, d, n, m, seed):
+    rows = data.draw(_unit_rows(d))
+    assume(abs(np.linalg.det(rows)) > 1e-3)
+    c0 = np.eye(d)[0]
+    counts, draws = _run_chunk(rows, c0, n, m, np.random.SeedSequence(seed),
+                               True)
+    k = _draw_counts(rows, c0, counts)
+    assert (k >= 0).all()
+    assert (k.sum(axis=1) == n).all()
+    np.testing.assert_array_equal(
+        k, [np.bincount(r, minlength=d) for r in draws])
+
+
+def test_replicas_agree_across_threads_with_a_short_last_chunk():
+    R = validate_matrix([[THIRD, THIRD, 1 - 2 * THIRD], [0.1, 0.2, 0.7],
+                         [0.3, 0.6, 0.1]])
+    one, three = (simulate_replicas([0.5, 0.5, 0.0], R, 60, 4 * 100 + 37,
+                                    seed=21, keep_draws=True, threads=t,
+                                    chunk_size=100) for t in (1, 3))
+    np.testing.assert_array_equal(one.final_counts, three.final_counts,
+                                  strict=True)
+    np.testing.assert_array_equal(one.draws, three.draws, strict=True)
 
 
 def _assert_simulate_matches_reference(c0, R, n, seed):
