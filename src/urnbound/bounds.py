@@ -1,21 +1,24 @@
 """Explicit deviation bounds for linear urn statistics.
 
-Each martingale increment of an eigen-statistic is bounded in absolute
-value: chi.xi is one component of xi and C_j.xi/(j+1) is a convex
-combination of them, so the raw increment lies within spread(xi) =
-max(xi) - min(xi), and the weighted increment within
+A term alpha * C_n.v of a statistic expands over the parts (w, a, u) of
+member_weights(v, n), each a series of increments a * (chi_{j+1}.u -
+C_j.u/(j+1)); a chain member's parts use its image (R - lam I) v for
+xi2.  chi.u is one component of u and C_j.u/(j+1) is a convex
+combination of them, so such an increment lies within |a| * spread(u),
+spread(u) = max(u) - min(u), and the statistic's weighted increment at
+step j within
 
-    c_j = |lam| * spread(xi) * tail_products(lam, n-1)[j].
+    c_j = sum over terms and their parts of |alpha| |a| spread(u) w_j.
 
 The bounded-difference inequality then gives, for the centered statistic
 after n draws and deviation s,
 
     P(C_n.xi - A > s) <= exp(-2 s^2 / sum_j (2 c_j)^2),
 
-where A is the deterministic part of the decomposition.  Reports use
-s = n*t for eigen-statistics (deviation t per draw) and s = (n+1)*t for
-color counts (deviation t per unit of mass), matching the exact
-threshold conversion between the two.
+where A, the deterministic part, sums alpha * (growth C_0.v + shift
+C_0.xi2) over the terms.  Reports use s = n*t for eigen-statistics
+(deviation t per draw) and s = (n+1)*t for color counts (deviation t per
+unit of mass), matching the exact threshold conversion between the two.
 
 Everything is evaluated in log-space first; reports carry both log_tail
 and tail (tail underflows to exact 0 rather than overflowing).
@@ -54,8 +57,7 @@ def azuma_tail(s: float, c) -> float:
     s = 0 returns 1.  When every c_j is zero the martingale cannot move,
     so a positive deviation has probability exactly 0.
     """
-    log_t = azuma_log_tail(s, c)
-    return math.exp(log_t) if log_t > -math.inf else 0.0
+    return math.exp(azuma_log_tail(s, c))  # exp(-inf) is exactly 0
 
 
 def azuma_log_tail(s: float, c) -> float:
@@ -118,48 +120,21 @@ class BoundReport(NamedTuple):
         }
 
 
-class _Member:
-    """One term alpha * C.v of a statistic, bounded according to the kind
-    of v that its spectral Member records."""
+def _term(S: SpectralDecomposition, alpha: float, member: Member):
+    """(alpha, member) for one term alpha * C.v of a statistic.  A chain
+    member is bounded through its image (R - lam I) v as its partner,
+    which equals xi2 to within the spectral residual tolerance."""
+    if member.partner is not None:
+        v, lam = member.vector, member.value
+        member = member._replace(partner=S.matrix.matrix @ v - lam * v)
+    return float(alpha), member
 
-    def __init__(self, S: SpectralDecomposition, alpha: float, member: Member):
-        self.alpha = float(alpha)
-        self.member = member
-        self.vector, self.lam = member.vector, member.value
-        # a chain member is bounded through its image (R - lam I) v, which
-        # equals the partner xi2 to within the spectral residual tolerance
-        self.xi2 = (None if member.partner is None
-                    else S.matrix.matrix @ self.vector - self.lam * self.vector)
-        self.frozen = member.partner is None and member.zero
 
-    def describe(self) -> str:
-        if self.frozen:
-            return f"{self.alpha:g}*[constant, lam=0]"
-        return f"{self.alpha:g}*[{self.member.kind}, lam={self.lam:g}]"
-
-    def increment_bounds(self, n_draws: int) -> np.ndarray:
-        """|alpha| * c_j for j = 0 .. n_draws - 1: each weight of
-        member_weights() times the range of the increment it multiplies."""
-        if self.frozen:
-            return np.zeros(n_draws)
-        _, _, direct, nested = member_weights(self.member, n_draws)
-        if self.xi2 is None:
-            return abs(self.alpha) * abs(self.lam) * spread(self.vector) * direct
-        if self.member.zero:
-            return abs(self.alpha) * spread(self.xi2) * direct
-        mixed = self.xi2 + self.lam * self.vector
-        return abs(self.alpha) * (spread(mixed) * direct
-                                  + abs(self.lam) * spread(self.xi2) * nested)
-
-    def center(self, n_draws: int, initial: np.ndarray) -> float:
-        """alpha times the deterministic part of C_n.v."""
-        c0v = float(initial @ self.vector)
-        if self.frozen:
-            return self.alpha * c0v
-        growth, shift, _, _ = member_weights(self.member, n_draws)
-        if self.xi2 is None:
-            return self.alpha * growth * c0v
-        return self.alpha * (growth * c0v + shift * float(initial @ self.xi2))
+def _label(terms) -> str:
+    return " + ".join(f"{alpha:g}*[constant, lam=0]"
+                      if m.partner is None and m.zero
+                      else f"{alpha:g}*[{m.kind}, lam={m.value:g}]"
+                      for alpha, m in terms)
 
 
 def _checked_member(S: SpectralDecomposition, vector, lam: float) -> Member:
@@ -184,24 +159,30 @@ def _combined_report(members, n, t, s, label, initial) -> BoundReport:
         raise IndexOrder(f"horizon n={n} must be at least 1")
     if t < 0:
         raise ValueError(f"t={t} must be nonnegative")
-    moving = [mem.lam for mem in members if not mem.frozen]
+    # a lambda = 0 eigenvector never moves, so it sets no rate
+    moving = [m.value for _, m in members if m.partner is not None
+              or not m.zero]
     lam_star = max(moving) if moving else 0.0
     regime, rate_value = rate_function(lam_star, max(n - 1, 1))
-    c = np.zeros(n)
-    for mem in members:
-        c += mem.increment_bounds(n)
+    c0 = None if initial is None else np.asarray(initial, dtype=float)
+    c, center = np.zeros(n), 0
+    for alpha, member in members:
+        growth, shift, parts = member_weights(member, n)
+        for w, a, u in parts:
+            c += (abs(alpha) * abs(a) * spread(u)) * w
+        if c0 is not None:
+            term = alpha * growth * float(c0 @ member.vector)
+            if shift:
+                term += alpha * shift * float(c0 @ member.partner)
+            center += term
     sum_sq = float(np.sum((2.0 * c) ** 2))
     log_tail = azuma_log_tail(s, c)
-    tail = math.exp(log_tail) if log_tail > -math.inf else 0.0
-    shift = None
-    if initial is not None:
-        initial = np.asarray(initial, dtype=float)
-        shift = float(sum(mem.center(n, initial) for mem in members))
+    tail = math.exp(log_tail)  # exp(-inf) is exactly 0
     return BoundReport(n=n, t=float(t), statistic=label,
                        increment_bounds=c, sum_sq=sum_sq, tail=tail,
                        regime=regime, rate_value=rate_value,
                        log_tail=log_tail, deviation=float(s),
-                       zeroth_shift=shift)
+                       zeroth_shift=None if c0 is None else float(center))
 
 
 def statistic_bound(S: SpectralDecomposition, combo, n: int, t: float,
@@ -214,11 +195,10 @@ def statistic_bound(S: SpectralDecomposition, combo, n: int, t: float,
     bounded event is sum_i alpha_i (C_n.v_i - A_i) > n*t.  Pass the
     initial state to have the report carry the total center shift.
     """
-    members = [_Member(S, entry[0], entry[1]) if len(entry) == 2
-               else _Member(S, entry[0], _checked_member(S, *entry[1:]))
-               for entry in combo]
-    label = " + ".join(mem.describe() for mem in members)
-    return _combined_report(members, n, t, float(n) * t, label, initial)
+    members = [_term(S, entry[0], entry[1] if len(entry) == 2
+                     else _checked_member(S, *entry[1:])) for entry in combo]
+    return _combined_report(members, n, t, float(n) * t, _label(members),
+                            initial)
 
 
 def color_deviation_bound(R, color: int, n: int, t: float,
@@ -234,7 +214,7 @@ def color_deviation_bound(R, color: int, n: int, t: float,
         R if isinstance(R, ReplacementMatrix) else ReplacementMatrix(np.asarray(R, float)))
     alphas = (S.alphas[color] if S.alphas is not None
               else indicator_coefficients(S, color))
-    members = [_Member(S, a, m) for a, m in S.terms(alphas)]
+    members = [_term(S, a, m) for a, m in S.terms(alphas)]
     label = (f"color {color} deviation per unit mass; members: "
-             + " + ".join(mem.describe() for mem in members))
+             + _label(members))
     return _combined_report(members, n, t, (n + 1.0) * t, label, initial)

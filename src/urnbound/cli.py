@@ -212,6 +212,8 @@ def resolve_statistic(spec: str, S) -> Statistic:
     if kind == "vector":
         try:
             vec = np.array(_floats(arg), dtype=float)
+            if not np.isfinite(vec).all():
+                raise ValueError(f"{spec!r} has a non-finite entry")
         except ValueError as exc:
             raise ConfigError(f"bad statistic vector: {exc}") from exc
         if vec.size != S.matrix.dim:
@@ -330,16 +332,14 @@ def cmd_bound(cfg, S, args, out_dir) -> int:
 def _truths(cfg, S, stat, reports, n, c0, threads):
     """Exact or estimated probabilities aligned with the reports; `auto`
     takes the exact law whenever its state count fits STATE_BUDGET."""
-    mode = cfg.mode
-    if mode == "auto":
-        fits = exact_states(S.matrix.dim, n) <= STATE_BUDGET
-        mode = "exact" if fits else "mc"
+    exact = cfg.mode == "exact" or (
+        cfg.mode == "auto" and exact_states(S.matrix.dim, n) <= STATE_BUDGET)
     thresholds = [_raw_threshold(stat, r, n) for r in reports]
-    if mode == "exact":
+    if exact:
         dist = exact_distribution(c0, S.matrix, n)
-        return [exact_tail(dist, stat.vector, x) for x in thresholds], "exact"
+        return [exact_tail(dist, stat.vector, x) for x in thresholds]
     return tail_estimates(c0, S.matrix, n, stat.vector, thresholds,
-                          cfg.replicas, cfg.seed, threads=threads), "mc"
+                          cfg.replicas, cfg.seed, threads=threads)
 
 
 def _verify(cfg, S, args, out_dir, horizons) -> int:
@@ -351,7 +351,7 @@ def _verify(cfg, S, args, out_dir, horizons) -> int:
     for n in horizons:
         at_n = _bound_reports(cfg, S, stat, n, c0)
         reports.extend(at_n)
-        truths.extend(_truths(cfg, S, stat, at_n, n, c0, args.threads)[0])
+        truths.extend(_truths(cfg, S, stat, at_n, n, c0, args.threads))
     table = dominance_check(reports, truths)
     _write_table(out_dir, "dominance", args.format, table.table)
     _write_bounds(out_dir, stat, reports)

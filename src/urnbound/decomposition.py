@@ -13,8 +13,10 @@ an exact identity for every realization, not just in expectation.  The
 same iteration for a generalized vector xi3 (R xi3 = xi2 + lam xi3) picks
 up two extra pieces: a deterministic coefficient on C_0.xi2 given by
 appendix_zeroth(), and nested martingale increments against xi2 carrying
-the weights jordan_weights().  member_weights() tabulates these pieces
-per kind of spectral member for the expansions and the bounds alike.
+the weights jordan_weights().  member_weights() holds this for every kind
+of spectral member as one table of parts (w, a, u), each the series
+sum_j w_j * a * (chi_{j+1}.u - C_j.u/(j+1)); the expansions and the
+bounds both read it.
 All weighted sums of squares needed by the deviation bounds are
 available exactly (dn_exact) and through a proven closed-form envelope
 (dn_asymptotic), which dominates dn_exact for every n.
@@ -148,15 +150,8 @@ def martingale_decompose(traj: Trajectory, xi, lam: float) -> MartingaleExpansio
     increments lam * (chi_{j+1}.xi - C_j.xi/(j+1))."""
     lam = _check_lambda(lam)
     xi = _check_eigenpair(traj, xi, lam)
-    n_draws = traj.n_draws
-    path = traj.statistic(xi)
-    times = np.arange(1, n_draws + 1, dtype=float)
-    increments = lam * (xi[traj.draws] - path[:n_draws] / times)
-    growth, _, weights, _ = member_weights(Member(lam, xi), n_draws)
-    zeroth = growth * path[0]
-    reconstructed = zeroth + float(weights @ increments)
-    return MartingaleExpansion(lam, zeroth, weights, increments,
-                               reconstructed, float(path[-1]))
+    zeroth, _, *rest = _expand(traj, Member(lam, xi))
+    return MartingaleExpansion(lam, zeroth, *rest)
 
 
 def increment_conditional_means(traj: Trajectory, xi, lam: float) -> np.ndarray:
@@ -296,26 +291,43 @@ def appendix_zeroth(lam: float, n: int) -> float:
 
 
 def member_weights(member: Member, n: int):
-    """(growth, shift, direct, nested) for the member v after n draws:
-    C_n.v = growth C_0.v + shift C_0.xi2 + direct . (direct increments)
-    + nested . (nested increments), xi2 being v's chain partner.
+    """(growth, shift, parts) for the member v after n draws: C_n.v =
+    growth C_0.v + shift C_0.xi2 + sum over the parts (w, a, u) of
+    sum_j w_j * a * (chi_{j+1}.u - C_j.u/(j+1)), xi2 being v's partner.
 
-    Eigenvector: growth_product, 0, tail_products, zeros.  Chain member:
-    plus the appendix_zeroth shift and jordan_weights as nested weights.
-    Chain member of eigenvalue 0: 1, the harmonic number H_n, ones, zeros.
+    Eigenvector (lam = 0 too): growth_product, 0, [(tail_products, lam,
+    v)].  Chain member: growth_product, appendix_zeroth, [(tail_products,
+    1, xi2 + lam v), (jordan_weights, lam, xi2)].  Chain member of
+    eigenvalue 0: 1, the harmonic number H_n, [(ones, 1, xi2)].
     """
-    lam = member.value
-    if member.partner is not None and member.zero:
+    lam, v, xi2 = member
+    if xi2 is not None and member.zero:
         harmonic = float(np.sum(1.0 / np.arange(1.0, n + 1.0)))
-        return 1.0, harmonic, np.ones(n), np.zeros(n)
+        return 1.0, harmonic, [(np.ones(n), 1.0, xi2)]
     growth = growth_product(lam, n)
-    if n == 0:
-        return growth, 0.0, np.empty(0), np.empty(0)
-    direct = tail_products(lam, n - 1)
-    if member.partner is None:
-        return growth, 0.0, direct, np.zeros(n)
-    return (growth, appendix_zeroth(lam, n - 1), direct,
-            jordan_weights(lam, n - 1))
+    tails = tail_products(lam, n - 1) if n else np.empty(0)
+    if xi2 is None:
+        return growth, 0.0, [(tails, lam, v)]
+    shift, nested = ((appendix_zeroth(lam, n - 1), jordan_weights(lam, n - 1))
+                     if n else (0.0, np.empty(0)))
+    return growth, shift, [(tails, 1.0, xi2 + lam * v), (nested, lam, xi2)]
+
+
+def _expand(traj: Trajectory, member: Member):
+    """The expansion of C_N.v over member_weights' parts: zeroth_v,
+    zeroth_xi2, each part's weights and increments, reconstructed, actual."""
+    n_draws = traj.n_draws
+    growth, shift, parts = member_weights(member, n_draws)
+    times = np.arange(1, n_draws + 1, dtype=float)
+    zeroth = growth * (traj.initial @ member.vector)
+    zeroth2 = shift * (traj.initial @ member.partner) if shift else 0.0
+    reconstructed, arrays = zeroth + zeroth2, []
+    for w, a, u in parts:
+        inc = a * (u[traj.draws] - traj.statistic(u)[:n_draws] / times)
+        reconstructed += float(w @ inc)
+        arrays += [w, inc]
+    actual = float(traj.statistic(member.vector)[-1])
+    return (zeroth, zeroth2, *arrays, reconstructed, actual)
 
 
 class JordanExpansion(NamedTuple):
@@ -365,30 +377,6 @@ def _check_jordan_pair(traj, xi2, xi3, lam):
     return xi2, xi3
 
 
-def _chain_decompose(traj: Trajectory, member: Member) -> JordanExpansion:
-    """Expansion of C_N.xi3 for a checked chain member xi3 (partner xi2)."""
-    xi2, xi3, lam = member.partner, member.vector, member.value
-    n_draws = traj.n_draws
-    s2 = traj.statistic(xi2)
-    s3 = traj.statistic(xi3)
-    times = np.arange(1, n_draws + 1, dtype=float)
-    growth, shift, direct_w, nested_w = member_weights(member, n_draws)
-    if member.zero:
-        # C_j.xi2 is frozen: no nested part, so no 0 * (...) cells either
-        direct_inc = xi2[traj.draws] - s2[:n_draws] / times
-        nested_inc = np.zeros(n_draws)
-    else:
-        mixed = xi2 + lam * xi3
-        direct_inc = (mixed[traj.draws]
-                      - (s2[:n_draws] + lam * s3[:n_draws]) / times)
-        nested_inc = lam * (xi2[traj.draws] - s2[:n_draws] / times)
-    zeroth3, zeroth2 = growth * s3[0], shift * s2[0]
-    reconstructed = (zeroth3 + zeroth2 + float(direct_w @ direct_inc)
-                     + float(nested_w @ nested_inc))
-    return JordanExpansion(lam, zeroth3, zeroth2, direct_w, direct_inc,
-                           nested_w, nested_inc, reconstructed, float(s3[-1]))
-
-
 def jordan_decompose(traj: Trajectory, xi2, xi3, lam: float) -> JordanExpansion:
     """Expansion of C_N.xi3 when R xi3 = xi2 + lam xi3 with lam != 0.
 
@@ -399,7 +387,7 @@ def jordan_decompose(traj: Trajectory, xi2, xi3, lam: float) -> JordanExpansion:
     """
     lam = _check_lambda(lam, allow_zero=False)
     xi2, xi3 = _check_jordan_pair(traj, xi2, xi3, lam)
-    return _chain_decompose(traj, Member(lam, xi3, xi2))
+    return JordanExpansion(lam, *_expand(traj, Member(lam, xi3, xi2)))
 
 
 def repeated_zero_decompose(traj: Trajectory, xi2, xi3) -> JordanExpansion:
@@ -408,10 +396,12 @@ def repeated_zero_decompose(traj: Trajectory, xi2, xi3) -> JordanExpansion:
     With lam = 0 the statistic C_j.xi2 is frozen at C_0.xi2, so
     C_N.xi3 = C_0.xi3 + C_0.xi2 * H_N + sum_j (chi_{j+1} - C_j/(j+1)).xi2
     with H_N the harmonic number; all direct weights are 1 and the nested
-    contribution vanishes.
+    weights and increments are zero.
     """
     xi2, xi3 = _check_jordan_pair(traj, xi2, xi3, 0.0)
-    return _chain_decompose(traj, Member(0.0, xi3, xi2))
+    *direct, reconstructed, actual = _expand(traj, Member(0.0, xi3, xi2))
+    zeros = np.zeros(traj.n_draws)
+    return JordanExpansion(0.0, *direct, zeros, zeros, reconstructed, actual)
 
 
 def expand(traj: Trajectory, member: Member) -> MartingaleExpansion | JordanExpansion:

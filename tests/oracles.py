@@ -12,7 +12,12 @@ the replica kernel forms.  The D_n envelope needs no reference: it is a
 closed form with a proof, and the tests check it against dn_exact.
 dn_exact_reference reuses the package's tail products, which
 tail_reference checks, and sums their squares exactly, so it tests the
-summation alone.  The last section holds helpers that only tests use:
+summation alone.  The per-kind formulas for each spectral member's
+expansion and bound (member_weights_reference, expansion_reference,
+increment_bounds_reference and center_reference) are the package's
+earlier code, kept verbatim: the one increment model that replaced them
+must reproduce their numbers.  The last section holds helpers that only
+tests use:
 the Jordan weight envelope and its calibrated constant, the scalar
 increment bound and the two-color threshold conversion.
 """
@@ -27,6 +32,8 @@ import numpy as np
 from urnbound.bounds import spread
 from urnbound.decomposition import (
     _check_lambda,
+    appendix_zeroth,
+    growth_product,
     jordan_weights,
     tail_products,
 )
@@ -240,6 +247,102 @@ def replica_counts_reference(rows, c0, draws) -> np.ndarray:
             counts = counts + k[c] * rows[c]
         out.append(counts)
     return np.array(out)
+
+
+# -- the earlier per-kind expansion and bound formulas ------------------------
+
+def member_weights_reference(member, n: int):
+    """(growth, shift, direct, nested) for the member v after n draws.
+
+    Eigenvector: growth_product, 0, tail_products, zeros.  Chain member:
+    plus the appendix_zeroth shift and jordan_weights as nested weights.
+    Chain member of eigenvalue 0: 1, the harmonic number H_n, ones, zeros.
+    """
+    lam = member.value
+    if member.partner is not None and member.zero:
+        harmonic = float(np.sum(1.0 / np.arange(1.0, n + 1.0)))
+        return 1.0, harmonic, np.ones(n), np.zeros(n)
+    growth = growth_product(lam, n)
+    if n == 0:
+        return growth, 0.0, np.empty(0), np.empty(0)
+    direct = tail_products(lam, n - 1)
+    if member.partner is None:
+        return growth, 0.0, direct, np.zeros(n)
+    return (growth, appendix_zeroth(lam, n - 1), direct,
+            jordan_weights(lam, n - 1))
+
+
+def expansion_reference(traj, member):
+    """(zeroth_v, zeroth_xi2, direct_w, direct_inc, nested_w, nested_inc,
+    reconstructed, actual) of C_N.v, one formula per kind of member; an
+    eigenvector has zeroth_xi2 = 0 and no nested arrays (None)."""
+    n_draws = traj.n_draws
+    times = np.arange(1, n_draws + 1, dtype=float)
+    growth, shift, direct_w, nested_w = member_weights_reference(
+        member, n_draws)
+    if member.partner is None:
+        xi, lam = member.vector, member.value
+        path = traj.statistic(xi)
+        increments = lam * (xi[traj.draws] - path[:n_draws] / times)
+        zeroth = growth * path[0]
+        reconstructed = zeroth + float(direct_w @ increments)
+        return (zeroth, 0.0, direct_w, increments, None, None,
+                reconstructed, float(path[-1]))
+    xi2, xi3, lam = member.partner, member.vector, member.value
+    s2 = traj.statistic(xi2)
+    s3 = traj.statistic(xi3)
+    if member.zero:
+        direct_inc = xi2[traj.draws] - s2[:n_draws] / times
+        nested_inc = np.zeros(n_draws)
+    else:
+        mixed = xi2 + lam * xi3
+        direct_inc = (mixed[traj.draws]
+                      - (s2[:n_draws] + lam * s3[:n_draws]) / times)
+        nested_inc = lam * (xi2[traj.draws] - s2[:n_draws] / times)
+    zeroth3, zeroth2 = growth * s3[0], shift * s2[0]
+    reconstructed = (zeroth3 + zeroth2 + float(direct_w @ direct_inc)
+                     + float(nested_w @ nested_inc))
+    return (zeroth3, zeroth2, direct_w, direct_inc, nested_w, nested_inc,
+            reconstructed, float(s3[-1]))
+
+
+def _bound_partner(S: SpectralDecomposition, member):
+    """The image (R - lam I) v that bounds a chain member; None for an
+    eigenvector."""
+    if member.partner is None:
+        return None
+    return S.matrix.matrix @ member.vector - member.value * member.vector
+
+
+def increment_bounds_reference(S: SpectralDecomposition, alpha: float,
+                               member, n_draws: int) -> np.ndarray:
+    """|alpha| * c_j for j = 0 .. n_draws - 1, one formula per kind."""
+    alpha = float(alpha)
+    lam, xi2 = member.value, _bound_partner(S, member)
+    if member.partner is None and member.zero:
+        return np.zeros(n_draws)
+    _, _, direct, nested = member_weights_reference(member, n_draws)
+    if xi2 is None:
+        return abs(alpha) * abs(lam) * spread(member.vector) * direct
+    if member.zero:
+        return abs(alpha) * spread(xi2) * direct
+    mixed = xi2 + lam * member.vector
+    return abs(alpha) * (spread(mixed) * direct
+                         + abs(lam) * spread(xi2) * nested)
+
+
+def center_reference(S: SpectralDecomposition, alpha: float, member,
+                     n_draws: int, initial) -> float:
+    """alpha times the deterministic part of C_n.v, one formula per kind."""
+    alpha = float(alpha)
+    xi2 = _bound_partner(S, member)
+    c0v = float(initial @ member.vector)
+    if member.partner is None and member.zero:
+        return alpha * c0v
+    growth, shift, _, _ = member_weights_reference(member, n_draws)
+    if xi2 is None:
+        return alpha * growth * c0v
+    return alpha * (growth * c0v + shift * float(initial @ xi2))
 
 
 def jordan_weight_bound(lam: float, i: int, n: int) -> float:

@@ -35,7 +35,14 @@ from urnbound import (
 from urnbound.decomposition import expand
 from urnbound.spectral import Member
 
-from oracles import color_threshold_factor, increment_bound, tail_reference
+from oracles import (
+    center_reference,
+    color_threshold_factor,
+    expansion_reference,
+    increment_bound,
+    increment_bounds_reference,
+    tail_reference,
+)
 
 R2 = validate_matrix([[0.7, 0.3], [0.4, 0.6]])
 S2 = decompose(R2)
@@ -318,8 +325,7 @@ def test_bound_and_expansion_agree_for_every_member(name, k):
     S = decompose(validate_matrix(MEMBER_MATRICES[name]))
     member = S.members[k]
     d = S.matrix.dim
-    n = 200
-    for seed in range(5):
+    for n, seed in [(1, 0), (1, 1)] + [(200, seed) for seed in range(5)]:
         c0 = np.full(d, 1.0 / d) if seed % 2 else np.eye(d)[0]
         report = statistic_bound(S, [(1.0, member)], n, 0.1, initial=c0)
         exp = expand(simulate(c0, S.matrix, n, seed), member)
@@ -335,3 +341,50 @@ def test_bound_and_expansion_agree_for_every_member(name, k):
         # 1e-12 relative: the bound and the step round differently
         assert np.all(np.abs(steps)
                       <= report.increment_bounds * (1.0 + 1e-12))
+    # no draws: the expansion is its deterministic part, C_0.v itself
+    for c0 in (np.eye(d)[0], np.full(d, 1.0 / d)):
+        exp = expand(simulate(c0, S.matrix, 0, 0), member)
+        assert exp.reconstructed == exp.actual == c0 @ member.vector
+
+
+@pytest.mark.parametrize("name,k", MEMBER_CASES)
+def test_member_matches_the_per_kind_reference(name, k):
+    # the one increment model against the earlier per-kind formulas of
+    # tests/oracles.py.  An eigenvector and a lambda = 0 chain at alpha = 1
+    # match bit for bit.  A lambda != 0 chain forms its direct increments
+    # from the path of xi2 + lam xi3, not from the paths of xi2 and xi3,
+    # and a chain's alpha is grouped with each part, not with the sum, so
+    # those move in the last bits only.
+    S = decompose(validate_matrix(MEMBER_MATRICES[name]))
+    member = S.members[k]
+    d = S.matrix.dim
+    eigen = member.partner is None
+
+    def same(found, expected, exact):
+        if exact:
+            np.testing.assert_array_equal(found, expected)
+        else:
+            np.testing.assert_allclose(found, expected, rtol=1e-13,
+                                       atol=1e-15)
+
+    for n in (1, 2, 200, 5000):
+        for c0 in (np.eye(d)[0], np.full(d, 1.0 / d)):
+            for alpha in (1.0, -0.7):
+                exact = eigen or (member.zero and alpha == 1.0)
+                report = statistic_bound(S, [(alpha, member)], n, 0.1,
+                                         initial=c0)
+                same(report.increment_bounds,
+                     increment_bounds_reference(S, alpha, member, n), exact)
+                same(report.zeroth_shift,
+                     center_reference(S, alpha, member, n, c0), exact)
+            traj = simulate(c0, S.matrix, n, n)
+            exp = expand(traj, member)
+            found = ((exp.zeroth, 0.0, exp.weights, exp.increments, None,
+                      None) if eigen else
+                     (exp.zeroth_xi3, exp.zeroth_xi2, exp.direct_weights,
+                      exp.direct_increments, exp.nested_weights,
+                      exp.nested_increments)) + (exp.reconstructed,
+                                                 exp.actual)
+            for got, want in zip(found, expansion_reference(traj, member)):
+                if want is not None:
+                    same(got, want, eigen or member.zero)

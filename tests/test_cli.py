@@ -423,6 +423,21 @@ def test_exit_code_on_nan_matrix_entry(tmp_path, capsys):
     assert "entry (0,0) = nan is not finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["bound", "verify", "sweep"])
+@pytest.mark.parametrize("entry", ["nan", "inf"])
+def test_non_finite_statistic_vector_exits_1(tmp_path, capsys, command,
+                                             entry):
+    # rejected before any artifact is written, so no --out is left behind
+    text = TWO_COLOR.replace("statistic = eigen:0",
+                             f"statistic = vector: {entry}, 1")
+    cfg = write(tmp_path, text + "horizons = 4, 8\n")
+    out = tmp_path / "o"
+    assert run([command, "--config", cfg, "--out", str(out)]) == 1
+    assert f"'vector: {entry}, 1' has a non-finite entry" in (
+        capsys.readouterr().err)
+    assert not out.exists()
+
+
 def test_exit_code_on_complex_spectrum(tmp_path):
     cfg = write(tmp_path,
                 "0.1, 0.9, 0\n0, 0.1, 0.9\n0.9, 0, 0.1\nhorizon = 5\n")
@@ -435,7 +450,7 @@ def test_exit_code_on_dominance_failure(tmp_path, monkeypatch):
     cfg = write(tmp_path, TWO_COLOR)
 
     def fake_truths(cfg_, S, stat, reports, n, c0, threads):
-        return [1.0] * len(reports), "exact"
+        return [1.0] * len(reports)
 
     monkeypatch.setattr(cli, "_truths", fake_truths)
     assert run(["verify", "--config", cfg,
@@ -539,9 +554,9 @@ GOLDEN_TABLES = {
     "r3float/trajectory.json":
         "5aba4c0031f7d087b1fcd7f8086f85ab39b40d47914501e07860adaffe3c5416",
     "rj/expansion.csv":
-        "efee38a602620338c62e9f9932039bacc07c90ee4eea7d0ed31af4db763fc34d",
+        "57987b6b1477869da7215d3fa1baf5aa56a9eb40a2daf852170490b30f179cbb",
     "rj/expansion.json":
-        "cccee5c7b67660bd2f27a1c7a132d6c0c5d24d31b9f8865646fd67d9f4d031f7",
+        "36bfb506a3ca5c3ad906425b9e4b75267c90d6a089f9e29667dbca41554534a7",
     "rj/trajectory.csv":
         "e117864925c66c802f24dc7cfadbcda1e6fa0880334d9c89e483af66eea29dec",
     "rj/trajectory.json":
@@ -586,9 +601,9 @@ GOLDEN_BOUNDS = {
     "r3float/5000":
         "02d067735de1fe685b2d21f6990475f38c29092153e1abbc1d8e8a8b8311d590",
     "rj/40":
-        "82363e3b694a7e8334d153bd360aab692f87a336dbc23202796cef699bcca2e1",
+        "de93300eb4215b87fade2d56b33194408235a02aad4c016a30952c985398705e",
     "rj/5000":
-        "b611f6928a431087b6bc07150de404305aa81a283ba04d2e720793da68d78098",
+        "fc80f0d0437fba48d33fe6c3ebb09cba0dc57669447d8efc83b945394fa3f57e",
 }
 
 
