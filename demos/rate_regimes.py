@@ -18,7 +18,7 @@ from urnbound.decomposition import (
     appendix_zeroth,
     dn_asymptotic,
     dn_exact,
-    euler_ratio,
+    growth_product,
 )
 
 
@@ -47,9 +47,14 @@ def boundary():
 def euler():
     print("euler_ratio(lam, n) -> 1 as n grows (growth product vs n^lam):")
     for lam in (-0.5, 0.3, 0.5, 0.9):
-        row = ", ".join(f"n=10^{k}: {euler_ratio(lam, 10 ** k):.4f}"
-                        for k in (2, 3, 4))
-        print(f"  lambda {lam:+.2f}: {row}")
+        row = []
+        for k in (2, 3, 4):
+            n = 10 ** k
+            # growth_product(lam, n) ~ n^lam / Gamma(lam + 1)
+            ratio = (growth_product(lam, n) * math.gamma(lam + 1.0)
+                     / float(n) ** lam)
+            row.append(f"n=10^{k}: {ratio:.4f}")
+        print(f"  lambda {lam:+.2f}: {', '.join(row)}")
     print()
 
 

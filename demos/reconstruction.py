@@ -2,15 +2,15 @@
 
 One trajectory per matrix: the deterministic part plus weighted
 martingale increments rebuilds C_n.xi to float accuracy, including the
-defective (Jordan) case with its nested increments.
+defective (Jordan) case with its nested increments.  Every increment has
+conditional mean zero given the past, which conditional_means checks.
 
 Run with: python3 demos/reconstruction.py
 """
 import numpy as np
 
 from urnbound.decomposition import (
-    dm_martingale,
-    increment_conditional_means,
+    conditional_means,
     jordan_decompose,
     martingale_decompose,
 )
@@ -35,7 +35,7 @@ def simple_case():
     partial = exp.partial_sums()
     for j in (0, 9, 99, 999, 1_999):
         print(f"  after step {j + 1:>5}: partial sum {partial[j]:+.6f}")
-    means = increment_conditional_means(traj, xi, lam)
+    means = conditional_means(traj, S.structures[0].members[0])
     print(f"max |conditional mean| over all steps: {np.max(np.abs(means)):.2e}")
     print()
 
@@ -60,9 +60,9 @@ def jordan_case():
     print(f"reconstructed    {exp.reconstructed:+.12f}")
     print(f"actual C_n.xi3   {exp.actual:+.12f}")
     print(f"residual         {exp.residual:.2e}")
-    series = dm_martingale(traj, xi2, xi3, st.value)
-    print(f"normalized martingale: M_0 = {series.values[0]:+.6f},"
-          f" M_n = {series.values[-1]:+.6f}")
+    means = np.max(np.abs(conditional_means(traj, st.members[1])), axis=1)
+    print(f"max |conditional mean| over all steps: direct {means[0]:.2e},"
+          f" nested {means[1]:.2e}")
     print()
 
 

@@ -43,15 +43,11 @@ from .process import (
 from .decomposition import (
     JordanExpansion,
     MartingaleExpansion,
-    MartingaleSeries,
     appendix_zeroth,
-    dm_martingale,
-    dm_step_residuals,
+    conditional_means,
     dn_asymptotic,
     dn_exact,
-    euler_ratio,
     growth_product,
-    increment_conditional_means,
     jordan_decompose,
     jordan_weights,
     martingale_decompose,

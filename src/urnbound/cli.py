@@ -158,6 +158,10 @@ def parse_config(text: str) -> ExperimentConfig:
         data = _unique(pairs)
     if not rows:
         raise ConfigError("config is missing the matrix")
+    for k, row in enumerate(rows[1:], start=2):
+        if len(row) != len(rows[0]):
+            raise ConfigError(f"matrix row {k} has {len(row)} entries, "
+                              f"row 1 has {len(rows[0])}")
     return ExperimentConfig(matrix=rows, **{k: _checked(k, v)
                                             for k, v in data.items()})
 

@@ -16,7 +16,8 @@ appendix_zeroth(), and nested martingale increments against xi2 carrying
 the weights jordan_weights().  member_weights() holds this for every kind
 of spectral member as one table of parts (w, a, u), each the series
 sum_j w_j * a * (chi_{j+1}.u - C_j.u/(j+1)); the expansions and the
-bounds both read it.
+bounds both read it, and conditional_means() checks the fact they rest
+on: every part's increment has conditional mean zero given the past.
 All weighted sums of squares needed by the deviation bounds are
 available exactly (dn_exact) and through a proven closed-form envelope
 (dn_asymptotic), which dominates dn_exact for every n.
@@ -154,22 +155,6 @@ def martingale_decompose(traj: Trajectory, xi, lam: float) -> MartingaleExpansio
     return MartingaleExpansion(lam, zeroth, *rest)
 
 
-def increment_conditional_means(traj: Trajectory, xi, lam: float) -> np.ndarray:
-    """Exact conditional mean of each increment given the past.
-
-    Averages lam * (xi_i - C_j.xi/(j+1)) over the d possible draws with
-    probabilities C_j[i]/(j+1); algebraically zero at every step.
-    """
-    lam = _check_lambda(lam)
-    xi = _check_eigenpair(traj, xi, lam)
-    n_draws = traj.n_draws
-    counts = traj.counts_matrix()[:n_draws]
-    path = traj.statistic(xi)[:n_draws]
-    times = np.arange(1, n_draws + 1, dtype=float)
-    probs = counts / times[:, None]
-    return lam * (probs @ xi - (path / times) * probs.sum(axis=1))
-
-
 def dn_exact(lam: float, n: int) -> float:
     """Sum of squared tail products, j = 0 .. n (the exact variance scale).
 
@@ -238,14 +223,6 @@ def dn_asymptotic(lam: float, n: int) -> tuple[str, float]:
         envelope = min((big + 0.5) ** twice / (twice - 1.0),
                        big ** twice * harmonic)
     return _regime(lam), envelope
-
-
-def euler_ratio(lam: float, n: int) -> float:
-    """growth_product(lam, n) * Gamma(lam + 1) / n^lam; tends to 1."""
-    lam = _check_lambda(lam, allow_one=True)
-    if n < 1:
-        raise IndexOrder(f"n={n} must be at least 1")
-    return growth_product(lam, n) * math.gamma(lam + 1.0) / float(n) ** lam
 
 
 # -- defective (Jordan) eigenvalues -------------------------------------------
@@ -415,52 +392,31 @@ def expand(traj: Trajectory, member: Member) -> MartingaleExpansion | JordanExpa
     return jordan_decompose(traj, member.partner, member.vector, member.value)
 
 
-# -- normalized martingale for the defective case -----------------------------
+def _check_member(traj: Trajectory, member: Member) -> None:
+    """Raise as expand would for member: LambdaOutOfRange, NotEigenpair
+    for an eigenvector, NotJordanPair for a chain member."""
+    if member.partner is None:
+        _check_eigenpair(traj, member.vector, _check_lambda(member.value))
+    else:
+        lam = (0.0 if member.zero
+               else _check_lambda(member.value, allow_zero=False))
+        _check_jordan_pair(traj, member.partner, member.vector, lam)
 
-class MartingaleSeries(NamedTuple):
-    """Values M_0 .. M_N of the normalized defective-case martingale.
 
-    M_m = C_m.xi3 / P_m - sum_{j=0}^{m-1} C_j.xi2 / ((j+1) P_{j+1}) with
-    P_m = growth_product(lam, m).  The compensator makes the drift cancel:
-    E(M_{m+1} | F_m) = M_m exactly.
+def conditional_means(traj: Trajectory, member: Member) -> np.ndarray:
+    """E[a (chi_{j+1}.u - C_j.u/(j+1)) | F_j] for j = 0 .. N-1, one row
+    per part (w, a, u) of member_weights(member, N).
+
+    Draw j takes color i with probability p_j[i] = C_j[i]/(j+1), so the
+    row of a part is a (p_j.u - (C_j.u/(j+1)) sum_i p_j[i]).  In a
+    balanced urn p_j sums to 1 and every row vanishes up to rounding:
+    each increment of every expansion is a martingale difference.
     """
-
-    eigenvalue: float
-    values: np.ndarray
-    normalizers: np.ndarray
-
-
-def dm_martingale(traj: Trajectory, xi2, xi3, lam: float) -> MartingaleSeries:
-    """Normalized martingale along a trajectory; M_0 = C_0.xi3."""
-    lam = _check_lambda(lam)
-    xi2, xi3 = _check_jordan_pair(traj, xi2, xi3, lam)
+    _check_member(traj, member)
     n_draws = traj.n_draws
-    s2 = traj.statistic(xi2)
-    s3 = traj.statistic(xi3)
-    prefix = _prefix_products(lam, n_draws)
+    _, _, parts = member_weights(member, n_draws)
     times = np.arange(1, n_draws + 1, dtype=float)
-    compensator = np.zeros(n_draws + 1)
-    if n_draws:
-        compensator[1:] = np.cumsum(s2[:n_draws] / (times * prefix[1:]))
-    return MartingaleSeries(lam, s3 / prefix - compensator, prefix)
-
-
-def dm_step_residuals(traj: Trajectory, xi2, xi3, lam: float) -> np.ndarray:
-    """|E(M_{m+1} | F_m) - M_m| for m = 0 .. N-1, by enumerating the d
-    possible draws with their exact probabilities."""
-    series = dm_martingale(traj, xi2, xi3, lam)  # checks lam and the pair
-    n_draws = traj.n_draws
-    m_vals = series.values
-    prefix = series.normalizers
-    counts = traj.counts_matrix()[:n_draws]
-    s2 = traj.statistic(xi2)[:n_draws]
-    s3 = traj.statistic(xi3)[:n_draws]
-    times = np.arange(1, n_draws + 1, dtype=float)
-    rxi3 = traj.matrix.matrix @ xi3
-    expected_s3 = s3 + (counts @ rxi3) / times
-    # the compensator through step m, recovered from the series values so
-    # both sides of the identity share the same floats
-    compensator = s3 / prefix[:n_draws] - m_vals[:n_draws]
-    expected_m = (expected_s3 / prefix[1:] - compensator
-                  - s2 / (times * prefix[1:]))
-    return np.abs(expected_m - m_vals[:n_draws])
+    probs = traj.counts_matrix()[:n_draws] / times[:, None]
+    total = probs.sum(axis=1)
+    return np.array([a * (probs @ u - (traj.statistic(u)[:n_draws] / times)
+                          * total) for _, a, u in parts])

@@ -38,6 +38,7 @@ tests check, and golden hashes pin the streams.
 """
 from __future__ import annotations
 
+import os
 from typing import NamedTuple
 
 import numpy as np
@@ -50,7 +51,12 @@ BALANCE_TOL = 1e-9
 DEFAULT_CHUNK = 16384
 _MIN_WINDOW = 1024   # each window pays a fixed numpy overhead
 _MAX_WINDOW = 4096
-_UNIFORM_BYTES = 1 << 20   # one rng call per 8 draws of a full chunk
+# One rng call fills this many bytes of uniforms: 8 draws of a full
+# chunk.  On R2, 65,536 replicas x 1,000 draws at 2 threads (2-vCPU Xeon,
+# medians of 10 alternating rounds), 128 KiB, 256 KiB, 1 MiB and 4 MiB
+# took 0.350, 0.295, 0.279 and 0.275 s with the same bits: the gain stops
+# at 1 MiB, and a larger block only holds more memory per thread.
+_UNIFORM_BYTES = 1 << 20
 
 
 class ColorCount(NamedTuple("ColorCount",
@@ -315,6 +321,14 @@ def _run_chunk(rows: np.ndarray, c0: np.ndarray, n: int, m: int,
     return finals, draws
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the platform
+    has one, else the machine's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def simulate_replicas(initial, R: ReplacementMatrix, n: int, replicas: int,
                       seed, keep_draws: bool = False, threads: int = 1,
                       chunk_size: int = DEFAULT_CHUNK) -> ReplicaBatch:
@@ -322,7 +336,8 @@ def simulate_replicas(initial, R: ReplacementMatrix, n: int, replicas: int,
 
     Chunk c of replicas uses the stream SeedSequence(seed, spawn_key=(c,)),
     so the result depends only on (seed, replicas, chunk_size), never on
-    thread count or scheduling.
+    thread count or scheduling.  At most min(threads, chunks, usable
+    CPUs) threads run.
     """
     c0 = initial_counts(initial, R)
     if replicas < 1:
@@ -331,10 +346,13 @@ def simulate_replicas(initial, R: ReplacementMatrix, n: int, replicas: int,
     sizes = [min(chunk_size, replicas - s) for s in range(0, replicas, chunk_size)]
     seqs = [np.random.SeedSequence(seed, spawn_key=(c,)) for c in range(len(sizes))]
     jobs = [(rows, c0, n, m, ss, keep_draws) for m, ss in zip(sizes, seqs)]
-    if threads > 1 and len(jobs) > 1:
+    # the pool starts a thread per chunk while none is idle, each with its
+    # chunk's working arrays, so more threads than CPUs only cost memory
+    workers = min(threads, len(jobs), _usable_cpus())
+    if workers > 1:
         # imported here, so a run on one thread never loads it
         from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(lambda args: _run_chunk(*args), jobs))
     else:
         parts = [_run_chunk(*args) for args in jobs]

@@ -16,22 +16,29 @@ summation alone.  The per-kind formulas for each spectral member's
 expansion and bound (member_weights_reference, expansion_reference,
 increment_bounds_reference and center_reference) are the package's
 earlier code, kept verbatim: the one increment model that replaced them
-must reproduce their numbers.  The last section holds helpers that only
-tests use:
-the Jordan weight envelope and its calibrated constant, the scalar
-increment bound and the two-color threshold conversion.
+must reproduce their numbers.  The special-case martingale checks that
+conditional_means replaced are kept verbatim as well:
+increment_conditional_means (eigenvectors only), the normalized
+defective-case martingale dm_martingale with its dm_step_residuals, and
+euler_ratio.  The last section holds helpers that only tests use: the
+Jordan weight envelope and its calibrated constant, the scalar increment
+bound and the two-color threshold conversion.
 """
 from __future__ import annotations
 
 import math
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
 from urnbound.bounds import spread
 from urnbound.decomposition import (
+    _check_eigenpair,
+    _check_jordan_pair,
     _check_lambda,
+    _prefix_products,
     appendix_zeroth,
     growth_product,
     jordan_weights,
@@ -343,6 +350,81 @@ def center_reference(S: SpectralDecomposition, alpha: float, member,
     if xi2 is None:
         return alpha * growth * c0v
     return alpha * (growth * c0v + shift * float(initial @ xi2))
+
+
+# -- the earlier special-case martingale checks --------------------------------
+
+def increment_conditional_means(traj, xi, lam: float) -> np.ndarray:
+    """Exact conditional mean of each increment given the past.
+
+    Averages lam * (xi_i - C_j.xi/(j+1)) over the d possible draws with
+    probabilities C_j[i]/(j+1); algebraically zero at every step.
+    """
+    lam = _check_lambda(lam)
+    xi = _check_eigenpair(traj, xi, lam)
+    n_draws = traj.n_draws
+    counts = traj.counts_matrix()[:n_draws]
+    path = traj.statistic(xi)[:n_draws]
+    times = np.arange(1, n_draws + 1, dtype=float)
+    probs = counts / times[:, None]
+    return lam * (probs @ xi - (path / times) * probs.sum(axis=1))
+
+
+def euler_ratio(lam: float, n: int) -> float:
+    """growth_product(lam, n) * Gamma(lam + 1) / n^lam; tends to 1."""
+    lam = _check_lambda(lam, allow_one=True)
+    if n < 1:
+        raise IndexOrder(f"n={n} must be at least 1")
+    return growth_product(lam, n) * math.gamma(lam + 1.0) / float(n) ** lam
+
+
+class MartingaleSeries(NamedTuple):
+    """Values M_0 .. M_N of the normalized defective-case martingale.
+
+    M_m = C_m.xi3 / P_m - sum_{j=0}^{m-1} C_j.xi2 / ((j+1) P_{j+1}) with
+    P_m = growth_product(lam, m).  The compensator makes the drift cancel:
+    E(M_{m+1} | F_m) = M_m exactly.
+    """
+
+    eigenvalue: float
+    values: np.ndarray
+    normalizers: np.ndarray
+
+
+def dm_martingale(traj, xi2, xi3, lam: float) -> MartingaleSeries:
+    """Normalized martingale along a trajectory; M_0 = C_0.xi3."""
+    lam = _check_lambda(lam)
+    xi2, xi3 = _check_jordan_pair(traj, xi2, xi3, lam)
+    n_draws = traj.n_draws
+    s2 = traj.statistic(xi2)
+    s3 = traj.statistic(xi3)
+    prefix = _prefix_products(lam, n_draws)
+    times = np.arange(1, n_draws + 1, dtype=float)
+    compensator = np.zeros(n_draws + 1)
+    if n_draws:
+        compensator[1:] = np.cumsum(s2[:n_draws] / (times * prefix[1:]))
+    return MartingaleSeries(lam, s3 / prefix - compensator, prefix)
+
+
+def dm_step_residuals(traj, xi2, xi3, lam: float) -> np.ndarray:
+    """|E(M_{m+1} | F_m) - M_m| for m = 0 .. N-1, by enumerating the d
+    possible draws with their exact probabilities."""
+    series = dm_martingale(traj, xi2, xi3, lam)  # checks lam and the pair
+    n_draws = traj.n_draws
+    m_vals = series.values
+    prefix = series.normalizers
+    counts = traj.counts_matrix()[:n_draws]
+    s2 = traj.statistic(xi2)[:n_draws]
+    s3 = traj.statistic(xi3)[:n_draws]
+    times = np.arange(1, n_draws + 1, dtype=float)
+    rxi3 = traj.matrix.matrix @ xi3
+    expected_s3 = s3 + (counts @ rxi3) / times
+    # the compensator through step m, recovered from the series values so
+    # both sides of the identity share the same floats
+    compensator = s3 / prefix[:n_draws] - m_vals[:n_draws]
+    expected_m = (expected_s3 / prefix[1:] - compensator
+                  - s2 / (times * prefix[1:]))
+    return np.abs(expected_m - m_vals[:n_draws])
 
 
 def jordan_weight_bound(lam: float, i: int, n: int) -> float:

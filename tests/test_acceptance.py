@@ -15,10 +15,8 @@ from urnbound import cli
 from urnbound.bounds import statistic_bound
 from urnbound.decomposition import (
     appendix_zeroth,
-    dm_step_residuals,
+    conditional_means,
     dn_exact,
-    euler_ratio,
-    increment_conditional_means,
     jordan_decompose,
     martingale_decompose,
 )
@@ -31,7 +29,13 @@ from urnbound.verification import (
     tail_estimates,
 )
 
-from oracles import appendix_reference, appendix_reference_slow
+from oracles import (
+    appendix_reference,
+    appendix_reference_slow,
+    dm_step_residuals,
+    euler_ratio,
+    increment_conditional_means,
+)
 
 R2 = validate_matrix([[0.7, 0.3], [0.4, 0.6]])
 RJ = validate_matrix([[5 / 8, 3 / 8, 0.0],
@@ -132,9 +136,13 @@ def test_criterion_4_mc_dominance():
 
 
 def test_criterion_5_martingale_property():
+    # the package's conditional_means over every member of R2 and RJ,
+    # and the earlier special-case checks of tests/oracles.py
     xi2, xi3 = jordan_pair()
+    members2, membersj = decompose(R2).members, decompose(RJ).members
     worst_mean = 0.0
     worst_dm = 0.0
+    worst_parts = 0.0
     for seed in range(10):
         batch2 = simulate_replicas([1.0, 0.0], R2, 1_000, 1, seed=(5, seed),
                                    keep_draws=True)
@@ -144,11 +152,17 @@ def test_criterion_5_martingale_property():
                                    seed=(6, seed), keep_draws=True)
         resid = dm_step_residuals(batchj.trajectory(0), xi2, xi3, LAMJ)
         worst_dm = max(worst_dm, float(np.max(np.abs(resid))))
-    ok = worst_mean <= 1e-12 and worst_dm <= 1e-12
+        for batch, members in ((batch2, members2), (batchj, membersj)):
+            for member in members:
+                rows = conditional_means(batch.trajectory(0), member)
+                worst_parts = max(worst_parts, float(np.max(np.abs(rows))))
+    ok = max(worst_mean, worst_dm, worst_parts) <= 1e-12
     report(5, "martingale property", ok,
-           f"conditional means {worst_mean:.2e}, dm residuals {worst_dm:.2e}")
+           f"conditional means {worst_mean:.2e}, dm residuals {worst_dm:.2e},"
+           f" every part {worst_parts:.2e}")
     assert worst_mean <= 1e-12
     assert worst_dm <= 1e-12
+    assert worst_parts <= 1e-12
 
 
 def test_criterion_6_spectral_correctness():

@@ -15,10 +15,12 @@ from urnbound import (
     LambdaOutOfRange,
     NotEigenpair,
     ReplacementMatrix,
+    Trajectory,
     SpectralDecomposition,
     azuma_log_tail,
     azuma_tail,
     color_deviation_bound,
+    conditional_means,
     decompose,
     dominance_check,
     exact_distribution,
@@ -32,7 +34,7 @@ from urnbound import (
     tail_products,
     validate_matrix,
 )
-from urnbound.decomposition import expand
+from urnbound.decomposition import expand, member_weights
 from urnbound.spectral import Member
 
 from oracles import (
@@ -388,3 +390,47 @@ def test_member_matches_the_per_kind_reference(name, k):
             for got, want in zip(found, expansion_reference(traj, member)):
                 if want is not None:
                     same(got, want, eigen or member.zero)
+
+
+@pytest.mark.parametrize("name,k", MEMBER_CASES)
+def test_conditional_means_vanish_for_every_member(name, k):
+    # every part's increment is a martingale difference: its conditional
+    # mean given the past is zero up to rounding in C_j.u
+    S = decompose(validate_matrix(MEMBER_MATRICES[name]))
+    member = S.members[k]
+    d = S.matrix.dim
+    for n, seed in [(0, 0), (1, 1)] + [(500, seed) for seed in range(6)]:
+        c0 = np.full(d, 1.0 / d) if seed % 2 else np.eye(d)[0]
+        traj = simulate(c0, S.matrix, n, seed)
+        means = conditional_means(traj, member)
+        _, _, parts = member_weights(member, n)
+        assert means.shape == (len(parts), n)
+        for row, (_, _, u) in zip(means, parts):
+            scale = np.maximum(1.0, np.abs(traj.statistic(u)[:n]))
+            assert np.all(np.abs(row) <= 1e-12 * scale)
+
+
+@pytest.mark.parametrize("name,k", MEMBER_CASES)
+def test_conditional_means_follow_the_formula_off_balance(name, k):
+    # from an initial mass of 2 the draw probabilities C_j/(j+1) sum to
+    # (j+2)/(j+1), so the row of a part (a, u) is -a C_j.u/(j+1)^2.  The
+    # parts are listed per kind here, apart from member_weights.
+    S = decompose(validate_matrix(MEMBER_MATRICES[name]))
+    member = S.members[k]
+    lam, v, xi2 = member
+    if xi2 is None:
+        parts = [(lam, v)]
+    elif member.zero:
+        parts = [(1.0, xi2)]
+    else:
+        parts = [(1.0, xi2 + lam * v), (lam, xi2)]
+    corner = np.eye(S.matrix.dim)[0]
+    draws = simulate(corner, S.matrix, 300, 7).draws
+    traj = Trajectory(S.matrix, 2.0 * corner, draws, None)
+    means = conditional_means(traj, member)
+    assert means.shape == (len(parts), 300)
+    times = np.arange(1.0, 301.0)
+    for row, (a, u) in zip(means, parts):
+        path = traj.statistic(u)[:300]
+        scale = np.maximum(1.0, np.abs(path)) / times
+        assert np.all(np.abs(row + a * path / times ** 2) <= 1e-12 * scale)

@@ -192,6 +192,20 @@ def test_typed_errors_exit_1_and_write_nothing(tmp_path, capsys, monkeypatch,
     assert not (out / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("text", [
+    "0.7, 0.3, 0\n0.4, 0.6\nhorizon = 5\n",
+    json.dumps({"matrix": [[0.7, 0.3, 0.0], [0.4, 0.6]], "horizon": 5}),
+], ids=["flat", "json"])
+def test_ragged_matrix_names_the_row(tmp_path, capsys, text):
+    cfg = write(tmp_path, text)
+    out = tmp_path / "o"
+    assert run(["simulate", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "error: matrix row 2 has 2 entries, row 1 has 3" in err
+    assert "inhomogeneous" not in err and "sequence" not in err
+    assert not out.exists()
+
+
 def test_default_initial_state_is_one_unit_of_color_0(tmp_path):
     cfg = write(tmp_path, JORDAN_TEXT.replace("initial = 1, 0, 0\n", ""))
     out = tmp_path / "out"

@@ -19,14 +19,11 @@ from urnbound import (
     NotJordanPair,
     Trajectory,
     appendix_zeroth,
-    dm_martingale,
-    dm_step_residuals,
+    conditional_means,
     dn_asymptotic,
     decompose,
     dn_exact,
-    euler_ratio,
     growth_product,
-    increment_conditional_means,
     jordan_chain,
     jordan_decompose,
     jordan_weights,
@@ -44,13 +41,18 @@ from urnbound.decomposition import (
     MartingaleExpansion,
     expand,
 )
+from urnbound.spectral import Member
 
 from oracles import (
     appendix_reference,
     appendix_reference_slow,
+    dm_martingale,
+    dm_step_residuals,
     dn_exact_reference,
     dn_reference,
+    euler_ratio,
     growth_reference,
+    increment_conditional_means,
     jordan_weight_bound,
     jordan_weight_constant,
     k_weight_reference,
@@ -193,6 +195,34 @@ def test_increment_conditional_means_vanish_rj():
     traj = simulate([1.0, 0.0, 0.0], RJ, 500, 11)
     means = increment_conditional_means(traj, XI2, 0.25)
     assert np.max(np.abs(means)) <= 1e-12
+
+
+@pytest.mark.parametrize("R", [R2, RJ], ids=["R2", "RJ"])
+def test_conditional_means_of_an_eigenvector_keep_the_bits(R):
+    # an eigenvector has one part, whose row is the earlier
+    # eigenvector-only check, bit for bit
+    c0 = np.eye(R.dim)[0]
+    eigen = [m for m in decompose(R).members if m.partner is None]
+    assert eigen
+    for member in eigen:
+        for seed in range(3):
+            traj = simulate(c0, R, 500, seed)
+            row, = conditional_means(traj, member)
+            np.testing.assert_array_equal(
+                row, increment_conditional_means(traj, member.vector,
+                                                 member.value))
+
+
+def test_conditional_means_reject_a_member_that_fails_its_relation():
+    traj = simulate([1.0, 0.0, 0.0], RJ, 10, 0)
+    with pytest.raises(NotEigenpair):
+        conditional_means(traj, Member(0.25, XI3))
+    with pytest.raises(NotJordanPair):
+        conditional_means(traj, Member(0.25, XI2, XI3))
+    with pytest.raises(NotJordanPair):   # R0's lambda = 0 chain
+        conditional_means(traj, Member(0.0, Z3, Z2))
+    with pytest.raises(LambdaOutOfRange):
+        conditional_means(traj, Member(1.0, XI2))
 
 
 # -- variance scale ------------------------------------------------------------

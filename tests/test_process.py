@@ -1,6 +1,7 @@
 """Urn process tests: stepping, trajectories, balance, reproducibility,
 draw-law checks and the batched replica runner.
 """
+import concurrent.futures
 import hashlib
 
 import numpy as np
@@ -16,6 +17,7 @@ from urnbound import (
     simulate_replicas,
     validate_matrix,
 )
+from urnbound import process
 from urnbound.process import _draws, _run_chunk
 
 from oracles import (
@@ -450,6 +452,51 @@ def test_replicas_agree_across_threads_with_a_short_last_chunk():
     np.testing.assert_array_equal(one.final_counts, three.final_counts,
                                   strict=True)
     np.testing.assert_array_equal(one.draws, three.draws, strict=True)
+
+
+@pytest.mark.parametrize("R,c0", [(R2, [1.0, 0.0]), (RJ, [1.0, 0.0, 0.0])],
+                         ids=["R2", "RJ"])
+def test_replica_stream_does_not_depend_on_the_uniform_block(monkeypatch,
+                                                              R, c0):
+    # one rng call per draw, per 3 draws (1000 is not a multiple of 3) and
+    # the default block give the same doubles, products and draws; the
+    # last chunk is short, so its blocks hold more draws
+    m, default = 256, process._UNIFORM_BYTES
+    runs = []
+    for size in (8 * m, 24 * m, default):
+        monkeypatch.setattr(process, "_UNIFORM_BYTES", size)
+        runs.append(simulate_replicas(c0, R, 1000, 2 * m + 88, seed=17,
+                                      keep_draws=True, chunk_size=m))
+    for batch in runs[1:]:
+        np.testing.assert_array_equal(batch.final_counts.view(np.uint64),
+                                      runs[0].final_counts.view(np.uint64))
+        np.testing.assert_array_equal(batch.draws, runs[0].draws)
+
+
+def test_replica_threads_are_capped_at_the_usable_cpus(monkeypatch):
+    # 64 requested threads on 4 chunks and 2 usable CPUs open 2 workers;
+    # the recording pool never starts more than 2 threads itself
+    opened, started = [], []
+
+    class Recording(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            opened.append(max_workers)
+            super().__init__(max_workers=min(max_workers, 2), **kwargs)
+
+        def shutdown(self, *args, **kwargs):
+            started.append(len(self._threads))
+            super().shutdown(*args, **kwargs)
+
+    monkeypatch.setattr(process, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
+    one, many = (simulate_replicas([1.0, 0.0], R2, 40, 4 * 25, seed=3,
+                                   keep_draws=True, threads=t, chunk_size=25)
+                 for t in (1, 64))
+    assert opened == [2]
+    assert started and max(started) <= 2
+    np.testing.assert_array_equal(one.final_counts, many.final_counts,
+                                  strict=True)
+    np.testing.assert_array_equal(one.draws, many.draws, strict=True)
 
 
 def _assert_simulate_matches_reference(c0, R, n, seed):
