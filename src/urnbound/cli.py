@@ -334,14 +334,16 @@ def cmd_bound(cfg, S, args, out_dir) -> int:
 
 
 def _truths(cfg, S, stat, reports, n, c0, threads):
-    """Exact or estimated probabilities aligned with the reports; `auto`
+    """Exact or estimated probabilities aligned with the reports, an
+    exact one as (tail, its relative error bound gamma); `auto`
     takes the exact law whenever its state count fits STATE_BUDGET."""
     exact = cfg.mode == "exact" or (
         cfg.mode == "auto" and exact_states(S.matrix.dim, n) <= STATE_BUDGET)
     thresholds = [_raw_threshold(stat, r, n) for r in reports]
     if exact:
         dist = exact_distribution(c0, S.matrix, n)
-        return [exact_tail(dist, stat.vector, x) for x in thresholds]
+        return [(exact_tail(dist, stat.vector, x), dist.gamma)
+                for x in thresholds]
     return tail_estimates(c0, S.matrix, n, stat.vector, thresholds,
                           cfg.replicas, cfg.seed, threads=threads)
 

@@ -363,6 +363,9 @@ def jordan_decompose(traj: Trajectory, xi2, xi3, lam: float) -> JordanExpansion:
     C_0.xi2 plus nested increments against xi2 weighted by K(i, N-1).
     """
     lam = _check_lambda(lam, allow_zero=False)
+    if Member(lam, xi3, xi2).zero:    # the test that routes expand
+        raise LambdaOutOfRange(f"lam={lam} is 0 within ZERO_TOL: use "
+                               "repeated_zero_decompose")
     xi2, xi3 = _check_jordan_pair(traj, xi2, xi3, lam)
     return JordanExpansion(lam, *_expand(traj, Member(lam, xi3, xi2)))
 

@@ -5,15 +5,16 @@ dominate.  exact_distribution() computes the law of C_n by a forward DP
 over the vectors k counting how often each color has been drawn: C_t =
 C_0 + k^T R depends on the draws only through k, so n draws from d
 colors need C(n+d-1, d-1) states instead of d^n paths.  The law is the
-DP's own arrays: the counts and the mass of every state, in state
-order.  It runs in rational arithmetic whenever the matrix and initial
-state are exactly small-denominator fractions and n <= 24, in float
-arithmetic otherwise, and refuses (TooLarge) beyond STATE_BUDGET
-states.  exact_tail() reads a tail off the arrays with one mask.
+DP's own float arrays: the counts and the mass of every state, in state
+order.  It is the law of the doubles R and C_0 as given, up to a proven
+relative rounding error ExactDistribution.gamma on every mass and every
+tail, and the DP refuses (TooLarge) beyond STATE_BUDGET states.
+exact_tail() reads a tail off the arrays with one mask.
 tail_estimates() runs seeded Monte Carlo replicas with a one-sided
 Wilson upper confidence limit.  dominance_check() lines the
 probabilities up against BoundReports and flags the margin at every
-grid point.
+grid point; an exact row passes only when the upper end of its rounding
+interval, tail * (1 + gamma), is at most the bound.
 """
 from __future__ import annotations
 
@@ -29,29 +30,28 @@ from .process import initial_counts, simulate_replicas
 from .spectral import ReplacementMatrix
 
 STATE_BUDGET = 1 << 14
-RATIONAL_DENOMINATOR = 10_000
-FRACTION_HORIZON = 24   # Fraction denominators grow with every draw
 TIE_RTOL = 1e-12
 WILSON_LEVEL = 0.99
 
 
-def _as_fraction(x) -> Fraction | None:
-    # imported here, so only the exact law loads it
-    from fractions import Fraction
-    f = Fraction(x).limit_denominator(RATIONAL_DENOMINATOR)
-    return f if float(f) == float(x) else None
-
-
 class ExactDistribution(NamedTuple):
     """Full law of C_n: atom i holds the counts atoms[i] (one row per DP
-    state with positive mass, in state order) with probability mass[i].
-    Both arrays hold Fractions when rational, floats otherwise; states
-    with equal counts (a singular R) stay separate atoms."""
+    state with positive mass, in state order) with probability mass[i],
+    both float; states with equal counts (a singular R) stay separate
+    atoms."""
 
     n: int
     atoms: np.ndarray
     mass: np.ndarray
-    rational: bool
+    rational = False   # always float; bench/traced_cli.py reads it
+
+    @property
+    def gamma(self) -> float:
+        """gamma_k = k u / (1 - k u), u = 2^-53, k = (2d+2) n + atoms + 2:
+        the relative error bound of every mass and every exact_tail,
+        proven in exact_distribution."""
+        k = (2 * self.atoms.shape[1] + 2) * self.n + len(self.mass) + 2
+        return k * 2.0 ** -53 / (1 - k * 2.0 ** -53)
 
 
 def exact_states(d: int, n: int) -> int:
@@ -93,15 +93,44 @@ def _layout(d: int, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def exact_distribution(initial, R: ReplacementMatrix, n: int) -> ExactDistribution:
-    """Law of C_n by a forward DP over draw-count vectors k.
+    """Law of C_n by a forward DP over draw-count vectors k, in float.
 
     C_t = C_0 + k^T R depends on the draws only through k, so layer t
     holds the C(t+d-1, d-1) vectors with sum(k) = t and their
-    probabilities.  Arithmetic is exact (Fraction) when the matrix and
-    initial state are small-denominator fractions and n <= 24, float
-    otherwise.  The atoms are the states of layer n with positive mass
-    (a float state below the smallest double is left out).  Raises
+    probabilities: the state k sends p C_t[i] / (t+1) to k + e_i.  The
+    atoms are the states of layer n with positive mass (a mass that
+    underflows to 0 is left out).  Raises
     TooLarge, before any work, when C(n+d-1, d-1) exceeds STATE_BUDGET.
+
+    Rounding.  The law computed is that of the doubles R and C_0 as
+    given: the same recurrence in exact arithmetic on their binary
+    values.  Every term is nonnegative, so the error is relative.  With
+    u = 2^-53 and gamma_k = k u / (1 - k u), a nonnegative sum of exact
+    terms, each carried through at most k roundings (1 + delta),
+    |delta| <= u, equals its exact value times 1 + theta with
+    |theta| <= gamma_k (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., Lemmas 3.1 and 3.3; theta of a sum is a
+    weighted mean of its terms'), and gamma_j + gamma_k + gamma_j
+    gamma_k <= gamma_{j+k}.  One layer costs each term of a flow
+      d + 1  in C_t[i] = C_0[i] + sum_j k_j R[j, i]: one product each
+             (k_j is an exact integer), and a sum of d + 1 terms passes
+             each through at most d additions in any order, BLAS and
+             fused multiply-adds included;
+      2      in the product with p and the division by t + 1;
+      d - 1  where the at most d flows into one state are added (the
+             first lands on an exact zero).
+    By induction every mass of layer n is exact times 1 + theta, |theta|
+    <= gamma_{(2d+2)n}.  exact_tail then adds at most atoms masses one
+    at a time, atoms - 1 further roundings.  ExactDistribution.gamma
+    counts three more, k = (2d+2)n + atoms + 2: those of its own
+    quotient, of 1 + gamma and of tail * (1 + gamma), so that product,
+    evaluated in float, stays at least the tail times 1 + gamma_{k-3}
+    (for gamma < 1/4; STATE_BUDGET keeps k below 2^18).
+    Hence the exact mass or tail lies in [x (1 - gamma), x (1 + gamma)]
+    around the computed x, and so does x around the exact one.  This is
+    the model without underflow: a product or quotient below 2^-1022
+    may be off by an absolute 2^-1075 instead.  The atoms' counts are
+    rounded too (d + 1 roundings); exact_tail counts a near tie in.
     """
     c0 = initial_counts(initial, R)
     d = R.dim
@@ -112,35 +141,24 @@ def exact_distribution(initial, R: ReplacementMatrix, n: int) -> ExactDistributi
         raise TooLarge(f"{states} draw-count states (d = {d}, n = {n}) "
                        f"exceed the budget {STATE_BUDGET}")
 
-    entries = [_as_fraction(x) for x in R.matrix.flat]
-    start = [_as_fraction(x) for x in c0]
-    rational = (n <= FRACTION_HORIZON
-                and all(e is not None for e in entries + start))
-    if rational:
-        from fractions import Fraction
-        rows = np.array(entries, dtype=object).reshape(d, d)
-        c0 = np.array(start, dtype=object)
-        prob = np.array([Fraction(1)], dtype=object)
-    else:
-        rows = R.matrix
-        prob = np.ones(1)
-
+    rows = R.matrix
     K, succ = _layout(d, n)
     # counts of layer t, one row per color: head + (t - S_{d-1}) * R[d-1]
     head = np.ascontiguousarray((c0 + K[:, :-1] @ rows[:-1]).T)
-    drawn = (n - K[:, -1]).astype(rows.dtype)      # S_{d-1}
+    drawn = (n - K[:, -1]).astype(float)           # S_{d-1}
     last = rows[-1][:, None]
+    prob = np.ones(1)
     for t in range(n):
         m = prob.size
         flow = prob * (head[:, :m] + (t - drawn[:m]) * last) / (t + 1)
-        mass = np.zeros(exact_states(d, t + 1), dtype=prob.dtype)
+        mass = np.zeros(exact_states(d, t + 1))
         for i in range(d):
             # k -> k + e_i is one-to-one: no index repeats within a color
             mass[succ[i, :m]] += flow[i]
         prob = mass
 
     kept = prob != 0
-    return ExactDistribution(n, (c0 + K @ rows)[kept], prob[kept], rational)
+    return ExactDistribution(n, (c0 + K @ rows)[kept], prob[kept])
 
 
 def exact_tail(dist: ExactDistribution, v, threshold: float) -> float:
@@ -150,14 +168,14 @@ def exact_tail(dist: ExactDistribution, v, threshold: float) -> float:
     counts as above it, the side on which a bound must still dominate,
     so last-bit rounding of the atom values cannot drop a tie from the
     tail.  The values are built column by column and the masses summed
-    one at a time in state order, so a float law gives the same bits
-    as a loop over the atoms.
+    one at a time in state order, so the sum gives the same bits as a
+    loop over the atoms and carries at most atoms - 1 roundings.
     """
     v = np.asarray(v, dtype=float)
     if dist.atoms.shape[1] != v.size:
         raise DimensionMismatch(
             f"atoms have {dist.atoms.shape[1]} colors, vector {v.size}")
-    value = sum(c.astype(float) * x for c, x in zip(dist.atoms.T, v))
+    value = sum(c * x for c, x in zip(dist.atoms.T, v))
     gap = np.abs(value - threshold)
     hit = ((value >= threshold)
            | (np.isfinite(value) & math.isfinite(threshold)
@@ -239,9 +257,13 @@ class DominanceTable(NamedTuple):
 def dominance_check(reports, truths) -> DominanceTable:
     """Compare bounds against ground truth on an aligned grid.
 
-    Each truth is either an exact probability (float) or an
-    EstimateReport; a row passes when probability <= bound.  Raises
-    GridMismatch when the sequences differ in length.
+    Each truth is an EstimateReport (mode mc, the row passes when
+    p_hat <= bound) or an exact tail (mode exact): a pair (tail, gamma),
+    gamma its relative error bound (ExactDistribution.gamma), or a float
+    without error.  An exact row passes when the upper end of its
+    interval, tail * (1 + gamma), is at most the bound; its probability
+    and margin cells hold the tail.  Raises GridMismatch when the
+    sequences differ in length.
     """
     reports = list(reports)
     truths = list(truths)
@@ -253,10 +275,11 @@ def dominance_check(reports, truths) -> DominanceTable:
         if not isinstance(rep, BoundReport):
             raise TypeError(f"expected BoundReport, got {type(rep)!r}")
         if isinstance(truth, EstimateReport):
-            prob, mode = truth.p_hat, "mc"
+            prob, upper, mode = truth.p_hat, truth.p_hat, "mc"
         else:
-            prob, mode = float(truth), "exact"
-        margin = rep.tail - prob
+            prob, gamma = truth if isinstance(truth, tuple) else (truth, 0.0)
+            prob = float(prob)
+            upper, mode = prob * (1 + gamma), "exact"
         rows.append(DominanceRow(rep.n, rep.t, rep.tail, prob, mode,
-                                 margin, prob <= rep.tail))
+                                 rep.tail - prob, upper <= rep.tail))
     return DominanceTable(rows)

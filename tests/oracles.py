@@ -1,8 +1,12 @@
 """Independent reference implementations used as test oracles.
 
-Everything here is written with plain Python floats and literal loops,
+Everything here is written with plain Python numbers and literal loops,
 deliberately avoiding the vectorized recurrences in the package, so that
-agreement between the two routes is meaningful.  Two exceptions are
+agreement between the two routes is meaningful.  The exact law has two
+references in exact rational arithmetic, path enumeration
+(exact_law_reference) and a DP over draw-count tuples on the exact
+values of the doubles (exact_law_dp_reference); the package's float DP
+must stay within its proven rounding bound of them.  Two exceptions are
 kept verbatim because the package must reproduce their numbers bit for
 bit: simulate_reference, the earlier per-draw trajectory loop (with its
 draw rule _draw), and the draws of replica_chunk_reference, the earlier
@@ -184,31 +188,27 @@ def strong_components_reference(adjacency) -> int:
     return int(ncomp)
 
 
-def exact_law_reference(c0, rows, n: int, rational: bool) -> dict:
-    """Law of C_n by depth-first enumeration of all d^n draw sequences.
+def exact_law_reference(c0, rows, n: int, read=Fraction) -> dict:
+    """Law of C_n by depth-first enumeration of all d^n draw sequences:
+    {counts: mass}, in the arithmetic of read applied to every entry.
 
-    Zero-probability branches are pruned; terminal counts are merged,
-    after rounding to 12 decimals in float mode.  With rational=True
-    every entry is read as a fraction with denominator at most 10^4 and
-    the arithmetic is exact.  O(d^n); only usable for small n.
+    read=Fraction (the default) takes the exact value of each double and
+    is exact.  A read that returns a short fraction, such as 7/10 for
+    0.7, gives the exact law of those fractions.  read=float runs in
+    float and merges counts after rounding them to 12 decimals.
+    Zero-probability branches are pruned.  O(d^n); only usable for
+    small n.
     """
     d = len(c0)
-    if rational:
-        rows = [tuple(Fraction(x).limit_denominator(10_000) for x in row)
-                for row in rows]
-        counts0 = tuple(Fraction(x).limit_denominator(10_000) for x in c0)
-        one, zero = Fraction(1), Fraction(0)
-    else:
-        rows = [tuple(float(x) for x in row) for row in rows]
-        counts0 = tuple(float(x) for x in c0)
-        one, zero = 1.0, 0.0
+    rows = [tuple(read(float(x)) for x in row) for row in rows]
     atoms = {}
-    stack = [(counts0, 0, one)]
+    stack = [(tuple(read(float(x)) for x in c0), 0, read(1.0))]
     while stack:
         counts, t, prob = stack.pop()
         if t == n:
-            key = counts if rational else tuple(round(x, 12) for x in counts)
-            atoms[key] = atoms.get(key, zero) + prob
+            key = (tuple(round(x, 12) for x in counts) if read is float
+                   else counts)
+            atoms[key] = atoms.get(key, 0) + prob
             continue
         for i in range(d):
             if counts[i] == 0:
@@ -216,6 +216,33 @@ def exact_law_reference(c0, rows, n: int, rational: bool) -> dict:
             nxt = tuple(counts[k] + rows[i][k] for k in range(d))
             stack.append((nxt, t + 1, prob * counts[i] / (t + 1)))
     return atoms
+
+
+def exact_law_dp_reference(c0, rows, n: int) -> dict:
+    """Law of C_n by a forward DP over draw-count tuples k, in exact
+    rational arithmetic on the exact value of each double (Fraction(x)):
+    the state k of layer t, with counts C_t = C_0 + k^T R, sends
+    p C_t[i] / (t+1) to k + e_i.  Returns {k: (counts, mass)} for every
+    k with sum(k) = n that some path reaches, zero masses included.
+    """
+    d = len(c0)
+    rows = [[Fraction(float(x)) for x in row] for row in rows]
+    start = [Fraction(float(x)) for x in c0]
+
+    def counts(k):
+        return tuple(start[i] + sum(k[j] * rows[j][i] for j in range(d))
+                     for i in range(d))
+
+    layer = {(0,) * d: Fraction(1)}
+    for t in range(n):
+        nxt = {}
+        for k, p in layer.items():
+            p /= t + 1
+            for i, c in enumerate(counts(k)):
+                e = k[:i] + (k[i] + 1,) + k[i + 1:]
+                nxt[e] = nxt.get(e, 0) + p * c
+        layer = nxt
+    return {k: (counts(k), p) for k, p in layer.items()}
 
 
 def replica_chunk_reference(rows, c0, n: int, m: int, seed_seq,

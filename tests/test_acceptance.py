@@ -99,8 +99,8 @@ def test_criterion_3_exact_dominance():
     dist = exact_distribution(c0, R2, n)
     reports = [statistic_bound(S, [(1.0, XI, LAM2)], n, t, initial=c0)
                for t in T_GRID]
-    truths = [exact_tail(dist, XI, rep.zeroth_shift + n * rep.t)
-              for rep in reports]
+    truths = [(exact_tail(dist, XI, rep.zeroth_shift + n * rep.t),
+               dist.gamma) for rep in reports]
     table = dominance_check(reports, truths)
     elapsed = time.perf_counter() - start
     margin = min(r.margin for r in table.rows)

@@ -556,9 +556,9 @@ SWEEP_TEXT = TWO_COLOR.replace("horizon = 12", "horizons = 8, 12, 16")
 # byte.  RJ's cells are dyadic, R3_FLOAT's need all 17 digits.
 GOLDEN_TABLES = {
     "r2/dominance.csv":
-        "9f676bda32b0c0ff0cf667bd8117a0456682f7b2045dfb23505283bfd496f178",
+        "7ba23bc6ebd1d22ce82dddbcf8ceae40469e0f6540e8e2ebb2842357e95d19f0",
     "r2/dominance.json":
-        "d293521f811fde2cee20aca7a467329922967d3e526ec1bea577dd6776e13148",
+        "36fd51965e5156e95dafe48a2bef6791c82fbb3e6102f9792e6878a785e55022",
     "r3float/expansion.csv":
         "83755ab9762393ba516abd590f1330c216201b592d48ef3a142c206b4edba36c",
     "r3float/expansion.json":

@@ -41,7 +41,7 @@ from urnbound.decomposition import (
     MartingaleExpansion,
     expand,
 )
-from urnbound.spectral import Member
+from urnbound.spectral import ZERO_TOL, Member
 
 from oracles import (
     appendix_reference,
@@ -476,6 +476,16 @@ def test_jordan_decompose_rejects_bad_pair():
         jordan_decompose(traj, XI3, XI2, 0.25)
     with pytest.raises(LambdaOutOfRange):
         jordan_decompose(traj, XI2, XI3, 0.0)
+
+
+@pytest.mark.parametrize("lam", [1e-13, -5e-13, ZERO_TOL, -ZERO_TOL])
+def test_jordan_decompose_rejects_a_lambda_that_rounds_to_zero(lam):
+    # expand routes such a chain to repeated_zero_decompose (Member.zero);
+    # called directly, jordan_decompose must say so, not fail untyped
+    traj = simulate([1.0, 0.0, 0.0], R0, 10, 0)
+    with pytest.raises(LambdaOutOfRange, match="repeated_zero_decompose"):
+        jordan_decompose(traj, Z2, Z3, lam)
+    assert Member(lam, Z3, Z2).zero
 
 
 def test_repeated_zero_harmonic_zeroth():

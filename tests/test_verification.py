@@ -1,7 +1,10 @@
-"""Verification tests: the exact law (against the depth-first oracle),
-Monte Carlo estimates, Wilson limits and the dominance comparison.
+"""Verification tests: the float exact law against the exact law of the
+doubles (the Fraction DP oracle) within its proven gamma, and against
+path enumeration; Monte Carlo estimates, Wilson limits and the dominance
+comparison.
 """
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -26,7 +29,11 @@ from urnbound import (
 
 from urnbound.verification import STATE_BUDGET, exact_states
 
-from oracles import exact_law_reference, wilson_reference
+from oracles import (
+    exact_law_dp_reference,
+    exact_law_reference,
+    wilson_reference,
+)
 
 R2 = validate_matrix([[0.7, 0.3], [0.4, 0.6]])
 C0 = np.array([1.0, 0.0])
@@ -39,24 +46,110 @@ R3_FLOAT = validate_matrix([[0.5772156649, 0.3, 0.1227843351],
                             [0.2, 0.3678794412, 0.4321205588]])
 RS = validate_matrix([[0.5, 0.25, 0.25], [0.25, 0.5, 0.25],
                       [0.25, 0.25, 0.5]])
+U = Fraction(1, 2 ** 53)
+SHORT = 10_000   # largest denominator of a short fraction such as 0.7
+
+
+def gamma(k: int) -> Fraction:
+    """gamma_k = k u / (1 - k u), exactly."""
+    return k * U / (1 - k * U)
+
+
+def short(x) -> Fraction:
+    """The short fraction nearest the double x (0.7 -> 7/10)."""
+    return Fraction(float(x)).limit_denominator(SHORT)
+
+
+def all_short(initial, R) -> bool:
+    """Whether every entry and initial count is the double nearest its
+    short fraction."""
+    return all(float(short(x)) == x for x in [*R.matrix.flat, *initial])
+
+
+def assert_within(x, exact, g):
+    """x and the exact value lie within a relative g of each other, each
+    measured against either one."""
+    x = Fraction(float(x))
+    assert abs(x - exact) <= g * min(x, exact), (float(x), float(exact))
+
+
+def total_defect(R, n: int) -> Fraction:
+    """How far the total mass of the exact law of the doubles can sit
+    from 1, from a unit-mass initial state: each layer scales it by a
+    factor within delta of 1, delta the largest |row sum - 1|, so it is
+    within (1 + delta)^n - 1 <= n delta / (1 - n delta)."""
+    delta = max(abs(sum(map(Fraction, row)) - 1) for row in R.matrix.tolist())
+    assert n * delta < 1
+    return n * delta / (1 - n * delta)
+
+
+def assert_within_gamma(dist, initial, R):
+    """The float law is the exact law of the doubles within its proven
+    gamma: the same positive states, each mass within dist.gamma both
+    ways, each count within gamma_{d+1}; and every tail of two
+    statistics, cut between distinct atom values, within dist.gamma.
+    Returns the oracle's positive states in the DP's state order: by
+    S_{d-1}, then S_{d-2}, .., S_1, with S_j = k_0 + .. + k_{j-1}."""
+    law = exact_law_dp_reference(initial, R.matrix, dist.n)
+    states = sorted((k for k in law if law[k][1] > 0),
+                    key=lambda k: list(accumulate(k[:-1]))[::-1])
+    assert len(states) == len(dist.mass) == len(dist.atoms)
+    g = Fraction(dist.gamma)
+    for k, counts, mass in zip(states, dist.atoms, dist.mass):
+        exact_counts, exact_mass = law[k]
+        assert_within(mass, exact_mass, g)
+        for c, e in zip(counts, exact_counts):
+            assert_within(c, e, gamma(R.dim + 1))
+    d = R.dim
+    for v in (np.eye(d)[0], np.array([1.0, -0.5, 0.25][:d])):
+        value = dist.atoms @ v
+        order = np.argsort(-value, kind="stable")
+        tails = list(accumulate(law[states[i]][1] for i in order))
+        for j, high in enumerate(value[order]):
+            low = value[order[j + 1]] if j + 1 < len(order) else high - 1
+            if high - low > 1e-9 * max(1.0, abs(high)):
+                assert_within(exact_tail(dist, v, (high + low) / 2),
+                              tails[j], g)
+    return states
 
 
 def assert_law_matches(dist, initial, R):
-    """The DP law equals the depth-first oracle: exactly on the Fraction
-    path, within 1e-14 per atom on the float path (summation order
-    differs).  A singular R gives several DP states the same counts, and
-    the oracle merges its keys after rounding to 12 decimals, so both
-    laws are pooled onto the first DP atom within 1e-9 of each key."""
-    ref = exact_law_reference(initial, R.matrix, dist.n, dist.rational)
-    assert len(dist.atoms) == len(dist.mass)
-    if dist.rational:
+    """The DP law is the exact law of the doubles within gamma
+    (assert_within_gamma), and it matches path enumeration.
+
+    When every entry is the double nearest a short fraction (all_short:
+    0.7 for 7/10) the enumeration is the exact law of those fractions,
+    which sums to 1.  The doubles differ from them by a relative u at
+    most, so every count by u and every mass by gamma_n: pooled by the
+    fractions' counts, the float law lies within gamma + gamma_n +
+    gamma gamma_n of it.
+
+    Otherwise it is float enumeration, within 1e-14 per atom (summation
+    order differs).  A singular R gives several DP states the same
+    counts, and that oracle merges its keys after rounding to 12
+    decimals, so both laws are pooled onto the first DP atom within 1e-9
+    of each key.
+    """
+    states = assert_within_gamma(dist, initial, R)
+    if all_short(initial, R):
+        ref = exact_law_reference(initial, R.matrix, dist.n, short)
+        assert sum(ref.values()) == 1
+        rows = [[short(x) for x in row] for row in R.matrix.tolist()]
+        start = [short(x) for x in initial]
         law = {}
-        for counts, prob in zip(map(tuple, dist.atoms.tolist()),
-                                dist.mass.tolist()):
-            law[counts] = law.get(counts, 0) + prob
-        assert law == ref
+        for k, prob in zip(states, dist.mass):
+            key = tuple(start[i] + sum(k[j] * rows[j][i]
+                                       for j in range(R.dim))
+                        for i in range(R.dim))
+            law[key] = law.get(key, 0) + Fraction(float(prob))
+        assert law.keys() == ref.keys()
+        g, gn = Fraction(dist.gamma), gamma(dist.n)
+        for key, prob in ref.items():
+            assert_within(law[key], prob, g + gn + g * gn)
+        assert_within(exact_tail(dist, np.ones(R.dim), -np.inf), 1,
+                      g + gn + g * gn)
         return
-    atoms = dist.atoms.astype(float)
+    atoms = dist.atoms
 
     def home(counts):
         gaps = np.max(np.abs(atoms - counts), axis=1)
@@ -68,7 +161,8 @@ def assert_law_matches(dist, initial, R):
     for counts, prob in zip(atoms, dist.mass):
         first = home(counts)
         pooled[first] = pooled.get(first, 0.0) + prob
-    for key, prob in ref.items():
+    for key, prob in exact_law_reference(initial, R.matrix, dist.n,
+                                         float).items():
         first = home(np.array(key))
         pooled[first] = pooled.get(first, 0.0) - prob
     assert all(abs(diff) <= 1e-14 for diff in pooled.values())
@@ -76,32 +170,43 @@ def assert_law_matches(dist, initial, R):
 
 def test_exact_distribution_one_forced_draw():
     dist = exact_distribution(C0, R2, 1)
-    assert dist.rational
+    assert not dist.rational
     assert len(dist.atoms) == len(dist.mass) == 1
-    assert [float(c) for c in dist.atoms[0]] == [1.7, 0.3]
-    assert dist.mass[0] == 1
+    assert dist.atoms[0].tolist() == [1.7, 0.3]
+    assert dist.mass[0] == 1.0
+    assert_within_gamma(dist, C0, R2)
 
 
 def test_exact_distribution_two_draws():
+    # state order: k = (1, 1), then (2, 0); in float 0.3 + 0.6 is
+    # 0.8999999999999999, so the atoms are compared to within an ulp
     dist = exact_distribution(C0, R2, 2)
-    probs = {tuple(float(c) for c in k): float(p)
-             for k, p in zip(dist.atoms, dist.mass)}
-    assert probs == {(2.4, 0.6): pytest.approx(0.85, abs=1e-15),
-                     (2.1, 0.9): pytest.approx(0.15, abs=1e-15)}
+    np.testing.assert_allclose(dist.atoms, [[2.1, 0.9], [2.4, 0.6]],
+                               rtol=2.0 ** -52, atol=0)
+    np.testing.assert_allclose(dist.mass, [0.15, 0.85], rtol=0, atol=1e-15)
+    assert_within_gamma(dist, C0, R2)
 
 
 def test_exact_distribution_total_probability():
-    dist = exact_distribution(C0, R2, 10)
-    assert dist.rational
-    assert dist.mass.sum() == Fraction(1)
+    # the rows of R2 sum to 1 as decimals, not as doubles: the law of the
+    # doubles sums to 1 within total_defect, the float total within
+    # gamma of that sum, and the law of the decimals sums to 1 exactly
+    n = 10
+    dist = exact_distribution(C0, R2, n)
+    assert not dist.rational
+    total = sum(p for _, p in exact_law_dp_reference(C0, R2.matrix,
+                                                     n).values())
+    assert abs(total - 1) <= total_defect(R2, n)
+    assert_within(exact_tail(dist, E0, -np.inf), total, Fraction(dist.gamma))
+    assert sum(exact_law_reference(C0, R2.matrix, n, short).values()) == 1
 
 
 def test_exact_distribution_float_mode():
-    # an entry that is not a small fraction forces float accumulation
-    R = validate_matrix([[0.38197, 0.61803], [0.5, 0.5]])
-    dist = exact_distribution(C0, R, 6)
+    # entries that are no short fractions: the float law of the doubles
+    dist = exact_distribution(C0, R2_FLOAT, 6)
     assert not dist.rational
     assert dist.mass.sum() == pytest.approx(1.0, abs=1e-12)
+    assert_within_gamma(dist, C0, R2_FLOAT)
 
 
 def test_exact_distribution_guards_path_budget():
@@ -110,7 +215,7 @@ def test_exact_distribution_guards_path_budget():
         exact_distribution(np.array([1.0, 0.0, 0.0]), RJ, 200)
 
 
-@pytest.mark.parametrize("R,initial,n,rational", [
+@pytest.mark.parametrize("R,initial,n,is_short", [
     (R2, [1.0, 0.0], 0, True),
     (R2, [1.0, 0.0], 1, True),
     (R2, [0.0, 1.0], 7, True),
@@ -124,11 +229,24 @@ def test_exact_distribution_guards_path_budget():
     (R3_FLOAT, [1.0, 0.0, 0.0], 9, False),
     (R3_FLOAT, [0.2, 0.3, 0.5], 10, False),
 ])
-def test_exact_distribution_matches_path_enumeration(R, initial, n, rational):
+def test_exact_distribution_matches_path_enumeration(R, initial, n, is_short):
     # d = 3 stops at n = 10: the oracle walks all 3^n draw sequences
     dist = exact_distribution(np.array(initial), R, n)
-    assert dist.rational == rational
+    assert not dist.rational
+    assert all_short(initial, R) == is_short
     assert_law_matches(dist, initial, R)
+
+
+def reversible(data, d: int, integer: bool):
+    """R = D^-1 W with W symmetric and positive: irreducible and
+    reversible; integer weights make most entries short fractions."""
+    entry = (st.integers(1, 9) if integer
+             else st.floats(0.05, 1.0, allow_nan=False))
+    W = np.zeros((d, d))
+    for i in range(d):
+        for j in range(i, d):
+            W[i, j] = W[j, i] = data.draw(entry)
+    return validate_matrix(W / W.sum(axis=1, keepdims=True))
 
 
 @settings(max_examples=40, deadline=None)
@@ -136,21 +254,35 @@ def test_exact_distribution_matches_path_enumeration(R, initial, n, rational):
        integer=st.booleans())
 def test_exact_distribution_matches_oracle_on_reversible_matrices(
         data, d, n, integer):
-    # R = D^-1 W with W symmetric and positive: irreducible and reversible
-    entry = (st.integers(1, 9) if integer
-             else st.floats(0.05, 1.0, allow_nan=False))
-    W = np.zeros((d, d))
-    for i in range(d):
-        for j in range(i, d):
-            W[i, j] = W[j, i] = data.draw(entry)
-    R = validate_matrix(W / W.sum(axis=1, keepdims=True))
+    R = reversible(data, d, integer)
     initial = np.eye(d)[data.draw(st.integers(0, d - 1))]
     dist = exact_distribution(initial, R, n)
     assert_law_matches(dist, initial, R)
-    if dist.rational:
-        assert dist.mass.sum() == 1
+    assert dist.mass.sum() == pytest.approx(1.0, abs=1e-12)
+    # the DP oracle is the exact path enumeration, pooled by counts
+    pooled = {}
+    for counts, prob in exact_law_dp_reference(initial, R.matrix,
+                                               n).values():
+        if prob:
+            pooled[counts] = pooled.get(counts, 0) + prob
+    assert pooled == exact_law_reference(initial, R.matrix, n)
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), n=st.integers(0, 24),
+       family=st.sampled_from(["reversible 2", "reversible 3", "RJ",
+                               "R3_FLOAT", "RS"]))
+def test_float_law_lies_within_gamma_of_the_exact_law(data, n, family):
+    # every mass and tail of the float DP, n <= 24, against the exact law
+    # of the same doubles: the a priori bound of exact_distribution
+    if family.startswith("reversible"):
+        R = reversible(data, int(family[-1]), data.draw(st.booleans()))
     else:
-        assert dist.mass.sum() == pytest.approx(1.0, abs=1e-12)
+        R = {"RJ": RJ, "R3_FLOAT": R3_FLOAT, "RS": RS}[family]
+    weights = data.draw(st.lists(st.integers(0, 4), min_size=R.dim,
+                                 max_size=R.dim).filter(any))
+    initial = np.array(weights) / sum(weights)
+    assert_within_gamma(exact_distribution(initial, R, n), initial, R)
 
 
 @pytest.mark.parametrize("R,initial,structure,n", [
@@ -165,7 +297,8 @@ def test_exact_law_keeps_the_martingale_mean(R, initial, structure, n):
     eigen = decompose(R).structures[structure]
     lam, xi = eigen.value, eigen.vectors[0]
     dist = exact_distribution(np.array(initial), R, n)
-    assert not dist.rational
+    assert abs(Fraction(exact_tail(dist, np.ones(R.dim), -np.inf)) - 1) <= (
+        Fraction(dist.gamma) * (1 + total_defect(R, n)) + total_defect(R, n))
     mean = sum(p * float(np.dot(k, xi))
                for k, p in zip(dist.atoms, dist.mass))
     assert mean == pytest.approx(
@@ -320,6 +453,20 @@ def test_dominance_check_corrupted_bound_fails():
     assert table.rows[0].passed
     assert not table.rows[1].passed
     assert not table.all_pass
+
+
+def test_dominance_check_exact_row_passes_on_its_upper_end():
+    # the cells hold the tail; the verdict reads tail * (1 + gamma)
+    S = decompose(R2)
+    report = statistic_bound(S, [(1.0, np.array([0.75, -1.0]), 0.3)], 5, 0.2)
+    dist = exact_distribution(C0, R2, 5)
+    tail = report.tail / (1 + dist.gamma / 2)
+    assert tail <= report.tail < tail * (1 + dist.gamma)
+    table = dominance_check([report] * 3,
+                            [(tail, dist.gamma), (tail, 0.0), tail])
+    assert [r.passed for r in table.rows] == [False, True, True]
+    assert all(r.mode == "exact" and r.probability == tail
+               and r.margin == report.tail - tail for r in table.rows)
 
 
 def test_dominance_check_mc_mode_uses_p_hat():
