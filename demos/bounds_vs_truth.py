@@ -39,8 +39,7 @@ def exact_mode(n=12):
     dist = exact_distribution(C0, R, n)
     print(f"exact law: {len(dist.atoms)} final states from a DP over "
           f"{n + 1} draw-count layers")
-    reports = [statistic_bound(S, [(1.0, XI, LAM)], n, t, initial=C0)
-               for t in T_GRID]
+    reports = statistic_bound(S, [(1.0, XI, LAM)], n, T_GRID, initial=C0)
     # each tail with its proven relative error: a row passes when
     # tail * (1 + gamma) <= bound
     truths = [(exact_tail(dist, XI, rep.zeroth_shift + n * rep.t),
@@ -49,8 +48,7 @@ def exact_mode(n=12):
 
 
 def mc_mode(n=5_000, replicas=50_000):
-    reports = [statistic_bound(S, [(1.0, XI, LAM)], n, t, initial=C0)
-               for t in T_GRID]
+    reports = statistic_bound(S, [(1.0, XI, LAM)], n, T_GRID, initial=C0)
     thresholds = [rep.zeroth_shift + n * rep.t for rep in reports]
     estimates = tail_estimates(C0, R, n, XI, thresholds, replicas,
                                seed=11, threads=2)
@@ -60,8 +58,7 @@ def mc_mode(n=5_000, replicas=50_000):
 
 def color_mode(n=2_000, replicas=50_000):
     color = 0
-    reports = [color_deviation_bound(S, color, n, t, initial=C0)
-               for t in T_GRID]
+    reports = color_deviation_bound(S, color, n, T_GRID, initial=C0)
     e0 = [1.0, 0.0]
     thresholds = [S.pi[color] * (n + 1) + rep.zeroth_shift + rep.t * (n + 1)
                   for rep in reports]

@@ -42,10 +42,12 @@ def run(root: Path):
         print(f"{command:>9} -> exit {code}: {files}")
 
     verify = json.loads((root / "verify" / "bounds.json").read_text())
+    # one profile per horizon holds what does not depend on t
+    regime = {p["n"]: p["regime"] for p in verify["profiles"]}
     print("\nbound reports from verify:")
     for rep in verify["reports"]:
         print(f"  t={rep['t']:.2f}: tail {rep['tail']:.4e},"
-              f" regime {rep['regime']}")
+              f" regime {regime[rep['n']]}")
 
     print("\ndominance table:")
     print((root / "verify" / "dominance.csv").read_text().rstrip())

@@ -19,6 +19,8 @@ where A, the deterministic part, sums alpha * (growth C_0.v + shift
 C_0.xi2) over the terms.  Reports use s = n*t for eigen-statistics
 (deviation t per draw) and s = (n+1)*t for color counts (deviation t per
 unit of mass), matching the exact threshold conversion between the two.
+A threshold enters only through s, so the bound functions take a grid
+of thresholds and compute c_j, the rate and A once for all of it.
 
 Everything is evaluated in log-space first; reports carry both log_tail
 and tail (tail underflows to exact 0 rather than overflowing).
@@ -62,15 +64,18 @@ def azuma_tail(s: float, c) -> float:
 
 def azuma_log_tail(s: float, c) -> float:
     """Logarithm of azuma_tail; -inf encodes the exact-zero case."""
+    return _log_tail(s, float(np.sum((2.0 * np.asarray(c, float)) ** 2)))
+
+
+def _log_tail(s: float, sum_sq: float) -> float:
+    """-2 s^2 / sum_sq, the log tail at deviation s given sum_j (2 c_j)^2."""
     if s < 0:
         raise ValueError(f"deviation s={s} must be nonnegative")
     if s == 0:
         return 0.0
-    c = np.asarray(c, dtype=float)
-    denom = float(np.sum((2.0 * c) ** 2))
-    if denom == 0.0:
+    if sum_sq == 0.0:
         return -math.inf
-    return -2.0 * s * s / denom
+    return -2.0 * s * s / sum_sq
 
 
 def rate_function(lam: float, n: int) -> tuple[str, float]:
@@ -92,7 +97,8 @@ class BoundReport(NamedTuple):
     n counts draws: the event concerns C_n, deviates by s from its
     deterministic center, and accumulates n increments (j = 0 .. n-1).
     zeroth_shift is the center A (requires the initial state) so callers
-    can translate the centered event into a raw threshold.
+    can translate the centered event into a raw threshold.  The reports
+    of one threshold grid share one increment_bounds array.
     """
 
     n: int
@@ -106,18 +112,6 @@ class BoundReport(NamedTuple):
     log_tail: float
     deviation: float
     zeroth_shift: float | None = None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "t": self.t,
-            "statistic": self.statistic,
-            "increment_bounds": [float(c) for c in self.increment_bounds],
-            "sum_sq": self.sum_sq,
-            "tail": self.tail,
-            "regime": self.regime,
-            "rate_value": self.rate_value,
-        }
 
 
 def _term(S: SpectralDecomposition, alpha: float, member: Member):
@@ -154,11 +148,16 @@ def _checked_member(S: SpectralDecomposition, vector, lam: float) -> Member:
         f"vector is neither an eigenvector nor a chain member for lam={lam}")
 
 
-def _combined_report(members, n, t, s, label, initial) -> BoundReport:
+def _grid_reports(members, n, thresholds, scale, label,
+                  initial) -> list[BoundReport]:
+    """One report per threshold t, at deviation s = scale * t.  The
+    increment bounds, rate and center do not depend on t, so they are
+    computed once for the whole grid."""
     if n < 1:
         raise IndexOrder(f"horizon n={n} must be at least 1")
-    if t < 0:
-        raise ValueError(f"t={t} must be nonnegative")
+    ts = [float(t) for t in thresholds]
+    if any(t < 0 for t in ts):
+        raise ValueError(f"t={min(ts)} must be nonnegative")
     # a lambda = 0 eigenvector never moves, so it sets no rate
     moving = [m.value for _, m in members if m.partner is not None
               or not m.zero]
@@ -176,45 +175,45 @@ def _combined_report(members, n, t, s, label, initial) -> BoundReport:
                 term += alpha * shift * float(c0 @ member.partner)
             center += term
     sum_sq = float(np.sum((2.0 * c) ** 2))
-    log_tail = azuma_log_tail(s, c)
-    tail = math.exp(log_tail)  # exp(-inf) is exactly 0
-    return BoundReport(n=n, t=float(t), statistic=label,
-                       increment_bounds=c, sum_sq=sum_sq, tail=tail,
-                       regime=regime, rate_value=rate_value,
-                       log_tail=log_tail, deviation=float(s),
-                       zeroth_shift=None if c0 is None else float(center))
+    zeroth = None if c0 is None else float(center)
+    log_tails = [_log_tail(scale * t, sum_sq) for t in ts]  # exp(-inf) = 0
+    return [BoundReport(n, t, label, c, sum_sq, math.exp(log_tail), regime,
+                        rate_value, log_tail, scale * t, zeroth)
+            for t, log_tail in zip(ts, log_tails)]
 
 
-def statistic_bound(S: SpectralDecomposition, combo, n: int, t: float,
-                    initial=None) -> BoundReport:
-    """Bound for the centered eigen-combination after n draws.
+def statistic_bound(S: SpectralDecomposition, combo, n: int, thresholds,
+                    initial=None) -> list[BoundReport]:
+    """Bounds for the centered eigen-combination after n draws, one per
+    threshold t of the grid.
 
     combo is a list of (alpha, member) pairs as given by S.terms(), or
     of (alpha, vector, lam) triples; the vector of a triple must be an
     eigenvector or the generalized member of a chain for its lam.  The
     bounded event is sum_i alpha_i (C_n.v_i - A_i) > n*t.  Pass the
-    initial state to have the report carry the total center shift.
+    initial state to have the reports carry the total center shift.
     """
     members = [_term(S, entry[0], entry[1] if len(entry) == 2
                      else _checked_member(S, *entry[1:])) for entry in combo]
-    return _combined_report(members, n, t, float(n) * t, _label(members),
-                            initial)
+    return _grid_reports(members, n, thresholds, float(n), _label(members),
+                         initial)
 
 
-def color_deviation_bound(R, color: int, n: int, t: float,
-                          initial=None) -> BoundReport:
-    """Bound for P(C_n[color] - pi[color]*(n+1) - A > t*(n+1)).
+def color_deviation_bound(R, color: int, n: int, thresholds,
+                          initial=None) -> list[BoundReport]:
+    """Bounds for P(C_n[color] - pi[color]*(n+1) - A > t*(n+1)), one per
+    threshold t of the grid.
 
     The indicator of the color is expanded in the right-vector basis;
     the principal coefficient pi[color] carries the linear growth and the
     remaining members form the bounded martingale.  A is the centering
     shift of those members (reported when the initial state is given).
+    A color outside 0 .. d-1 raises ValueError.
     """
     S = R if isinstance(R, SpectralDecomposition) else decompose(
         R if isinstance(R, ReplacementMatrix) else ReplacementMatrix(np.asarray(R, float)))
-    alphas = (S.alphas[color] if S.alphas is not None
-              else indicator_coefficients(S, color))
-    members = [_term(S, a, m) for a, m in S.terms(alphas)]
+    members = [_term(S, a, m)
+               for a, m in S.terms(indicator_coefficients(S, color))]
     label = (f"color {color} deviation per unit mass; members: "
              + _label(members))
-    return _combined_report(members, n, t, (n + 1.0) * t, label, initial)
+    return _grid_reports(members, n, thresholds, n + 1.0, label, initial)

@@ -9,8 +9,9 @@ bound      deviation-bound reports over the threshold grid -> bounds.json
 verify     bounds against the exact law or Monte Carlo -> dominance file
 sweep      bound + verify over a grid of horizons
 
-Exit codes: 0 success, 1 configuration error, 2 a bad command line,
-complex spectrum or reducible matrix, 3 dominance failure.
+Exit codes: 0 success, 1 configuration error or unwritable --out, 2 a
+bad command line, complex spectrum or reducible matrix, 3 dominance
+failure.
 
 Config files are flat key = value text; lines without '=' are matrix rows
 (comma-separated).  A file whose first non-space character is '{' is
@@ -233,15 +234,8 @@ def resolve_statistic(spec: str, S) -> Statistic:
 def _bound_reports(cfg, S, stat, n, initial) -> list[BoundReport]:
     thresholds = _need(cfg, "thresholds")
     if stat.kind == "color":
-        return [color_deviation_bound(S, stat.index, n, t, initial=initial)
-                for t in thresholds]
-    return [statistic_bound(S, stat.terms, n, t, initial=initial)
-            for t in thresholds]
-
-
-def _raw_threshold(stat, report: BoundReport, n: int) -> float:
-    """Translate the centered event back to a threshold on C_n . vector."""
-    return stat.constant * (n + 1.0) + report.zeroth_shift + report.deviation
+        return color_deviation_bound(S, stat.index, n, thresholds, initial)
+    return statistic_bound(S, stat.terms, n, thresholds, initial)
 
 
 def _initial(cfg, R) -> np.ndarray:
@@ -269,11 +263,17 @@ def _write_table(out_dir, name, fmt, table) -> None:
         write_csv(path, *table)
 
 
-def _write_bounds(out_dir, stat, reports) -> None:
+def _write_bounds(out_dir, stat, grids) -> None:
+    """One profile per horizon (what does not depend on t), then one
+    report per (horizon, threshold)."""
+    profile = ("n", "increment_bounds", "sum_sq", "regime", "rate_value",
+               "zeroth_shift")
     write_json(os.path.join(out_dir, "bounds.json"), {
         "statistic": stat.label,
-        "reports": [r.to_json_dict() for r in reports],
-        "zeroth_shifts": [r.zeroth_shift for r in reports],
+        "profiles": [{k: getattr(grid[0], k) for k in profile}
+                     for grid in grids],
+        "reports": [{k: getattr(r, k) for k in ("n", "t", "statistic", "tail")}
+                    for grid in grids for r in grid],
     })
 
 
@@ -329,7 +329,7 @@ def cmd_bound(cfg, S, args, out_dir) -> int:
     n = _need(cfg, "horizon")
     c0 = _initial(cfg, S.matrix)
     stat = resolve_statistic(cfg.statistic, S)
-    _write_bounds(out_dir, stat, _bound_reports(cfg, S, stat, n, c0))
+    _write_bounds(out_dir, stat, [_bound_reports(cfg, S, stat, n, c0)])
     return 0
 
 
@@ -339,7 +339,9 @@ def _truths(cfg, S, stat, reports, n, c0, threads):
     takes the exact law whenever its state count fits STATE_BUDGET."""
     exact = cfg.mode == "exact" or (
         cfg.mode == "auto" and exact_states(S.matrix.dim, n) <= STATE_BUDGET)
-    thresholds = [_raw_threshold(stat, r, n) for r in reports]
+    # each centered event as a threshold on C_n . vector
+    thresholds = [stat.constant * (n + 1.0) + r.zeroth_shift + r.deviation
+                  for r in reports]
     if exact:
         dist = exact_distribution(c0, S.matrix, n)
         return [(exact_tail(dist, stat.vector, x), dist.gamma)
@@ -353,14 +355,13 @@ def _verify(cfg, S, args, out_dir, horizons) -> int:
     table and one bounds.json; exit 3 if any row fails."""
     c0 = _initial(cfg, S.matrix)
     stat = resolve_statistic(cfg.statistic, S)
-    reports, truths = [], []
+    grids, truths = [], []
     for n in horizons:
-        at_n = _bound_reports(cfg, S, stat, n, c0)
-        reports.extend(at_n)
-        truths.extend(_truths(cfg, S, stat, at_n, n, c0, args.threads))
-    table = dominance_check(reports, truths)
+        grids.append(_bound_reports(cfg, S, stat, n, c0))
+        truths.extend(_truths(cfg, S, stat, grids[-1], n, c0, args.threads))
+    table = dominance_check([r for grid in grids for r in grid], truths)
     _write_table(out_dir, "dominance", args.format, table.table)
-    _write_bounds(out_dir, stat, reports)
+    _write_bounds(out_dir, stat, grids)
     return 0 if table.all_pass else 3
 
 
@@ -450,7 +451,7 @@ def main(argv=None) -> int:
         # the manifest marks a finished run: a failed one writes none
         _write_manifest(args.out, args.command, config_hash, cfg, args)
         return code
-    except (UrnboundError, ValueError) as exc:
+    except (UrnboundError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, (ComplexSpectrum, NotIrreducible)) else 1
     finally:

@@ -20,7 +20,9 @@ summation alone.  The per-kind formulas for each spectral member's
 expansion and bound (member_weights_reference, expansion_reference,
 increment_bounds_reference and center_reference) are the package's
 earlier code, kept verbatim: the one increment model that replaced them
-must reproduce their numbers.  The special-case martingale checks that
+must reproduce their numbers.  So is combined_report_reference, the
+earlier bound for one threshold at a time: a bound over a threshold
+grid must give each threshold its numbers bit for bit.  The special-case martingale checks that
 conditional_means replaced are kept verbatim as well:
 increment_conditional_means (eigenvectors only), the normalized
 defective-case martingale dm_martingale with its dm_step_residuals, and
@@ -37,7 +39,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from urnbound.bounds import spread
+from urnbound.bounds import BoundReport, rate_function, spread
 from urnbound.decomposition import (
     _check_eigenpair,
     _check_jordan_pair,
@@ -46,6 +48,7 @@ from urnbound.decomposition import (
     appendix_zeroth,
     growth_product,
     jordan_weights,
+    member_weights,
     tail_products,
 )
 from urnbound.errors import IndexOrder
@@ -377,6 +380,49 @@ def center_reference(S: SpectralDecomposition, alpha: float, member,
     if xi2 is None:
         return alpha * growth * c0v
     return alpha * (growth * c0v + shift * float(initial @ xi2))
+
+
+def combined_report_reference(S: SpectralDecomposition, terms, n: int,
+                              t: float, s: float, initial) -> BoundReport:
+    """The earlier one-threshold bound of (alpha, member) terms at
+    deviation s, with every increment bound, the rate and the center
+    recomputed for this threshold alone (statistic left empty)."""
+    members = [(float(alpha), m if m.partner is None
+                else m._replace(partner=_bound_partner(S, m)))
+               for alpha, m in terms]
+    if n < 1:
+        raise IndexOrder(f"horizon n={n} must be at least 1")
+    if t < 0:
+        raise ValueError(f"t={t} must be nonnegative")
+    # a lambda = 0 eigenvector never moves, so it sets no rate
+    moving = [m.value for _, m in members if m.partner is not None
+              or not m.zero]
+    lam_star = max(moving) if moving else 0.0
+    regime, rate_value = rate_function(lam_star, max(n - 1, 1))
+    c0 = None if initial is None else np.asarray(initial, dtype=float)
+    c, center = np.zeros(n), 0
+    for alpha, member in members:
+        growth, shift, parts = member_weights(member, n)
+        for w, a, u in parts:
+            c += (abs(alpha) * abs(a) * spread(u)) * w
+        if c0 is not None:
+            term = alpha * growth * float(c0 @ member.vector)
+            if shift:
+                term += alpha * shift * float(c0 @ member.partner)
+            center += term
+    sum_sq = float(np.sum((2.0 * c) ** 2))
+    # the earlier azuma_log_tail(s, c), which summed the same squares
+    if s < 0:
+        raise ValueError(f"deviation s={s} must be nonnegative")
+    denom = float(np.sum((2.0 * c) ** 2))
+    log_tail = (0.0 if s == 0 else -math.inf if denom == 0.0
+                else -2.0 * s * s / denom)
+    tail = math.exp(log_tail)  # exp(-inf) is exactly 0
+    return BoundReport(n=n, t=float(t), statistic="",
+                       increment_bounds=c, sum_sq=sum_sq, tail=tail,
+                       regime=regime, rate_value=rate_value,
+                       log_tail=log_tail, deviation=float(s),
+                       zeroth_shift=None if c0 is None else float(center))
 
 
 # -- the earlier special-case martingale checks --------------------------------

@@ -25,6 +25,7 @@ from urnbound import (
     dominance_check,
     exact_distribution,
     growth_product,
+    indicator_coefficients,
     jordan_chain,
     jordan_weights,
     rate_function,
@@ -40,6 +41,7 @@ from urnbound.spectral import Member
 from oracles import (
     center_reference,
     color_threshold_factor,
+    combined_report_reference,
     expansion_reference,
     increment_bound,
     increment_bounds_reference,
@@ -142,7 +144,7 @@ def test_rate_function_increasing(lam):
 
 def test_statistic_bound_single_member_matches_azuma():
     n, t = 50, 0.2
-    report = statistic_bound(S2, [(1.0, XI, 0.3)], n, t)
+    report, = statistic_bound(S2, [(1.0, XI, 0.3)], n, [t])
     c = 0.3 * spread(XI) * tail_products(0.3, n - 1)
     np.testing.assert_allclose(report.increment_bounds, c, rtol=1e-14)
     assert report.tail == pytest.approx(azuma_tail(n * t, c), rel=1e-12)
@@ -157,16 +159,16 @@ def test_statistic_bound_two_eigenvalues_subadditive():
     lam_a = S23.structures[0].value
     lam_b = S23.structures[1].value
     assert (lam_a, lam_b) == pytest.approx((0.3, -0.2), abs=1e-12)
-    combined = statistic_bound(S23, [(1.0, xi_a, lam_a), (1.0, xi_b, lam_b)],
-                               n, t)
-    only_a = statistic_bound(S23, [(1.0, xi_a, lam_a)], n, t)
-    only_b = statistic_bound(S23, [(1.0, xi_b, lam_b)], n, t)
+    combined, = statistic_bound(
+        S23, [(1.0, xi_a, lam_a), (1.0, xi_b, lam_b)], n, [t])
+    only_a, = statistic_bound(S23, [(1.0, xi_a, lam_a)], n, [t])
+    only_b, = statistic_bound(S23, [(1.0, xi_b, lam_b)], n, [t])
     assert combined.sum_sq <= 2.0 * (only_a.sum_sq + only_b.sum_sq) + 1e-12
 
 
 def test_statistic_bound_jordan_member_inflates_increments():
     n = 1000
-    report = statistic_bound(SJ, [(1.0, XIJ3, 0.25)], n, 0.1)
+    report, = statistic_bound(SJ, [(1.0, XIJ3, 0.25)], n, [0.1])
     mixed = XIJ2 + 0.25 * XIJ3
     expect = (spread(mixed) * tail_products(0.25, n - 1)
               + 0.25 * spread(XIJ2) * jordan_weights(0.25, n - 1))
@@ -178,18 +180,25 @@ def test_statistic_bound_jordan_member_inflates_increments():
 
 def test_statistic_bound_rejects_non_member_vector():
     with pytest.raises(NotEigenpair):
-        statistic_bound(S2, [(1.0, np.array([1.0, 1.0]), 0.3)], 10, 0.1)
+        statistic_bound(S2, [(1.0, np.array([1.0, 1.0]), 0.3)], 10, [0.1])
+
+
+def test_bounds_reject_a_negative_threshold_in_the_grid():
+    with pytest.raises(ValueError, match="t=-0.1 must be nonnegative"):
+        statistic_bound(S2, [(1.0, XI, 0.3)], 10, [0.1, -0.1])
+    with pytest.raises(ValueError, match="t=-0.1 must be nonnegative"):
+        color_deviation_bound(S2, 0, 10, [-0.1, 0.2])
 
 
 def test_statistic_bound_rejects_unit_lambda():
     with pytest.raises(LambdaOutOfRange):
-        statistic_bound(S2, [(1.0, np.ones(2), 1.0)], 10, 0.1)
+        statistic_bound(S2, [(1.0, np.ones(2), 1.0)], 10, [0.1])
 
 
 def test_statistic_bound_center_shift():
     n = 20
     c0 = np.array([1.0, 0.0])
-    report = statistic_bound(S2, [(1.0, XI, 0.3)], n, 0.1, initial=c0)
+    report, = statistic_bound(S2, [(1.0, XI, 0.3)], n, [0.1], initial=c0)
     assert report.zeroth_shift == pytest.approx(
         growth_product(0.3, n) * 0.75, rel=1e-13)
 
@@ -198,8 +207,8 @@ def test_statistic_bound_zero_eigenvalue_member_is_constant():
     R = validate_matrix([[0.5, 0.5], [0.5, 0.5]])
     S = decompose(R)
     xi = S.structures[0].vectors[0]
-    report = statistic_bound(S, [(1.0, xi, 0.0)], 30, 0.1,
-                             initial=np.array([1.0, 0.0]))
+    report, = statistic_bound(S, [(1.0, xi, 0.0)], 30, [0.1],
+                              initial=np.array([1.0, 0.0]))
     np.testing.assert_array_equal(report.increment_bounds, np.zeros(30))
     assert report.tail == 0.0                      # event is impossible
     assert report.zeroth_shift == pytest.approx(float(np.array([1, 0]) @ xi))
@@ -212,26 +221,27 @@ def test_color_bound_matches_converted_eigen_bound():
     n, t = 30, 0.1
     factor = color_threshold_factor(S2, 0)
     assert factor == pytest.approx(1.75, rel=1e-13)
-    color = color_deviation_bound(S2, 0, n, t)
-    eigen = statistic_bound(S2, [(1.0, XI, 0.3)], n, t)
+    color, = color_deviation_bound(S2, 0, n, [t])
+    eigen, = statistic_bound(S2, [(1.0, XI, 0.3)], n, [t])
     # same exponent: s/c ratios agree after the conversion
     assert color.tail == pytest.approx(
         azuma_tail((n + 1.0) * t * factor, eigen.increment_bounds), rel=1e-12)
 
 
 def test_color_bound_accepts_raw_rows():
-    a = color_deviation_bound([[0.7, 0.3], [0.4, 0.6]], 0, 25, 0.2)
-    b = color_deviation_bound(S2, 0, 25, 0.2)
+    a, = color_deviation_bound([[0.7, 0.3], [0.4, 0.6]], 0, 25, [0.2])
+    b, = color_deviation_bound(S2, 0, 25, [0.2])
     assert a.tail == pytest.approx(b.tail, rel=1e-13)
 
 
 def test_color_bound_zero_threshold():
-    report = color_deviation_bound(S2, 0, 10, 0.0)
+    report, = color_deviation_bound(S2, 0, 10, [0.0])
     assert report.tail == 1.0
 
 
 def test_color_bound_three_color_uses_both_members():
-    report = color_deviation_bound(SJ, 0, 100, 0.1, initial=[1.0, 0.0, 0.0])
+    report, = color_deviation_bound(SJ, 0, 100, [0.1],
+                                    initial=[1.0, 0.0, 0.0])
     assert report.statistic.startswith("color 0")
     assert "jordan" in report.statistic
     assert report.zeroth_shift is not None
@@ -239,28 +249,45 @@ def test_color_bound_three_color_uses_both_members():
     assert np.all(report.increment_bounds > 0)
 
 
+@pytest.mark.parametrize("color", [-1, 2, 5])
+def test_color_bound_rejects_color_out_of_range(color):
+    # a negative color must not wrap around to the last one
+    with pytest.raises(ValueError, match="out of range"):
+        color_deviation_bound(S2, color, 10, [0.1])
+
+
 def test_color_threshold_factor_requires_two_colors():
     with pytest.raises(ValueError):
         color_threshold_factor(SJ, 0)
 
 
-def test_bound_report_json_fields():
-    report = statistic_bound(S2, [(1.0, XI, 0.3)], 10, 0.1)
-    payload = report.to_json_dict()
-    assert sorted(payload) == ["increment_bounds", "n", "rate_value",
-                               "regime", "statistic", "sum_sq", "t", "tail"]
-    assert payload["n"] == 10
-    assert len(payload["increment_bounds"]) == 10
+def test_bound_reports_share_one_profile():
+    # everything but t, deviation and the tail is the same for the grid,
+    # down to one increment_bounds array
+    reports = statistic_bound(S2, [(1.0, XI, 0.3)], 10, [0.1, 0.2, 0.0],
+                              initial=[1.0, 0.0])
+    assert [(r.t, r.deviation) for r in reports] == [
+        (0.1, 10 * 0.1), (0.2, 10 * 0.2), (0.0, 0.0)]
+    first = reports[0]
+    assert len(first.increment_bounds) == 10
+    for r in reports:
+        assert r.increment_bounds is first.increment_bounds
+        assert (r.n, r.statistic, r.sum_sq, r.regime, r.rate_value,
+                r.zeroth_shift) == (first.n, first.statistic, first.sum_sq,
+                                    first.regime, first.rate_value,
+                                    first.zeroth_shift)
+    assert reports[2].tail == 1.0
+    assert statistic_bound(S2, [(1.0, XI, 0.3)], 10, []) == []
 
 
 def test_bound_report_monotone_in_t():
-    tails = [statistic_bound(S2, [(1.0, XI, 0.3)], 40, t).tail
-             for t in (0.0, 0.1, 0.2, 0.3)]
+    tails = [r.tail for r in statistic_bound(S2, [(1.0, XI, 0.3)], 40,
+                                             (0.0, 0.1, 0.2, 0.3))]
     assert all(a >= b for a, b in zip(tails, tails[1:]))
 
 
 def _report():
-    return statistic_bound(S2, [(1.0, XI, 0.3)], 10, 0.1)
+    return statistic_bound(S2, [(1.0, XI, 0.3)], 10, [0.1])[0]
 
 
 # record type -> (a factory for one, a field to assign)
@@ -292,8 +319,9 @@ def test_statistic_bound_model_pairs_match_checked_triples(S):
     # classified by it; both must bound the same combination identically
     terms = S.terms(S.alphas[0])
     triples = [(a, m.vector, m.value) for a, m in terms]
-    a = statistic_bound(S, terms, 25, 0.2, initial=np.eye(S.matrix.dim)[0])
-    b = statistic_bound(S, triples, 25, 0.2, initial=np.eye(S.matrix.dim)[0])
+    a, = statistic_bound(S, terms, 25, [0.2], initial=np.eye(S.matrix.dim)[0])
+    b, = statistic_bound(S, triples, 25, [0.2],
+                         initial=np.eye(S.matrix.dim)[0])
     np.testing.assert_array_equal(a.increment_bounds, b.increment_bounds)
     assert (a.tail, a.zeroth_shift, a.statistic) == (
         b.tail, b.zeroth_shift, b.statistic)
@@ -329,7 +357,7 @@ def test_bound_and_expansion_agree_for_every_member(name, k):
     d = S.matrix.dim
     for n, seed in [(1, 0), (1, 1)] + [(200, seed) for seed in range(5)]:
         c0 = np.full(d, 1.0 / d) if seed % 2 else np.eye(d)[0]
-        report = statistic_bound(S, [(1.0, member)], n, 0.1, initial=c0)
+        report, = statistic_bound(S, [(1.0, member)], n, [0.1], initial=c0)
         exp = expand(simulate(c0, S.matrix, n, seed), member)
         if member.partner is None:
             zeroth = exp.zeroth
@@ -373,8 +401,8 @@ def test_member_matches_the_per_kind_reference(name, k):
         for c0 in (np.eye(d)[0], np.full(d, 1.0 / d)):
             for alpha in (1.0, -0.7):
                 exact = eigen or (member.zero and alpha == 1.0)
-                report = statistic_bound(S, [(alpha, member)], n, 0.1,
-                                         initial=c0)
+                report, = statistic_bound(S, [(alpha, member)], n, [0.1],
+                                          initial=c0)
                 same(report.increment_bounds,
                      increment_bounds_reference(S, alpha, member, n), exact)
                 same(report.zeroth_shift,
@@ -434,3 +462,49 @@ def test_conditional_means_follow_the_formula_off_balance(name, k):
         path = traj.statistic(u)[:300]
         scale = np.maximum(1.0, np.abs(path)) / times
         assert np.all(np.abs(row + a * path / times ** 2) <= 1e-12 * scale)
+
+
+@pytest.mark.parametrize("name", MEMBER_MATRICES)
+def test_grid_reports_match_the_one_threshold_reference(name):
+    # a grid call gives every threshold the numbers of the earlier
+    # one-threshold bound, bit for bit, for eigen and color statistics
+    S = decompose(validate_matrix(MEMBER_MATRICES[name]))
+    d = S.matrix.dim
+    ts = [0.0, 0.05, 0.1, 0.3, 2.0]
+    for n in (1, 200):
+        for c0 in (None, np.eye(d)[0], np.full(d, 1.0 / d)):
+            cases = [(statistic_bound(S, [(alpha, m)], n, ts, initial=c0),
+                      [(alpha, m)], float(n))
+                     for m in S.members for alpha in (1.0, -0.7)]
+            cases += [(color_deviation_bound(S, color, n, ts, initial=c0),
+                       S.terms(indicator_coefficients(S, color)), n + 1.0)
+                      for color in range(d)]
+            for grid, terms, scale in cases:
+                assert len(grid) == len(ts)
+                for report, t in zip(grid, ts):
+                    ref = combined_report_reference(S, terms, n, t,
+                                                    scale * t, c0)
+                    np.testing.assert_array_equal(report.increment_bounds,
+                                                  ref.increment_bounds)
+                    fields = ("n", "t", "tail", "log_tail", "deviation",
+                              "sum_sq", "zeroth_shift", "regime",
+                              "rate_value")
+                    assert ([getattr(report, f) for f in fields]
+                            == [getattr(ref, f) for f in fields])
+
+
+def test_grid_runs_member_weights_once_per_member(monkeypatch):
+    calls = []
+
+    def counted(member, n):
+        calls.append(n)
+        return member_weights(member, n)
+
+    monkeypatch.setattr("urnbound.bounds.member_weights", counted)
+    ts = [0.01 * k for k in range(10)]
+    reports = color_deviation_bound(SJ, 0, 100, ts, initial=[1, 0, 0])
+    assert len(reports) == 10
+    assert calls == [100] * len(SJ.terms(SJ.alphas[0]))
+    calls.clear()
+    assert len(statistic_bound(S2, [(1.0, XI, 0.3)], 100, ts)) == 10
+    assert calls == [100]

@@ -318,11 +318,48 @@ def test_bound_reports(tmp_path):
     out = tmp_path / "out"
     assert run(["bound", "--config", cfg, "--out", str(out)]) == 0
     payload = json.loads((out / "bounds.json").read_text())
-    assert len(payload["reports"]) == 4
-    report = payload["reports"][0]
-    assert sorted(report) == ["increment_bounds", "n", "rate_value",
-                              "regime", "statistic", "sum_sq", "t", "tail"]
-    assert len(payload["zeroth_shifts"]) == 4
+    assert sorted(payload) == ["profiles", "reports", "statistic"]
+    profile, = payload["profiles"]
+    assert sorted(profile) == ["increment_bounds", "n", "rate_value",
+                               "regime", "sum_sq", "zeroth_shift"]
+    assert profile["n"] == 12 and len(profile["increment_bounds"]) == 12
+    assert [r["t"] for r in payload["reports"]] == [0.1, 0.2, 0.3, 0.4]
+    for report in payload["reports"]:
+        assert sorted(report) == ["n", "statistic", "t", "tail"]
+
+
+def test_bounds_json_writes_the_profile_once(tmp_path):
+    # the increment bounds do not depend on the threshold, so ten
+    # thresholds cost ten short reports, not ten copies of n floats
+    sizes = []
+    for thresholds in ("0.1", ", ".join(f"{0.05 * k:g}" for k in range(10))):
+        cfg = write(tmp_path, TWO_COLOR.replace("horizon = 12",
+                                                "horizon = 5000").replace(
+            "0.1, 0.2, 0.3, 0.4", thresholds))
+        out = tmp_path / str(len(sizes))
+        assert run(["bound", "--config", cfg, "--out", str(out)]) == 0
+        payload = json.loads((out / "bounds.json").read_text())
+        assert len(payload["reports"]) == thresholds.count(",") + 1
+        sizes.append((out / "bounds.json").stat().st_size)
+    assert sizes[0] > 5000 * 10
+    assert sizes[1] - sizes[0] < 2048
+
+
+@pytest.mark.parametrize("where", ["file", "file/sub", "artifact"])
+def test_unwritable_out_exits_1_without_manifest(tmp_path, capsys, where):
+    # --out naming a file, a path below a file, or an artifact path that
+    # cannot be replaced is a typed error, not a traceback
+    cfg = write(tmp_path, TWO_COLOR)
+    (tmp_path / "file").write_text("keep")
+    out = tmp_path / where
+    if where == "artifact":
+        (out / "bounds.json").mkdir(parents=True)
+    assert run(["bound", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert (tmp_path / "file").read_text() == "keep"
+    assert not list(tmp_path.glob("**/manifest.json"))
+    assert not list(tmp_path.glob("**/*.tmp"))
 
 
 def test_verify_exact_two_color(tmp_path):
@@ -404,6 +441,10 @@ def test_sweep_over_horizons(tmp_path):
     lines = (out / "dominance.csv").read_text().splitlines()
     assert len(lines) == 9  # header + 2 horizons x 4 thresholds
     assert {line.split(",")[0] for line in lines[1:]} == {"8", "12"}
+    payload = json.loads((out / "bounds.json").read_text())
+    assert [p["n"] for p in payload["profiles"]] == [8, 12]
+    assert [len(p["increment_bounds"]) for p in payload["profiles"]] == [8, 12]
+    assert [r["n"] for r in payload["reports"]] == [8] * 4 + [12] * 4
 
 
 def test_exit_code_on_config_error(tmp_path):
@@ -607,17 +648,17 @@ def test_table_artifacts_match_golden_hashes(tmp_path):
 # (R3_FLOAT).
 GOLDEN_BOUNDS = {
     "r2/40":
-        "a6f10ef8352a26bd8d31047914688f63657cf2874b0b2ba1935dfe3f48290b64",
+        "92aa998cd0e62e4358995fd6a2f0fe5d88aa57ff5a5465df9148b653d47f85cf",
     "r2/5000":
-        "f31044c3e3409b66c0dc616ab5dd365f2ddde4ba7dec0bce00d114d484300698",
+        "0d6b95a8c8e617fab1ec35c8d27ddbb768d26339f0937fcd54c507b09d5ffc74",
     "r3float/40":
-        "522c05de415e6db70fc16c805380cfd2153cda004ac8caaf70e0e39ab524285d",
+        "f653a998277de8b76f4bb69d4a9e9f46be0600befec689c70c7ad47483478495",
     "r3float/5000":
-        "02d067735de1fe685b2d21f6990475f38c29092153e1abbc1d8e8a8b8311d590",
+        "f54b735207faed35a8df3955cb5af4501eedaf848600378877c4d4b32cb96f8b",
     "rj/40":
-        "de93300eb4215b87fade2d56b33194408235a02aad4c016a30952c985398705e",
+        "db366837aa6c2ef2593dd58baa0957aeae3064d8306cd82250acbc315fca24f9",
     "rj/5000":
-        "fc80f0d0437fba48d33fe6c3ebb09cba0dc57669447d8efc83b945394fa3f57e",
+        "9538255680142115c903acb8cdc7dd62b7c8925dd84c193e0daf559cd0d2044c",
 }
 
 
@@ -654,7 +695,7 @@ def test_bound_run_leaves_unused_modules_unloaded():
             "R = validate_matrix([[0.5772156649, 0.3, 0.1227843351],\n"
             "                     [0.1414213562, 0.6, 0.2585786438],\n"
             "                     [0.2, 0.3678794412, 0.4321205588]])\n"
-            "color_deviation_bound(decompose(R), 0, 40, 0.1)\n"
+            "color_deviation_bound(decompose(R), 0, 40, [0.1])\n"
             "print(sorted(m for m in ('numpy.ma', 'concurrent.futures',\n"
             "                         'statistics', 'dataclasses',\n"
             "                         'fractions') if m in sys.modules))\n")

@@ -315,19 +315,19 @@ def test_bound_dominates_the_exact_lower_tail(R, n):
     S = decompose(R)
     c0 = np.eye(R.dim)[0]
     dist = exact_distribution(c0, R, n)
-    for t in (0.02, 0.05, 0.1, 0.2, 0.3):
-        cases = []
-        for structure in S.structures:
-            member = structure.members[-1]
-            rep = statistic_bound(S, [(1.0, member)], n, t, initial=c0)
+    ts = (0.02, 0.05, 0.1, 0.2, 0.3)
+    cases = []
+    for structure in S.structures:
+        member = structure.members[-1]
+        for rep in statistic_bound(S, [(1.0, member)], n, ts, initial=c0):
             cases.append((member.vector, rep.zeroth_shift, rep))
-        for color in range(R.dim):
-            rep = color_deviation_bound(S, color, n, t, initial=c0)
+    for color in range(R.dim):
+        for rep in color_deviation_bound(S, color, n, ts, initial=c0):
             cases.append((np.eye(R.dim)[color],
                           S.pi[color] * (n + 1.0) + rep.zeroth_shift, rep))
-        for v, centre, rep in cases:
-            lower = exact_tail(dist, -v, rep.deviation - centre)
-            assert lower <= rep.tail, (rep.statistic, t)
+    for v, centre, rep in cases:
+        lower = exact_tail(dist, -v, rep.deviation - centre)
+        assert lower <= rep.tail, (rep.statistic, rep.t)
 
 
 def test_exact_tail_infinite_thresholds():
@@ -427,7 +427,7 @@ def test_dominance_check_exact_grid_passes():
     dist = exact_distribution(C0, R2, n)
     shift = growth_product(0.3, n) * 0.75
     ts = [0.1, 0.2, 0.3, 0.4]
-    reports = [statistic_bound(S, [(1.0, xi, 0.3)], n, t) for t in ts]
+    reports = statistic_bound(S, [(1.0, xi, 0.3)], n, ts)
     truths = [exact_tail(dist, xi, shift + n * t) for t in ts]
     table = dominance_check(reports, truths)
     assert table.all_pass
@@ -438,7 +438,7 @@ def test_dominance_check_exact_grid_passes():
 def test_dominance_check_zero_threshold_passes():
     S = decompose(R2)
     xi = np.array([0.75, -1.0])
-    report = statistic_bound(S, [(1.0, xi, 0.3)], 5, 0.0)
+    report, = statistic_bound(S, [(1.0, xi, 0.3)], 5, [0.0])
     table = dominance_check([report], [0.999])
     assert table.rows[0].bound == 1.0
     assert table.all_pass
@@ -447,7 +447,7 @@ def test_dominance_check_zero_threshold_passes():
 def test_dominance_check_corrupted_bound_fails():
     S = decompose(R2)
     xi = np.array([0.75, -1.0])
-    good = statistic_bound(S, [(1.0, xi, 0.3)], 5, 0.2)
+    good, = statistic_bound(S, [(1.0, xi, 0.3)], 5, [0.2])
     bad = good._replace(tail=0.0)
     table = dominance_check([good, bad], [0.01, 0.01])
     assert table.rows[0].passed
@@ -458,7 +458,8 @@ def test_dominance_check_corrupted_bound_fails():
 def test_dominance_check_exact_row_passes_on_its_upper_end():
     # the cells hold the tail; the verdict reads tail * (1 + gamma)
     S = decompose(R2)
-    report = statistic_bound(S, [(1.0, np.array([0.75, -1.0]), 0.3)], 5, 0.2)
+    report, = statistic_bound(S, [(1.0, np.array([0.75, -1.0]), 0.3)], 5,
+                              [0.2])
     dist = exact_distribution(C0, R2, 5)
     tail = report.tail / (1 + dist.gamma / 2)
     assert tail <= report.tail < tail * (1 + dist.gamma)
@@ -472,7 +473,7 @@ def test_dominance_check_exact_row_passes_on_its_upper_end():
 def test_dominance_check_mc_mode_uses_p_hat():
     S = decompose(R2)
     xi = np.array([0.75, -1.0])
-    report = statistic_bound(S, [(1.0, xi, 0.3)], 5, 0.3)
+    report, = statistic_bound(S, [(1.0, xi, 0.3)], 5, [0.3])
     estimate = EstimateReport(replicas=1000, hits=0, p_hat=0.0,
                               ci_upper=0.005)
     table = dominance_check([report], [estimate])
@@ -484,7 +485,7 @@ def test_dominance_check_mc_mode_uses_p_hat():
 def test_dominance_check_grid_mismatch():
     S = decompose(R2)
     xi = np.array([0.75, -1.0])
-    report = statistic_bound(S, [(1.0, xi, 0.3)], 5, 0.2)
+    report, = statistic_bound(S, [(1.0, xi, 0.3)], 5, [0.2])
     with pytest.raises(GridMismatch):
         dominance_check([report], [0.1, 0.2])
 
@@ -492,7 +493,7 @@ def test_dominance_check_grid_mismatch():
 def test_dominance_table_csv(tmp_path):
     S = decompose(R2)
     xi = np.array([0.75, -1.0])
-    report = statistic_bound(S, [(1.0, xi, 0.3)], 5, 0.2)
+    report, = statistic_bound(S, [(1.0, xi, 0.3)], 5, [0.2])
     table = dominance_check([report], [0.01])
     header, rows = table.table
     assert header == ["n", "t", "bound", "probability", "mode", "margin",
