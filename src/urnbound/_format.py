@@ -4,17 +4,21 @@ Every number is written with the digits fmt() gives it: floats at 17
 significant digits, so a rerun with the same seed produces byte-identical
 files and every value round-trips exactly.  Scalars and reports go
 through fmt() one value at a time.  A table is held as its columns
-(Rows) and each of its rows is rendered by one `%` template, built once
+(Rows) and each of its rows is rendered by one `%` template, built
 from the column types: `%.17g` for a float column, `%d` for an int column
 or a range.  Both are bit-equal to fmt(): `'%.17g' % x` and
 `format(x, '.17g')` make the same PyOS_double_to_string call for a
 double, and `'%d' % k == str(k)` for a Python int.  A float column is
-checked once with np.isfinite, where fmt() checks each value.  The cells
+checked with np.isfinite, where fmt() checks each value.  The cells
 no column template covers (strings, None) still go through fmt() one by
-one.  render_json() writes a list of Python floats the same way, with
-one `%.17g` template and one finiteness check for the whole list.  A
-file is written to a temporary sibling and moved into place when
-complete, so a write that fails leaves no partial artifact.
+one.  render_json() writes a list of Python floats, or a float array,
+the same way, with one `%.17g` template.  Tables and float lists are
+rendered and written _BLOCK_ROWS rows or items at a time, each block
+checked and converted to Python scalars on its own, so a write holds
+one block's scalars and text, never a whole column's: the peak memory
+of a run follows its numpy arrays.  A file is written to a temporary
+sibling and moved into place when complete, so a write that fails, in
+any block, leaves no partial artifact.
 """
 from __future__ import annotations
 
@@ -27,6 +31,8 @@ from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
+
+_BLOCK_ROWS = 8192   # table rows or float-list items converted at a time
 
 
 def fmt(x) -> str:
@@ -44,41 +50,64 @@ def fmt(x) -> str:
 
 
 def render_json(obj, indent: int = 0) -> str:
-    """JSON with sorted keys and fmt()-formatted numbers.
+    """JSON with sorted keys and fmt()-formatted numbers: the text
+    write_json() writes, as a string.
 
     Only the types that appear in our reports are supported: dict, list,
     tuple, numpy arrays, strings, numbers, booleans and None.
     """
+    parts = []
+    _dump(parts.append, obj, indent)
+    return "".join(parts)
+
+
+def _dump(write, obj, indent: int) -> None:
+    """Pass the JSON text of obj to write, piece by piece.  A float list
+    or float array goes out _BLOCK_ROWS items at a time (see _column), so
+    it is never converted to Python floats or text as a whole."""
     pad = "  " * indent
     inner = "  " * (indent + 1)
     if obj is None:
-        return "null"
+        write("null")
+        return
     if isinstance(obj, str):
-        return json.dumps(obj)
+        write(json.dumps(obj))
+        return
     if isinstance(obj, (bool, np.bool_, int, np.integer, float, np.floating)):
-        return fmt(obj)
-    if isinstance(obj, np.ndarray):
+        write(fmt(obj))
+        return
+    if isinstance(obj, np.ndarray) and (obj.ndim != 1
+                                        or obj.dtype.kind != "f"):
         obj = obj.tolist()
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        if all(type(v) is float for v in obj):
-            # fmt()'s bytes from one template, finiteness checked once;
-            # fmt() raises on the first non-finite value
-            if not all(map(math.isfinite, obj)):
-                fmt(next(v for v in obj if not math.isfinite(v)))
-            items = map("%.17g".__mod__, obj)
+    if isinstance(obj, (list, tuple, np.ndarray)):
+        if not len(obj):
+            write("[]")
+            return
+        lead, sep = "[\n" + inner, ",\n" + inner
+        if isinstance(obj, np.ndarray) or all(type(v) is float for v in obj):
+            for start in range(0, len(obj), _BLOCK_ROWS):
+                _, values = _column(
+                    np.asarray(obj[start:start + _BLOCK_ROWS]), None)
+                write(lead + sep.join(map("%.17g".__mod__, values)))
+                lead = sep
         else:
-            items = (render_json(v, indent + 1) for v in obj)
-        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
+            for v in obj:
+                write(lead)
+                _dump(write, v, indent + 1)
+                lead = sep
+        write("\n" + pad + "]")
+        return
     if isinstance(obj, dict):
         if not obj:
-            return "{}"
-        items = ",\n".join(
-            f"{inner}{json.dumps(str(k))}: {render_json(v, indent + 1)}"
-            for k, v in sorted(obj.items())
-        )
-        return "{\n" + items + "\n" + pad + "}"
+            write("{}")
+            return
+        lead = "{\n"
+        for k, v in sorted(obj.items()):
+            write(f"{lead}{inner}{json.dumps(str(k))}: ")
+            _dump(write, v, indent + 1)
+            lead = ",\n"
+        write("\n" + pad + "}")
+        return
     raise TypeError(f"unsupported type for JSON output: {type(obj)!r}")
 
 
@@ -158,11 +187,23 @@ def _template(keys, slots) -> str:
         f"    {k}: {s}" for k, s in zip(keys, slots)) + "\n  }"
 
 
+def _blocks(cols, n: int, start: int, keys, cell):
+    """The rows start..n-1 of a table whose every column reaches row
+    start, as one iterator of rendered rows per block of _BLOCK_ROWS
+    rows; a block is checked and converted when it is reached."""
+    for lo in range(start, n, _BLOCK_ROWS):
+        hi = min(lo + _BLOCK_ROWS, n)
+        block = [_column(c[len(c) - n + lo:len(c) - n + hi], cell)
+                 for c in cols]
+        yield map(_template(keys, [slot for slot, _ in block]).__mod__,
+                  zip(*(values for _, values in block)))
+
+
 def _write_rows(fh, header, rows: Rows, as_json: bool) -> None:
     """Stream a table as CSV, or as render_json() of a list of one object
     per row.  Rows that lack a cell (the head, above the first cell of
     the shortest column) are rendered cell by cell, all others by one
-    template."""
+    template per block (_blocks)."""
     n, cols, keys, sep = len(rows), rows.columns, None, ""
     cell, opening, closing = _csv_cell, ",".join(header) + "\n", ""
     empty = opening
@@ -173,12 +214,10 @@ def _write_rows(fh, header, rows: Rows, as_json: bool) -> None:
         cols, sep, cell = rows.columns, ",\n", render_json
         opening, closing, empty = "[\n", "\n]\n", "[]\n"
     head = n - min(map(len, cols), default=n)
-    body = [_column(c[len(c) - (n - head):], cell) for c in cols]
     by_cell = _template(keys, ["%s"] * len(cols))
     lines = chain(
         (by_cell % tuple(map(cell, rows[i])) for i in range(head)),
-        map(_template(keys, [slot for slot, _ in body]).__mod__,
-            zip(*(values for _, values in body))))
+        chain.from_iterable(_blocks(cols, n, head, keys, cell)))
     first = next(lines, None)
     if first is None:
         fh.write(empty)
@@ -210,7 +249,7 @@ def write_json(path, obj) -> None:
         if isinstance(obj, Table):
             _write_rows(fh, *obj, as_json=True)
         else:
-            fh.write(render_json(obj))
+            _dump(fh.write, obj, 0)
             fh.write("\n")
 
 

@@ -24,7 +24,6 @@ negative --seed or --threads below 1 is a configuration error (exit 1).
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import os
@@ -48,6 +47,16 @@ from .verification import (
     exact_tail,
     tail_estimates,
 )
+
+# The builtin SHA-256, as the stdlib random module takes its sha512:
+# hashlib maps OpenSSL (3.5 MiB) only to hash the config file.
+try:
+    from _sha2 import sha256 as _sha256        # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256  # Python 3.10-3.11
+    except ImportError:
+        from hashlib import sha256 as _sha256
 
 
 class ConfigError(UrnboundError):
@@ -173,7 +182,7 @@ def load_config(path: str) -> tuple[ExperimentConfig, str]:
             raw = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
-    return parse_config(raw.decode()), hashlib.sha256(raw).hexdigest()
+    return parse_config(raw.decode()), _sha256(raw).hexdigest()
 
 
 class Statistic(NamedTuple):

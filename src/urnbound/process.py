@@ -74,7 +74,8 @@ class ColorCount(NamedTuple("ColorCount",
         mass = time + 1.0
         if abs(c.sum() - mass) > BALANCE_TOL * mass:
             raise ValueError(
-                f"counts sum to {c.sum()!r}, expected {mass} at time {time}")
+                f"counts sum to {float(c.sum())!r}, expected {mass} "
+                f"at time {time}")
         c.flags.writeable = False
         return super().__new__(cls, c, time)
 

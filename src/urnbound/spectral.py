@@ -91,7 +91,7 @@ def validate_matrix(rows) -> ReplacementMatrix:
     bad = np.argwhere(np.abs(sums - 1.0) > ROW_SUM_TOL)
     if bad.size:
         i = int(bad[0][0])
-        raise RowSumNotOne(f"row {i} sums to {sums[i]!r}, expected 1")
+        raise RowSumNotOne(f"row {i} sums to {float(sums[i])!r}, expected 1")
     m = m / sums[:, None]
     ncomp = _strong_components(m > 0)
     if ncomp != 1:

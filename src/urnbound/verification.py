@@ -14,7 +14,7 @@ tail_estimates() runs seeded Monte Carlo replicas with a one-sided
 Wilson upper confidence limit.  dominance_check() lines the
 probabilities up against BoundReports and flags the margin at every
 grid point; an exact row passes only when the upper end of its rounding
-interval, tail * (1 + gamma), is at most the bound.
+interval, min(1, tail * (1 + gamma)), is at most the bound.
 """
 from __future__ import annotations
 
@@ -161,26 +161,43 @@ def exact_distribution(initial, R: ReplacementMatrix, n: int) -> ExactDistributi
     return ExactDistribution(n, (c0 + K @ rows)[kept], prob[kept])
 
 
-def exact_tail(dist: ExactDistribution, v, threshold: float) -> float:
-    """P(C_n . v > threshold) summed over the exact atoms.
+def _exceeds(value: np.ndarray, threshold: float) -> np.ndarray:
+    """Mask of the values that count as above the threshold: those
+    greater than it and those within a relative TIE_RTOL of it
+    (math.isclose).  A tie counts as above, the side on which a bound
+    must still dominate, so last-bit rounding cannot drop it from a
+    tail.  Both ground truths count exceedances with this one rule.
 
-    An atom within a relative TIE_RTOL of the threshold (math.isclose)
-    counts as above it, the side on which a bound must still dominate,
-    so last-bit rounding of the atom values cannot drop a tie from the
-    tail.  The values are built column by column and the masses summed
-    one at a time in state order, so the sum gives the same bits as a
-    loop over the atoms and carries at most atoms - 1 roundings.
+    A tie below the threshold lies within 2 TIE_RTOL |threshold| of it
+    (|value| <= |threshold| / (1 - TIE_RTOL) there), so only the values
+    within twice that band take the relative test, and a Monte Carlo
+    sample costs boolean masks, not float temporaries.
+    """
+    hit = value >= threshold
+    near = np.flatnonzero(
+        ~hit & (value >= threshold - 4 * TIE_RTOL * abs(threshold)))
+    if near.size:
+        v = value[near]
+        hit[near] = (np.isfinite(v) & math.isfinite(threshold)
+                     & (np.abs(v - threshold)
+                        <= TIE_RTOL * np.maximum(np.abs(v), abs(threshold))))
+    return hit
+
+
+def exact_tail(dist: ExactDistribution, v, threshold: float) -> float:
+    """P(C_n . v > threshold) summed over the exact atoms, an atom near
+    the threshold counting as above it (_exceeds).
+
+    The values are built column by column and the masses summed one at
+    a time in state order, so the sum gives the same bits as a loop over
+    the atoms and carries at most atoms - 1 roundings.
     """
     v = np.asarray(v, dtype=float)
     if dist.atoms.shape[1] != v.size:
         raise DimensionMismatch(
             f"atoms have {dist.atoms.shape[1]} colors, vector {v.size}")
     value = sum(c * x for c, x in zip(dist.atoms.T, v))
-    gap = np.abs(value - threshold)
-    hit = ((value >= threshold)
-           | (np.isfinite(value) & math.isfinite(threshold)
-              & (gap <= TIE_RTOL * np.maximum(np.abs(value),
-                                               abs(threshold)))))
+    hit = _exceeds(value, threshold)
     return float(np.cumsum(dist.mass[hit])[-1]) if hit.any() else 0.0
 
 
@@ -210,14 +227,15 @@ class EstimateReport(NamedTuple):
 
 def tail_estimates(initial, R: ReplacementMatrix, n: int, v, thresholds,
                    replicas: int, seed, threads: int = 1) -> list[EstimateReport]:
-    """Estimates for a whole threshold grid from one shared sample."""
+    """Estimates for a whole threshold grid from one shared sample; a
+    replica counts as a hit by exact_tail's rule (_exceeds)."""
     if replicas < 1_000:
         raise ValueError("need at least 10^3 replicas for a usable estimate")
     sample = simulate_replicas(initial, R, n, replicas, seed,
                                threads=threads).statistics(v)
     out = []
     for x in thresholds:
-        hits = int(np.sum(sample > float(x)))
+        hits = int(np.count_nonzero(_exceeds(sample, float(x))))
         out.append(EstimateReport(replicas, hits, hits / replicas,
                                   wilson_upper(hits, replicas)))
     return out
@@ -261,9 +279,9 @@ def dominance_check(reports, truths) -> DominanceTable:
     p_hat <= bound) or an exact tail (mode exact): a pair (tail, gamma),
     gamma its relative error bound (ExactDistribution.gamma), or a float
     without error.  An exact row passes when the upper end of its
-    interval, tail * (1 + gamma), is at most the bound; its probability
-    and margin cells hold the tail.  Raises GridMismatch when the
-    sequences differ in length.
+    interval, min(1, tail * (1 + gamma)), is at most the bound; its
+    probability and margin cells hold the tail.  Raises GridMismatch
+    when the sequences differ in length.
     """
     reports = list(reports)
     truths = list(truths)
@@ -279,7 +297,8 @@ def dominance_check(reports, truths) -> DominanceTable:
         else:
             prob, gamma = truth if isinstance(truth, tuple) else (truth, 0.0)
             prob = float(prob)
-            upper, mode = prob * (1 + gamma), "exact"
+            # a probability is at most 1, so a tail of 1 passes a bound of 1
+            upper, mode = min(1.0, prob * (1 + gamma)), "exact"
         rows.append(DominanceRow(rep.n, rep.t, rep.tail, prob, mode,
                                  rep.tail - prob, upper <= rep.tail))
     return DominanceTable(rows)

@@ -230,6 +230,17 @@ def test_spectrum_two_color(tmp_path):
     assert "timestamp" not in manifest
 
 
+@pytest.mark.parametrize("text", [TWO_COLOR, TWO_JSON % '"horizon": 12'],
+                         ids=["flat", "json"])
+def test_manifest_hashes_the_config_bytes(tmp_path, text):
+    cfg = write(tmp_path, text)
+    out = tmp_path / "out"
+    assert run(["spectrum", "--config", cfg, "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config_sha256"] == hashlib.sha256(
+        text.encode()).hexdigest()
+
+
 def test_simulate_writes_trajectory(tmp_path):
     cfg = write(tmp_path, TWO_COLOR)
     out = tmp_path / "out"
@@ -500,6 +511,19 @@ def test_exit_code_on_complex_spectrum(tmp_path):
                 "--out", str(tmp_path / "o")]) == 2
 
 
+def test_exact_row_with_a_bound_of_one_passes(tmp_path):
+    # C_5 . xi is 0 on every path of this urn, so the tail at t = 0 and
+    # its bound are both 1; Monte Carlo counts the tie by the same rule
+    frozen = ("0.5, 0.5\n0.5, 0.5\nstatistic = eigen:0\n"
+              "thresholds = 0, 0.1\nhorizon = 5\nreplicas = 1000\n")
+    for mode in ("exact", "mc"):
+        cfg = write(tmp_path, frozen + f"mode = {mode}\n", f"{mode}.cfg")
+        out = tmp_path / mode
+        assert run(["verify", "--config", cfg, "--out", str(out)]) == 0
+        assert (out / "dominance.csv").read_text().splitlines()[1] == (
+            f"5,0,1,1,{mode},0,true")
+
+
 def test_exit_code_on_dominance_failure(tmp_path, monkeypatch):
     # force an impossible truth to exercise the failure path
     cfg = write(tmp_path, TWO_COLOR)
@@ -688,7 +712,11 @@ def test_import_leaves_scipy_unloaded():
     assert proc.stdout.strip() == "[]"
 
 
-def test_bound_run_leaves_unused_modules_unloaded():
+def test_bound_run_leaves_unused_modules_unloaded(tmp_path):
+    # an exact sweep draws no random numbers, so nothing maps OpenSSL
+    # (_hashlib): the config hash is the builtin SHA-256
+    argv = ["sweep", "--config", write(tmp_path, SWEEP_TEXT),
+            "--out", str(tmp_path / "out")]
     code = ("import sys, urnbound.cli\n"
             "from urnbound import (color_deviation_bound, decompose,\n"
             "                      validate_matrix)\n"
@@ -696,9 +724,11 @@ def test_bound_run_leaves_unused_modules_unloaded():
             "                     [0.1414213562, 0.6, 0.2585786438],\n"
             "                     [0.2, 0.3678794412, 0.4321205588]])\n"
             "color_deviation_bound(decompose(R), 0, 40, [0.1])\n"
+            f"assert urnbound.cli.main({argv!r}) == 0\n"
             "print(sorted(m for m in ('numpy.ma', 'concurrent.futures',\n"
             "                         'statistics', 'dataclasses',\n"
-            "                         'fractions') if m in sys.modules))\n")
+            "                         'fractions', '_hashlib')\n"
+            "             if m in sys.modules))\n")
     proc = subprocess.run([sys.executable, "-c", code],
                           capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "[]"

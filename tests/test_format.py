@@ -3,11 +3,13 @@ against fmt()."""
 import os
 import struct
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from urnbound import _format
 from urnbound._format import columns, fmt, render_json, write_csv, write_json
 
 # Values where shortest-repr and 17-digit rendering are easiest to get
@@ -87,6 +89,27 @@ def test_float_list_renders_like_each_item(values, indent):
                                                                   indent)
 
 
+@pytest.mark.parametrize("n", [0, 1, 7, 8, 30])
+def test_blocks_join_seamlessly(monkeypatch, n):
+    # seven rows or items a block: every block edge and a partial last
+    # block, checked against fmt() of each cell and each item
+    monkeypatch.setattr(_format, "_BLOCK_ROWS", 7)
+    x = np.linspace(-1.0, 2.0, n) / 3
+    k = np.arange(n, dtype=np.int64) * -7
+    header, short = ["x", "k", "d"], np.arange(max(n - 1, 0))
+    assert _written(write_csv, "t.csv", *columns(header, x, k, short)) == (
+        "x,k,d\n" + "".join(
+            f"{fmt(a)},{fmt(b)},{'' if i == 0 else fmt(short[i - 1])}\n"
+            for i, (a, b) in enumerate(zip(x, k))))
+    cells = [dict(zip(header, (a, b, None if i == 0 else short[i - 1])))
+             for i, (a, b) in enumerate(zip(x.tolist(), k.tolist()))]
+    assert _written(write_json, "t.json", columns(header, x, k, short)) == (
+        render_json(cells) + "\n")
+    for values in (x, x.tolist()):
+        assert render_json(values, 1) == (_render_items(x.tolist(), 1)
+                                          if n else "[]")
+
+
 @pytest.mark.parametrize("values", [
     [1, 2.5, True], [2.5, None, -0.0], [np.float64(0.1), 0.2],
     [2.5, [1.0, -0.0]], [0.5, "x"], [2.0 ** 53 + 1, 1],
@@ -125,6 +148,43 @@ def test_non_finite_column_fails_the_table_write(tmp_path, bad, suffix):
         write()
     assert path.read_text() == "kept\n"
     assert list(tmp_path.iterdir()) == [path]
+
+
+@pytest.mark.parametrize("kind", ["csv", "json", "list", "array"])
+def test_non_finite_value_in_a_late_block_leaves_no_file(tmp_path, kind):
+    # at item 20,000 the first blocks are already written when it fails
+    values = np.arange(30_000.0)
+    values[20_000] = np.nan
+    path = str(tmp_path / "t")
+    with pytest.raises(ValueError, match="non-finite value in output: nan"):
+        if kind == "csv":
+            write_csv(path, *columns(["x"], values))
+        elif kind == "json":
+            write_json(path, columns(["x"], values))
+        else:
+            write_json(path, {"n": 3, "values": values if kind == "array"
+                              else values.tolist()})
+    assert list(tmp_path.iterdir()) == []  # no artifact, no temporary
+
+
+def test_writers_hold_one_block_not_the_whole_column(tmp_path):
+    # the text and Python floats of a 10^5-row table (or a 2^18-item
+    # array) take over 15 MiB; the writers hold one block of each
+    rng = np.random.default_rng(0)
+    table = columns([f"c{j}" for j in range(5)],
+                    *rng.standard_normal((5, 100_000)))
+    profile = {"n": 1 << 18, "increment_bounds": rng.random(1 << 18)}
+    writes = [lambda: write_csv(str(tmp_path / "t.csv"), *table),
+              lambda: write_json(str(tmp_path / "t.json"), table),
+              lambda: write_json(str(tmp_path / "b.json"), profile)]
+    for write in writes:
+        tracemalloc.start()
+        try:
+            write()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20
 
 
 def test_rows_read_as_python_scalars():

@@ -35,8 +35,10 @@ THIRD = 1.0 / 3.0
 
 def test_color_count_validates_balance():
     ColorCount(np.array([1.7, 0.3]), 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as err:
         ColorCount(np.array([1.7, 0.4]), 1)
+    # a plain float, not numpy 2's np.float64(...) repr
+    assert str(err.value) == "counts sum to 2.1, expected 2.0 at time 1"
     with pytest.raises(ValueError):
         ColorCount(np.array([2.1, -0.1]), 1)
 

@@ -53,8 +53,10 @@ def test_validate_rejects_identity_as_reducible():
 
 
 def test_validate_rejects_bad_row_sum():
-    with pytest.raises(RowSumNotOne):
+    with pytest.raises(RowSumNotOne) as err:
         validate_matrix([[0.5, 0.6], [0.4, 0.6]])
+    # a plain float, not numpy 2's np.float64(...) repr
+    assert str(err.value) == "row 0 sums to 1.1, expected 1"
 
 
 def test_validate_rejects_negative_entry():

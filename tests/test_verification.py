@@ -3,6 +3,7 @@ doubles (the Fraction DP oracle) within its proven gamma, and against
 path enumeration; Monte Carlo estimates, Wilson limits and the dominance
 comparison.
 """
+import math
 from fractions import Fraction
 from itertools import accumulate
 
@@ -27,7 +28,12 @@ from urnbound import (
     wilson_upper,
 )
 
-from urnbound.verification import STATE_BUDGET, exact_states
+from urnbound.verification import (
+    STATE_BUDGET,
+    TIE_RTOL,
+    _exceeds,
+    exact_states,
+)
 
 from oracles import (
     exact_law_dp_reference,
@@ -420,6 +426,35 @@ def test_tail_estimates_share_one_sample():
     assert reps[0].p_hat >= reps[1].p_hat >= reps[2].p_hat
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                 st.sampled_from([0.0, 21.0, -21.0, 1e-310, 5e-324, 1e300,
+                                  -1e-300, float("inf"), float("-inf")])))
+def test_exceedance_mask_is_the_isclose_rule(t):
+    # values from well outside to well inside the tie band on both sides
+    steps = np.concatenate([np.arange(-60, 61) * 1e-13, [-1e-9, 1e-9]])
+    with np.errstate(over="ignore"):   # near the largest double
+        values = np.concatenate([
+            t * (1 + steps), t + steps, np.nextafter(t, [-np.inf, np.inf]),
+            [t, -t, 0.0, np.nan, np.inf, -np.inf]])
+    expected = [bool(v >= t) or (math.isfinite(v) and math.isfinite(t)
+                                 and math.isclose(v, t, rel_tol=TIE_RTOL))
+                for v in values.tolist()]
+    assert _exceeds(values, t).tolist() == expected
+
+
+def test_both_ground_truths_count_a_tie_as_above():
+    # C_n . (1, 1) = n + 1 on every path of this urn, exactly in float
+    R = validate_matrix([[0.5, 0.5], [0.5, 0.5]])
+    n, ones = 20, np.ones(2)
+    dist = exact_distribution(C0, R, n)
+    for x, expected in [(21.0, 1.0), (21.0 * (1 + 1e-13), 1.0),
+                        (21.0 * (1 + 1e-9), 0.0)]:
+        est, = tail_estimates(C0, R, n, ones, [x], 1000, seed=0)
+        assert exact_tail(dist, ones, x) == expected
+        assert est.p_hat == expected
+
+
 def test_dominance_check_exact_grid_passes():
     xi = np.array([0.75, -1.0])
     S = decompose(R2)
@@ -468,6 +503,18 @@ def test_dominance_check_exact_row_passes_on_its_upper_end():
     assert [r.passed for r in table.rows] == [False, True, True]
     assert all(r.mode == "exact" and r.probability == tail
                and r.margin == report.tail - tail for r in table.rows)
+
+
+def test_dominance_check_exact_tail_of_one_passes_a_bound_of_one():
+    # a probability is at most 1: the interval's upper end is capped there
+    S = decompose(R2)
+    report, = statistic_bound(S, [(1.0, np.array([0.75, -1.0]), 0.3)], 5,
+                              [0.0])
+    assert report.tail == 1.0
+    gamma = exact_distribution(C0, R2, 5).gamma
+    assert dominance_check([report], [(1.0, gamma)]).all_pass
+    assert not dominance_check([report._replace(tail=0.5)],
+                               [(0.5, gamma)]).all_pass
 
 
 def test_dominance_check_mc_mode_uses_p_hat():
