@@ -714,10 +714,15 @@ def test_import_leaves_scipy_unloaded():
 
 def test_bound_run_leaves_unused_modules_unloaded(tmp_path):
     # an exact sweep draws no random numbers, so nothing maps OpenSSL
-    # (_hashlib): the config hash is the builtin SHA-256
+    # (_hashlib): the config hash is the builtin SHA-256.  The writer's
+    # table of powers of ten is built from ints (no fractions, no
+    # decimal) when a float column first takes the numpy path, not on
+    # import, and the sweep's short columns never take it
     argv = ["sweep", "--config", write(tmp_path, SWEEP_TEXT),
             "--out", str(tmp_path / "out")]
     code = ("import sys, urnbound.cli\n"
+            "from urnbound import _format\n"
+            "assert _format._decades.cache_info().currsize == 0\n"
             "from urnbound import (color_deviation_bound, decompose,\n"
             "                      validate_matrix)\n"
             "R = validate_matrix([[0.5772156649, 0.3, 0.1227843351],\n"
@@ -725,9 +730,11 @@ def test_bound_run_leaves_unused_modules_unloaded(tmp_path):
             "                     [0.2, 0.3678794412, 0.4321205588]])\n"
             "color_deviation_bound(decompose(R), 0, 40, [0.1])\n"
             f"assert urnbound.cli.main({argv!r}) == 0\n"
+            "assert _format._decades.cache_info().currsize == 0\n"
+            "_format._decades()\n"
             "print(sorted(m for m in ('numpy.ma', 'concurrent.futures',\n"
             "                         'statistics', 'dataclasses',\n"
-            "                         'fractions', '_hashlib')\n"
+            "                         'fractions', 'decimal', '_hashlib')\n"
             "             if m in sys.modules))\n")
     proc = subprocess.run([sys.executable, "-c", code],
                           capture_output=True, text=True, check=True)

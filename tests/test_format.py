@@ -1,9 +1,11 @@
 """Table rendering: what columns() tables write, checked cell by cell
 against fmt()."""
+import math
 import os
 import struct
 import tempfile
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -89,11 +91,37 @@ def test_float_list_renders_like_each_item(values, indent):
                                                                   indent)
 
 
+@settings(max_examples=300, deadline=None)
+@given(numeric_columns(), st.booleans())
+def test_numpy_path_matches_fmt_of_every_cell(cols, short):
+    # the tables above, with every column of one cell or more on the
+    # numpy path, and each float column as a JSON float array
+    header = [f"c{len(cols) - j}" for j in range(len(cols))]
+    if short and len(cols[-1]):
+        cols[-1] = cols[-1][1:]
+    n = max(map(len, cols))
+    cells = [[None] * (n - len(c)) + c.tolist() for c in cols]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_format, "_FEW_CELLS", 1)
+        text = _written(write_csv, "t.csv", *columns(header, *cols))
+        assert text.splitlines() == [",".join(header)] + [
+            ",".join("" if x is None else fmt(x) for x in row)
+            for row in zip(*cells)]
+        text = _written(write_json, "t.json", columns(header, *cols))
+        assert text == render_json(
+            [dict(zip(header, row)) for row in zip(*cells)]) + "\n"
+        for c in cols:
+            if c.dtype.kind == "f" and len(c):
+                assert render_json(c, 1) == _render_items(c.tolist(), 1)
+
+
 @pytest.mark.parametrize("n", [0, 1, 7, 8, 30])
 def test_blocks_join_seamlessly(monkeypatch, n):
-    # seven rows or items a block: every block edge and a partial last
-    # block, checked against fmt() of each cell and each item
+    # seven rows or items a block, each on the numpy path: every block
+    # edge and a partial last block, checked against fmt() of each cell
+    # and each item
     monkeypatch.setattr(_format, "_BLOCK_ROWS", 7)
+    monkeypatch.setattr(_format, "_FEW_CELLS", 1)
     x = np.linspace(-1.0, 2.0, n) / 3
     k = np.arange(n, dtype=np.int64) * -7
     header, short = ["x", "k", "d"], np.arange(max(n - 1, 0))
@@ -185,6 +213,93 @@ def test_writers_hold_one_block_not_the_whole_column(tmp_path):
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2 ** 20
+
+
+def _ulps(x, k):
+    """x moved k ulps, toward +inf for k > 0."""
+    for _ in range(abs(k)):
+        x = np.nextafter(x, math.copysign(math.inf, k))
+    return x
+
+
+def _tie_halves():
+    """Doubles x = m / 2^f whose scaled value x * 10^(f - 1) = m 5^(f-1) / 2
+    is half an odd integer in [1e16, 1e17): exact ties at 17 digits."""
+    out = []
+    for f in range(2, 26):
+        lo = max(1, -(-2 ** f * 10 ** 17 // 10 ** f))
+        hi = min(2 ** 53, -(-2 ** f * 10 ** 18 // 10 ** f))
+        for m in {(lo + (hi - 1 - lo) * j // 8) | 1 for j in range(9)}:
+            if lo <= m < hi:
+                assert 2 * 10 ** 16 <= m * 5 ** (f - 1) < 2 * 10 ** 17
+                out.append(math.ldexp(m, -f))
+    return out
+
+
+def _near_ties():
+    """Doubles x = m / 2^(q + j) whose scaled value m 5^q / 2^j lies
+    2^-j from a half, j = 50..53: closer than the error in t, so only
+    the tie window's fallback rounds them right."""
+    out = []
+    for q in (22, 23, 24):
+        for j in (50, 51, 52, 53):
+            for r in (2 ** (j - 1) - 1, 2 ** (j - 1) + 1):
+                m = r * pow(5 ** q, -1, 2 ** j) % 2 ** j
+                for m in range(m, 2 ** 53, 2 ** j):
+                    if 10 ** 16 * 2 ** j <= m * 5 ** q < 10 ** 17 * 2 ** j:
+                        out.append(math.ldexp(m, -q - j))
+    return out
+
+
+def _edge_values() -> np.ndarray:
+    powers = np.array([float(f"1e{k}") for k in range(-220, 251)])
+    odd = 2 ** 52 + 1 + 2 * np.linspace(0, 2 ** 51 - 1, 257).astype(np.int64)
+    lo, hi = _format._FAST_MIN, _format._FAST_MAX
+    values = np.concatenate(
+        [_ulps(powers, k) for k in range(-4, 5)]
+        + [odd / 4, _tie_halves(), _near_ties(),
+           [lo, hi, np.nextafter(lo, 0), np.nextafter(hi, np.inf), 0.0,
+            5e-324, 2.2250738585072014e-308, 1.7976931348623157e308]])
+    return np.concatenate([values, -values])
+
+
+def test_decade_edges_and_ties_match_fmt(tmp_path):
+    # every power of ten in the fast domain and its neighbours (where
+    # log10 misses the decade and the 17 digits round up to 10^17), exact
+    # and near ties at the 17th digit, the domain's edges and the values
+    # outside it
+    values = _edge_values()
+    texts = [fmt(v) for v in values.tolist()]
+    assert "1e-28" not in texts and "9.9999999999999997e-29" in texts
+    path = str(tmp_path / "t")
+    write_csv(path, *columns(["x"], values))
+    with open(path) as fh:
+        assert fh.read().splitlines() == ["x"] + texts
+    write_json(path, columns(["x"], values))
+    with open(path) as fh:
+        assert fh.read() == render_json([{"x": v} for v in values.tolist()]
+                                        ) + "\n"
+    assert render_json(values, 1) == _render_items(values.tolist(), 1)
+
+
+def test_zeros_subnormals_and_huge_values_raise_no_warning(tmp_path):
+    # on the numpy path they go to fmt(), so log10 and the split never
+    # see them
+    values = np.tile([0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e308,
+                      -1.7976931348623157e308, 1.5], 10)
+    path = str(tmp_path / "t.csv")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        write_csv(path, *columns(["x"], values))
+        with open(path) as fh:
+            assert fh.read() == "x\n" + "".join(
+                fmt(v) + "\n" for v in values.tolist())
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError,
+                               match=f"non-finite value in output: {bad}"):
+                write_csv(str(tmp_path / "bad.csv"),
+                          *columns(["x"], np.append(values, bad)))
+    assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
 
 
 def test_rows_read_as_python_scalars():
