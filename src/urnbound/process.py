@@ -9,8 +9,10 @@ returns its draws, from which states and statistic paths are rebuilt,
 while simulate_replicas() advances many independent replicas in
 lockstep with vectorized draws.  Replica streams are derived from
 (seed, chunk) via numpy SeedSequence spawn keys, chunks have a fixed
-size, and chunk results are merged in index order, so results are
-deterministic and independent of thread scheduling.
+size, and each chunk writes its own rows of the batch's preallocated
+arrays, so results are deterministic and independent of thread
+scheduling.  The calling thread runs a share of the chunks, and at most
+min(threads, chunks, usable CPUs) threads run, the caller included.
 
 simulate() draws in verified windows.  It holds a frontier f and the
 exact state C_f, guesses the next w draws (draws recomputed by the last
@@ -39,6 +41,7 @@ tests check, and golden hashes pin the streams.
 from __future__ import annotations
 
 import os
+import threading
 from typing import NamedTuple
 
 import numpy as np
@@ -242,9 +245,12 @@ class ReplicaBatch(NamedTuple):
                           self.draws[r].astype(np.int64), (self.seed, r))
 
 
-def _run_chunk(rows: np.ndarray, c0: np.ndarray, n: int, m: int,
-               seed_seq: np.random.SeedSequence, keep_draws: bool):
-    """Advance m replicas by n draws on the stream default_rng(seed_seq).
+def _run_chunk(rows: np.ndarray, c0: np.ndarray, n: int,
+               seed_seq: np.random.SeedSequence, finals: np.ndarray,
+               draws: np.ndarray | None) -> None:
+    """Advance m = len(finals) replicas by n draws on the stream
+    default_rng(seed_seq), writing their final counts into finals (m, d)
+    and, unless draws is None, their drawn colors into draws (m, n).
 
     A balanced urn has C_j = C_0 + k^T R, where k counts the draws of
     each color, so a replica holds only its draw counts: k_c for the
@@ -273,12 +279,9 @@ def _run_chunk(rows: np.ndarray, c0: np.ndarray, n: int, m: int,
     can round below the mass, as in the kernel this one replaced.  The
     final counts differ from n sequential row adds in their last bits,
     and not at all when R is dyadic.
-
-    Returns the final counts (m, d) and, with keep_draws, the drawn colors
-    (m, n) as int16.
     """
     rng = np.random.default_rng(seed_seq)
-    d = rows.shape[0]
+    m, d = finals.shape
     rc = np.cumsum(rows, axis=1)
     gains = (rc[1:, :-1] - rc[0, :-1])[:, :, None]   # gains[c - 1][i]
     cc, rc0 = np.cumsum(c0)[:-1, None], rc[0, :-1, None]
@@ -288,7 +291,6 @@ def _run_chunk(rows: np.ndarray, c0: np.ndarray, n: int, m: int,
     hits = np.empty((d - 1, m), dtype=bool)
     reached_below = list(zip(hits[1:], hits[:-1]))
     take_off = list(zip(step[:-1], step[1:]))
-    draws = np.empty((m, n), dtype=np.int16) if keep_draws else None
     per_call = max(1, _UNIFORM_BYTES // (8 * m))
     uniforms = np.empty((min(per_call, n), m))
     for j0 in range(0, n, per_call):
@@ -311,15 +313,13 @@ def _run_chunk(rows: np.ndarray, c0: np.ndarray, n: int, m: int,
             for drawn, beyond in take_off:
                 drawn -= beyond
             k += step
-            if keep_draws:
+            if draws is not None:
                 hits.sum(axis=0, dtype=np.int16, out=draws[:, j])
     k = np.vstack([n - k.sum(axis=0), k])    # now k_0 .. k_{d-1}
-    finals = np.empty((m, d))
     for col, c0_i, column in zip(finals.T, c0, rows.T):
         col[:] = c0_i + k[0] * column[0]
         for kc, r in zip(k[1:], column[1:]):
             col += kc * r
-    return finals, draws
 
 
 def _usable_cpus() -> int:
@@ -335,29 +335,58 @@ def simulate_replicas(initial, R: ReplacementMatrix, n: int, replicas: int,
                       chunk_size: int = DEFAULT_CHUNK) -> ReplicaBatch:
     """Advance many replicas in lockstep with vectorized draws.
 
-    Chunk c of replicas uses the stream SeedSequence(seed, spawn_key=(c,)),
-    so the result depends only on (seed, replicas, chunk_size), never on
-    thread count or scheduling.  At most min(threads, chunks, usable
-    CPUs) threads run.
+    Chunk c of replicas uses the stream SeedSequence(seed, spawn_key=(c,))
+    and writes its own rows of the final counts (and of the draws), so the
+    result depends only on (seed, replicas, chunk_size), never on thread
+    count or scheduling.  With w = min(threads, chunks, usable CPUs)
+    workers, worker i runs the chunks c = i (mod w): worker 0 is the
+    calling thread, and w - 1 helper threads run the rest.  Raises
+    ValueError, naming the argument, when n < 0, replicas < 1,
+    chunk_size < 1 or threads < 1.
     """
     c0 = initial_counts(initial, R)
-    if replicas < 1:
-        raise ValueError("need at least one replica")
+    for name, value, least in (("n", n, 0), ("replicas", replicas, 1),
+                               ("chunk_size", chunk_size, 1),
+                               ("threads", threads, 1)):
+        if value < least:
+            raise ValueError(f"{name} must be at least {least}, got {value}")
     rows = R.matrix
-    sizes = [min(chunk_size, replicas - s) for s in range(0, replicas, chunk_size)]
-    seqs = [np.random.SeedSequence(seed, spawn_key=(c,)) for c in range(len(sizes))]
-    jobs = [(rows, c0, n, m, ss, keep_draws) for m, ss in zip(sizes, seqs)]
-    # the pool starts a thread per chunk while none is idle, each with its
-    # chunk's working arrays, so more threads than CPUs only cost memory
-    workers = min(threads, len(jobs), _usable_cpus())
-    if workers > 1:
-        # imported here, so a run on one thread never loads it
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda args: _run_chunk(*args), jobs))
-    else:
-        parts = [_run_chunk(*args) for args in jobs]
-    finals = np.vstack([p[0] for p in parts])
-    draws = np.vstack([p[1] for p in parts]) if keep_draws else None
-    return ReplicaBatch(R, c0, n, seed, finals, draws)
+    finals = np.empty((replicas, R.dim))
+    draws = np.empty((replicas, n), dtype=np.int16) if keep_draws else None
+    starts = range(0, replicas, chunk_size)
+    workers = min(threads, len(starts), _usable_cpus())
+    failed = threading.Event()    # a worker raised: the others stop early
+    errors = []
 
+    def work(first: int) -> None:
+        for c in range(first, len(starts), workers):
+            if failed.is_set():
+                return
+            mine = slice(starts[c], starts[c] + chunk_size)
+            _run_chunk(rows, c0, n,
+                       np.random.SeedSequence(seed, spawn_key=(c,)),
+                       finals[mine], None if draws is None else draws[mine])
+
+    def helper(first: int) -> None:
+        try:
+            work(first)
+        except BaseException as exc:    # re-raised by the calling thread
+            failed.set()
+            errors.append(exc)
+
+    helpers = []
+    try:
+        for first in range(1, workers):
+            thread = threading.Thread(target=helper, args=(first,))
+            thread.start()
+            helpers.append(thread)
+        work(0)
+    except BaseException:
+        failed.set()
+        raise
+    finally:
+        for thread in helpers:
+            thread.join()
+    if errors:
+        raise errors[0]
+    return ReplicaBatch(R, c0, n, seed, finals, draws)

@@ -1,8 +1,10 @@
 """Urn process tests: stepping, trajectories, balance, reproducibility,
 draw-law checks and the batched replica runner.
 """
-import concurrent.futures
 import hashlib
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -328,6 +330,15 @@ def test_simulate_history_matches_golden_hash(rows, c0, draws_hash,
     assert _sha256(traj.counts_matrix()) == counts_hash
 
 
+def _chunk(rows, c0, n, m, seed_seq, keep_draws):
+    """_run_chunk on m replicas into fresh outputs, NaN and -1 until
+    written: (final counts, drawn colors or None)."""
+    finals = np.full((m, rows.shape[0]), np.nan)
+    draws = np.full((m, n), -1, dtype=np.int16) if keep_draws else None
+    _run_chunk(rows, c0, n, seed_seq, finals, draws)
+    return finals, draws
+
+
 def _assert_kernel_matches_reference(rows, c0, n, m, seed, keep_draws):
     # the draws equal the row-major kernel's; the counts are exactly
     # c0 + sum_c k_c R[c] in color order, and within the rounding of n
@@ -336,7 +347,7 @@ def _assert_kernel_matches_reference(rows, c0, n, m, seed, keep_draws):
         return np.random.SeedSequence(seed, spawn_key=(3,))
     ref_counts, ref_draws = replica_chunk_reference(rows, c0, n, m, stream(),
                                                     True)
-    counts, draws = _run_chunk(rows, c0, n, m, stream(), keep_draws)
+    counts, draws = _chunk(rows, c0, n, m, stream(), keep_draws)
     if keep_draws:
         np.testing.assert_array_equal(draws, ref_draws, strict=True)
     else:
@@ -421,7 +432,7 @@ def test_replica_kernel_draws_no_empty_color_between_sums_out_of_order():
     rows = np.array([[0.1, 0.1, 0.8], [0.35, 0.4, 0.25], [8 / 13, 0, 5 / 13]])
     c0 = np.array([0.0, 0.0, 1.0])
     rng = _ScriptedUniforms([0.999] * 3 + [1.8461538461538463 / 4])
-    counts, draws = _run_chunk(rows, c0, 4, 3, rng, True)
+    counts, draws = _chunk(rows, c0, 4, 3, rng, True)
     np.testing.assert_array_equal(draws, [[2, 2, 2, 0]] * 3)
     np.testing.assert_array_equal(
         counts, replica_counts_reference(rows, c0, draws), strict=True)
@@ -436,8 +447,8 @@ def test_replica_draw_counts_sum_to_n(data, d, n, m, seed):
     rows = data.draw(_unit_rows(d))
     assume(abs(np.linalg.det(rows)) > 1e-3)
     c0 = np.eye(d)[0]
-    counts, draws = _run_chunk(rows, c0, n, m, np.random.SeedSequence(seed),
-                               True)
+    counts, draws = _chunk(rows, c0, n, m, np.random.SeedSequence(seed),
+                           True)
     k = _draw_counts(rows, c0, counts)
     assert (k >= 0).all()
     assert (k.sum(axis=1) == n).all()
@@ -448,12 +459,13 @@ def test_replica_draw_counts_sum_to_n(data, d, n, m, seed):
 def test_replicas_agree_across_threads_with_a_short_last_chunk():
     R = validate_matrix([[THIRD, THIRD, 1 - 2 * THIRD], [0.1, 0.2, 0.7],
                          [0.3, 0.6, 0.1]])
-    one, three = (simulate_replicas([0.5, 0.5, 0.0], R, 60, 4 * 100 + 37,
+    one, *more = (simulate_replicas([0.5, 0.5, 0.0], R, 60, 4 * 100 + 37,
                                     seed=21, keep_draws=True, threads=t,
-                                    chunk_size=100) for t in (1, 3))
-    np.testing.assert_array_equal(one.final_counts, three.final_counts,
-                                  strict=True)
-    np.testing.assert_array_equal(one.draws, three.draws, strict=True)
+                                    chunk_size=100) for t in (1, 2, 3))
+    for batch in more:
+        np.testing.assert_array_equal(one.final_counts, batch.final_counts,
+                                      strict=True)
+        np.testing.assert_array_equal(one.draws, batch.draws, strict=True)
 
 
 @pytest.mark.parametrize("R,c0", [(R2, [1.0, 0.0]), (RJ, [1.0, 0.0, 0.0])],
@@ -476,29 +488,103 @@ def test_replica_stream_does_not_depend_on_the_uniform_block(monkeypatch,
 
 
 def test_replica_threads_are_capped_at_the_usable_cpus(monkeypatch):
-    # 64 requested threads on 4 chunks and 2 usable CPUs open 2 workers;
-    # the recording pool never starts more than 2 threads itself
-    opened, started = [], []
+    # min(threads, chunks, usable CPUs) threads run chunks, the calling
+    # thread one of them, and the results do not change
+    seen, run_chunk = [], process._run_chunk
 
-    class Recording(concurrent.futures.ThreadPoolExecutor):
-        def __init__(self, max_workers=None, **kwargs):
-            opened.append(max_workers)
-            super().__init__(max_workers=min(max_workers, 2), **kwargs)
+    def recording(*args):
+        seen.append(threading.current_thread())
+        run_chunk(*args)
 
-        def shutdown(self, *args, **kwargs):
-            started.append(len(self._threads))
-            super().shutdown(*args, **kwargs)
+    for threads, chunks, cpus in [(64, 4, 2), (64, 3, 8), (2, 5, 8)]:
+        monkeypatch.undo()
+        one = simulate_replicas([1.0, 0.0], R2, 40, chunks * 25 - 7, seed=3,
+                                keep_draws=True, chunk_size=25)
+        monkeypatch.setattr(process, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(process, "_run_chunk", recording)
+        seen.clear()
+        many = simulate_replicas([1.0, 0.0], R2, 40, chunks * 25 - 7, seed=3,
+                                 keep_draws=True, threads=threads,
+                                 chunk_size=25)
+        assert len(seen) == chunks
+        assert len(set(seen)) == min(threads, chunks, cpus)
+        assert threading.current_thread() in seen
+        np.testing.assert_array_equal(one.final_counts.view(np.uint64),
+                                      many.final_counts.view(np.uint64))
+        np.testing.assert_array_equal(one.draws, many.draws, strict=True)
+
+
+def test_replica_threads_under_frequent_switches_write_the_same_rows(
+        monkeypatch):
+    # 8 threads on 2 cores switch every microsecond while they write 37
+    # chunks of one shared pair of arrays; a row written by the wrong
+    # chunk, or lost, changes the bits
+    args = ([0.25, 0.5, 0.25], RJ, 30, 36 * 25 + 13)
+    one = simulate_replicas(*args, seed=8, keep_draws=True, chunk_size=25)
+    monkeypatch.setattr(process, "_usable_cpus", lambda: 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        start = time.perf_counter()
+        many = simulate_replicas(*args, seed=8, keep_draws=True, threads=8,
+                                 chunk_size=25)
+        seconds = time.perf_counter() - start
+    finally:
+        sys.setswitchinterval(interval)
+    assert seconds < 60
+    np.testing.assert_array_equal(one.final_counts.view(np.uint64),
+                                  many.final_counts.view(np.uint64))
+    np.testing.assert_array_equal(one.draws, many.draws, strict=True)
+
+
+@pytest.mark.parametrize("bad", [0, 1], ids=["caller", "helper"])
+def test_a_failed_chunk_raises_after_every_helper_is_joined(monkeypatch,
+                                                            bad):
+    # chunk 0 runs on the calling thread, chunk 1 on the helper.  The bad
+    # chunk raises once the other thread has entered its chunk, which takes
+    # 200 ms, so a helper that was not joined is still running when
+    # simulate_replicas returns, and the failure is known before either
+    # thread would start another chunk
+    seen, run_chunk, entered = [], process._run_chunk, threading.Event()
+
+    def failing(rows, c0, n, seed_seq, finals, draws):
+        seen.append(threading.current_thread())
+        if seed_seq.spawn_key == (bad,):
+            entered.wait(timeout=10)
+            raise RuntimeError(f"chunk {bad} failed")
+        entered.set()
+        time.sleep(0.2)
+        run_chunk(rows, c0, n, seed_seq, finals, draws)
 
     monkeypatch.setattr(process, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
-    one, many = (simulate_replicas([1.0, 0.0], R2, 40, 4 * 25, seed=3,
-                                   keep_draws=True, threads=t, chunk_size=25)
-                 for t in (1, 64))
-    assert opened == [2]
-    assert started and max(started) <= 2
-    np.testing.assert_array_equal(one.final_counts, many.final_counts,
-                                  strict=True)
-    np.testing.assert_array_equal(one.draws, many.draws, strict=True)
+    monkeypatch.setattr(process, "_run_chunk", failing)
+    with pytest.raises(RuntimeError, match=f"chunk {bad} failed"):
+        simulate_replicas([1.0, 0.0], R2, 10, 6 * 20, seed=4, threads=2,
+                          chunk_size=20)
+    helpers = {t for t in seen if t is not threading.current_thread()}
+    alive = [t for t in helpers if t.is_alive()]
+    for t in alive:     # bounded, so a failing run does not hang
+        t.join(timeout=10)
+    assert len(helpers) == 1
+    assert not alive
+    assert len(seen) == 2    # no chunk started after the failure
+
+
+@pytest.mark.parametrize("name,value", [
+    ("n", -1), ("replicas", 0), ("chunk_size", 0), ("chunk_size", -5),
+    ("threads", 0), ("threads", -2)])
+def test_replica_arguments_are_checked_before_any_work(monkeypatch, name,
+                                                       value):
+    def never(*args):
+        raise AssertionError("a chunk ran")
+
+    monkeypatch.setattr(process, "_run_chunk", never)
+    args = {"n": 10, "replicas": 50, "chunk_size": 20, "threads": 1,
+            name: value}
+    with pytest.raises(ValueError, match=f"^{name} must be at least"):
+        simulate_replicas([1.0, 0.0], R2, args["n"], args["replicas"],
+                          seed=0, threads=args["threads"],
+                          chunk_size=args["chunk_size"])
 
 
 def _assert_simulate_matches_reference(c0, R, n, seed):
