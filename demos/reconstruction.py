@@ -9,11 +9,7 @@ Run with: python3 demos/reconstruction.py
 """
 import numpy as np
 
-from urnbound.decomposition import (
-    conditional_means,
-    jordan_decompose,
-    martingale_decompose,
-)
+from urnbound.decomposition import conditional_means, expand
 from urnbound.process import simulate
 from urnbound.spectral import decompose, validate_matrix
 
@@ -21,21 +17,21 @@ from urnbound.spectral import decompose, validate_matrix
 def simple_case():
     R = validate_matrix([[0.7, 0.3], [0.4, 0.6]])
     S = decompose(R)
-    xi = S.structures[0].vectors[0]
-    lam = S.structures[0].value
+    member, = S.structures[0].members
     traj = simulate([1.0, 0.0], R, 2_000, seed=42)
-    exp = martingale_decompose(traj, xi, lam)
+    exp = expand(traj, member)
+    (zeroth,), ((weights, increments),) = exp.zeroths, exp.parts
     print("== simple eigenvalue ==")
-    print(f"lambda = {lam:g}, n = {traj.n_draws}")
-    print(f"zeroth term      {exp.zeroth:+.12f}")
-    print(f"increment sum    {float(exp.weights @ exp.increments):+.12f}")
+    print(f"lambda = {member.value:g}, n = {traj.n_draws}")
+    print(f"zeroth term      {zeroth:+.12f}")
+    print(f"increment sum    {float(weights @ increments):+.12f}")
     print(f"reconstructed    {exp.reconstructed:+.12f}")
     print(f"actual C_n.xi    {exp.actual:+.12f}")
     print(f"residual         {exp.residual:.2e}")
     partial = exp.partial_sums()
     for j in (0, 9, 99, 999, 1_999):
         print(f"  after step {j + 1:>5}: partial sum {partial[j]:+.6f}")
-    means = conditional_means(traj, S.structures[0].members[0])
+    means = conditional_means(traj, member)
     print(f"max |conditional mean| over all steps: {np.max(np.abs(means)):.2e}")
     print()
 
@@ -46,15 +42,13 @@ def jordan_case():
                          [1 / 4, 1 / 4, 1 / 2]])
     S = decompose(R)
     st = next(s for s in S.structures if s.jordan)
-    xi2, xi3 = st.vectors
     traj = simulate([1.0, 0.0, 0.0], R, 2_000, seed=43)
-    exp = jordan_decompose(traj, xi2, xi3, st.value)
+    exp = expand(traj, st.members[1])        # xi3, with xi2 as its partner
     print("== defective eigenvalue ==")
     print(f"lambda = {st.value:g} (algebraic 2, geometric 1), n = {traj.n_draws}")
-    print(f"zeroth xi3       {exp.zeroth_xi3:+.12f}")
-    print(f"zeroth xi2       {exp.zeroth_xi2:+.12f}")
-    direct = float(exp.direct_weights @ exp.direct_increments)
-    nested = float(exp.nested_weights @ exp.nested_increments)
+    print(f"zeroth xi3       {exp.zeroths[0]:+.12f}")
+    print(f"zeroth xi2       {exp.zeroths[1]:+.12f}")
+    direct, nested = (float(w @ inc) for w, inc in exp.parts)
     print(f"direct sum       {direct:+.12f}")
     print(f"nested sum       {nested:+.12f}")
     print(f"reconstructed    {exp.reconstructed:+.12f}")

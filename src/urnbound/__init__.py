@@ -27,9 +27,6 @@ from .spectral import (
     SpectralDecomposition,
     decompose,
     indicator_coefficients,
-    jordan_chain,
-    real_spectrum,
-    right_eigenvector,
     stationary_vector,
     validate_matrix,
 )
@@ -41,23 +38,18 @@ from .process import (
     simulate_replicas,
 )
 from .decomposition import (
-    JordanExpansion,
-    MartingaleExpansion,
+    Expansion,
     appendix_zeroth,
     conditional_means,
     dn_asymptotic,
     dn_exact,
+    expand,
     growth_product,
-    jordan_decompose,
     jordan_weights,
-    martingale_decompose,
-    repeated_zero_decompose,
     tail_products,
 )
 from .bounds import (
     BoundReport,
-    azuma_log_tail,
-    azuma_tail,
     color_deviation_bound,
     rate_function,
     spread,

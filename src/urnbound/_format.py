@@ -254,6 +254,9 @@ def _int_text(k) -> np.ndarray:
 def _cells(col, cell):
     """What renders one column of a block: its float64 values, which
     _float_text writes in place, or the (n, w) uint8 text of each cell."""
+    if isinstance(col, range) and len(col) >= _FEW_CELLS:
+        # np.asarray would read the range one Python int at a time
+        col = np.arange(col.start, col.stop, col.step)
     array = isinstance(col, np.ndarray)
     if len(col) >= _FEW_CELLS and array and col.dtype.kind == "f":
         finite = np.isfinite(col)
@@ -261,9 +264,8 @@ def _cells(col, cell):
             raise ValueError("non-finite value in output: "
                              f"{float(col[~finite][0])!r}")
         return col.astype(np.float64, copy=False)
-    if len(col) >= _FEW_CELLS and (isinstance(col, range) or array
-                                   and col.dtype.kind in "iu"):
-        return _int_text(np.asarray(col))
+    if len(col) >= _FEW_CELLS and array and col.dtype.kind in "iu":
+        return _int_text(col)
     text = np.array([cell(v).encode() for v in col], bytes)
     return text.view(np.uint8).reshape(len(text), -1)
 

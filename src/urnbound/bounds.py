@@ -53,22 +53,12 @@ def spread(xi) -> float:
     return float(np.max(xi) - np.min(xi))
 
 
-def azuma_tail(s: float, c) -> float:
-    """exp(-2 s^2 / sum_j (2 c_j)^2) for a martingale with |increment_j| <= c_j.
-
-    s = 0 returns 1.  When every c_j is zero the martingale cannot move,
-    so a positive deviation has probability exactly 0.
-    """
-    return math.exp(azuma_log_tail(s, c))  # exp(-inf) is exactly 0
-
-
-def azuma_log_tail(s: float, c) -> float:
-    """Logarithm of azuma_tail; -inf encodes the exact-zero case."""
-    return _log_tail(s, float(np.sum((2.0 * np.asarray(c, float)) ** 2)))
-
-
 def _log_tail(s: float, sum_sq: float) -> float:
-    """-2 s^2 / sum_sq, the log tail at deviation s given sum_j (2 c_j)^2."""
+    """-2 s^2 / sum_sq, the log tail at deviation s given sum_j (2 c_j)^2.
+
+    s = 0 gives 0.  When every c_j is zero the martingale cannot move,
+    so a positive deviation gets -inf: probability exactly 0.
+    """
     if s < 0:
         raise ValueError(f"deviation s={s} must be nonnegative")
     if s == 0:

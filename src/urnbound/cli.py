@@ -326,11 +326,8 @@ def cmd_decompose(cfg, S, args, out_dir) -> int:
         raise ConfigError("decompose needs an eigen:K statistic")
     (_, member), = stat.terms
     exp = expand(simulate(c0, S.matrix, n, cfg.seed), member)
-    summary = {k: v for k, v in exp._asdict().items()
-               if not isinstance(v, np.ndarray)}
-    summary["residual"] = exp.residual
     _write_table(out_dir, "expansion", args.format, exp.table)
-    write_json(os.path.join(out_dir, "decompose.json"), summary)
+    write_json(os.path.join(out_dir, "decompose.json"), exp.summary)
     return 0
 
 

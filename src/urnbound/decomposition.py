@@ -15,9 +15,10 @@ up two extra pieces: a deterministic coefficient on C_0.xi2 given by
 appendix_zeroth(), and nested martingale increments against xi2 carrying
 the weights jordan_weights().  member_weights() holds this for every kind
 of spectral member as one table of parts (w, a, u), each the series
-sum_j w_j * a * (chi_{j+1}.u - C_j.u/(j+1)); the expansions and the
-bounds both read it, and conditional_means() checks the fact they rest
-on: every part's increment has conditional mean zero given the past.
+sum_j w_j * a * (chi_{j+1}.u - C_j.u/(j+1)).  expand() turns it into one
+Expansion record for any member along a trajectory, and the bounds read
+the same table; conditional_means() checks the fact both rest on: every
+part's increment has conditional mean zero given the past.
 All weighted sums of squares needed by the deviation bounds are
 available exactly (dn_exact) and through a proven closed-form envelope
 (dn_asymptotic), which dominates dn_exact for every n.
@@ -106,53 +107,6 @@ def _prefix_products(lam: float, m: int) -> np.ndarray:
     out = np.ones(m + 1)
     out[1:] = np.cumprod(1.0 + lam / np.arange(1, m + 1))
     return out
-
-
-class MartingaleExpansion(NamedTuple):
-    """Exact expansion of C_N.xi for one trajectory of N draws.
-
-    reconstructed = zeroth + weights . increments and must match the
-    simulated statistic `actual` to float accuracy.
-    """
-
-    eigenvalue: float
-    zeroth: float
-    weights: np.ndarray
-    increments: np.ndarray
-    reconstructed: float
-    actual: float
-
-    @property
-    def residual(self) -> float:
-        """|reconstructed - actual| / max(1, |actual|)."""
-        return abs(self.reconstructed - self.actual) / max(1.0, abs(self.actual))
-
-    def partial_sums(self) -> np.ndarray:
-        return self.zeroth + np.cumsum(self.weights * self.increments)
-
-    @property
-    def table(self) -> Table:
-        """(header, rows): one row per draw j with its running sum."""
-        return columns(["j", "weight", "increment", "partial_sum"],
-                       range(self.weights.size), self.weights,
-                       self.increments, self.partial_sums())
-
-
-def _check_eigenpair(traj: Trajectory, xi: np.ndarray, lam: float) -> np.ndarray:
-    xi = np.asarray(xi, dtype=float)
-    resid = np.max(np.abs(traj.matrix.matrix @ xi - lam * xi))
-    if resid > EIGEN_RESID_TOL:
-        raise NotEigenpair(f"||R xi - lam xi|| = {resid:.3e} for lam={lam}")
-    return xi
-
-
-def martingale_decompose(traj: Trajectory, xi, lam: float) -> MartingaleExpansion:
-    """Split C_N.xi into its deterministic part and weighted martingale
-    increments lam * (chi_{j+1}.xi - C_j.xi/(j+1))."""
-    lam = _check_lambda(lam)
-    xi = _check_eigenpair(traj, xi, lam)
-    zeroth, _, *rest = _expand(traj, Member(lam, xi))
-    return MartingaleExpansion(lam, zeroth, *rest)
 
 
 def dn_exact(lam: float, n: int) -> float:
@@ -290,104 +244,115 @@ def member_weights(member: Member, n: int):
     return growth, shift, [(tails, 1.0, xi2 + lam * v), (nested, lam, xi2)]
 
 
-def _expand(traj: Trajectory, member: Member):
-    """The expansion of C_N.v over member_weights' parts: zeroth_v,
-    zeroth_xi2, each part's weights and increments, reconstructed, actual."""
-    n_draws = traj.n_draws
-    growth, shift, parts = member_weights(member, n_draws)
-    times = np.arange(1, n_draws + 1, dtype=float)
-    zeroth = growth * (traj.initial @ member.vector)
-    zeroth2 = shift * (traj.initial @ member.partner) if shift else 0.0
-    reconstructed, arrays = zeroth + zeroth2, []
-    for w, a, u in parts:
-        inc = a * (u[traj.draws] - traj.statistic(u)[:n_draws] / times)
-        reconstructed += float(w @ inc)
-        arrays += [w, inc]
-    actual = float(traj.statistic(member.vector)[-1])
-    return (zeroth, zeroth2, *arrays, reconstructed, actual)
+# (zeroth names, column prefixes of the parts) of each kind of member
+_LAYOUT = {"eigen": (("zeroth",), ("",)),
+           "jordan": (("zeroth_xi3", "zeroth_xi2"), ("direct_", "nested_"))}
 
 
-class JordanExpansion(NamedTuple):
-    """Exact expansion of C_N.xi3 for a defective eigenvalue.
+class Expansion(NamedTuple):
+    """Exact expansion of C_N.v for one member v and one trajectory of N
+    draws.
 
-    reconstructed = zeroth_xi3 + zeroth_xi2
-                    + direct_weights . direct_increments   (against xi2 + lam*xi3)
-                    + nested_weights . nested_increments   (against xi2)
+    `zeroths` holds growth C_0.v, and for a chain member also
+    shift C_0.xi2; `parts` holds one (weights, increments) pair per part
+    of member_weights(member, N).  reconstructed = the zeroths + every
+    part's weights . increments, and must match the simulated statistic
+    `actual` to float accuracy.
     """
 
-    eigenvalue: float
-    zeroth_xi3: float
-    zeroth_xi2: float
-    direct_weights: np.ndarray
-    direct_increments: np.ndarray
-    nested_weights: np.ndarray
-    nested_increments: np.ndarray
+    member: Member
+    zeroths: tuple[float, ...]
+    parts: tuple[tuple[np.ndarray, np.ndarray], ...]
     reconstructed: float
     actual: float
 
     @property
     def residual(self) -> float:
+        """|reconstructed - actual| / max(1, |actual|)."""
         return abs(self.reconstructed - self.actual) / max(1.0, abs(self.actual))
+
+    def _columns(self):
+        """The parts, with a lam = 0 chain's nested part as zeros."""
+        zeros = np.zeros(self.parts[0][0].size)
+        missing = len(_LAYOUT[self.member.kind][1]) - len(self.parts)
+        return self.parts + ((zeros, zeros),) * missing
+
+    def partial_sums(self) -> np.ndarray:
+        """The zeroths plus the running sum of the weighted increments.
+        Sums start from their first term, not 0, which would turn -0.0
+        into 0.0."""
+        steps = [w * inc for w, inc in self._columns()]
+        return (sum(self.zeroths[1:], self.zeroths[0])
+                + np.cumsum(sum(steps[1:], steps[0])))
 
     @property
     def table(self) -> Table:
         """(header, rows): one row per draw j with its running sum."""
-        partial = (self.zeroth_xi3 + self.zeroth_xi2
-                   + np.cumsum(self.direct_weights * self.direct_increments
-                               + self.nested_weights * self.nested_increments))
-        return columns(["j", "direct_weight", "direct_increment",
-                        "nested_weight", "nested_increment", "partial_sum"],
-                       range(self.direct_weights.size), self.direct_weights,
-                       self.direct_increments, self.nested_weights,
-                       self.nested_increments, partial)
+        parts = self._columns()
+        header = [p + name for p in _LAYOUT[self.member.kind][1]
+                  for name in ("weight", "increment")]
+        return columns(["j", *header, "partial_sum"],
+                       range(parts[0][0].size),
+                       *(a for part in parts for a in part),
+                       self.partial_sums())
+
+    @property
+    def summary(self) -> dict:
+        """The decompose.json record: eigenvalue, the zeroths by name,
+        reconstructed, actual and residual."""
+        names = _LAYOUT[self.member.kind][0]
+        return {"eigenvalue": float(self.member.value),
+                **dict(zip(names, self.zeroths)),
+                "reconstructed": self.reconstructed, "actual": self.actual,
+                "residual": self.residual}
 
 
-def _check_jordan_pair(traj, xi2, xi3, lam):
-    xi2 = np.asarray(xi2, dtype=float)
-    xi3 = np.asarray(xi3, dtype=float)
+def _check_member(traj: Trajectory, member: Member) -> None:
+    """Raise LambdaOutOfRange for a value outside (-1, 1), NotEigenpair
+    unless R v = lam v for an eigenvector, and NotJordanPair unless
+    R xi2 = lam xi2 and R v = xi2 + lam v for a chain member (at lam = 0
+    for a chain of eigenvalue 0 within ZERO_TOL)."""
+    lam, v, xi2 = member
     m = traj.matrix.matrix
+    if xi2 is None:
+        lam = _check_lambda(lam)
+        resid = np.max(np.abs(m @ v - lam * v))
+        if resid > EIGEN_RESID_TOL:
+            raise NotEigenpair(f"||R xi - lam xi|| = {resid:.3e} for lam={lam}")
+        return
+    lam = 0.0 if member.zero else _check_lambda(lam)
     r2 = np.max(np.abs(m @ xi2 - lam * xi2))
-    r3 = np.max(np.abs(m @ xi3 - xi2 - lam * xi3))
+    r3 = np.max(np.abs(m @ v - xi2 - lam * v))
     if max(r2, r3) > EIGEN_RESID_TOL:
-        raise NotJordanPair(
-            f"chain residuals {r2:.3e}, {r3:.3e} for lam={lam}")
-    return xi2, xi3
+        raise NotJordanPair(f"chain residuals {r2:.3e}, {r3:.3e} for lam={lam}")
 
 
-def jordan_decompose(traj: Trajectory, xi2, xi3, lam: float) -> JordanExpansion:
-    """Expansion of C_N.xi3 when R xi3 = xi2 + lam xi3 with lam != 0.
+def _expand(traj: Trajectory, member: Member) -> Expansion:
+    """Check member, then expand C_N.v over member_weights' parts."""
+    _check_member(traj, member)
+    n_draws = traj.n_draws
+    growth, shift, parts = member_weights(member, n_draws)
+    times = np.arange(1, n_draws + 1, dtype=float)
+    zeroth = growth * (traj.initial @ member.vector)
+    zeroth2 = shift * (traj.initial @ member.partner) if shift else 0.0
+    reconstructed, pairs = zeroth + zeroth2, []
+    for w, a, u in parts:
+        inc = a * (u[traj.draws] - traj.statistic(u)[:n_draws] / times)
+        reconstructed += float(w @ inc)
+        pairs.append((w, inc))
+    actual = float(traj.statistic(member.vector)[-1])
+    zeroths = (zeroth,) if member.partner is None else (zeroth, zeroth2)
+    return Expansion(member, zeroths, tuple(pairs), reconstructed, actual)
 
-    The direct increments (chi_{j+1} - C_j/(j+1)).(xi2 + lam xi3) carry
-    the usual tail-product weights; pushing the accumulated C_j.xi2/(j+1)
-    terms down to time zero leaves the appendix_zeroth coefficient on
-    C_0.xi2 plus nested increments against xi2 weighted by K(i, N-1).
+
+def expand(traj: Trajectory, member: Member) -> Expansion:
+    """Exact expansion of C_N.v for one member of the spectral model.
+
+    Raises as _check_member does.  Each kind of member takes its own
+    route below, which bench/traced_cli.py wraps by name to time the
+    expansions: an eigenvector, a chain member, and a chain member of
+    eigenvalue 0 (Member.zero), whose nested weights are zero.
     """
-    lam = _check_lambda(lam, allow_zero=False)
-    if Member(lam, xi3, xi2).zero:    # the test that routes expand
-        raise LambdaOutOfRange(f"lam={lam} is 0 within ZERO_TOL: use "
-                               "repeated_zero_decompose")
-    xi2, xi3 = _check_jordan_pair(traj, xi2, xi3, lam)
-    return JordanExpansion(lam, *_expand(traj, Member(lam, xi3, xi2)))
-
-
-def repeated_zero_decompose(traj: Trajectory, xi2, xi3) -> JordanExpansion:
-    """Expansion of C_N.xi3 for a defective zero eigenvalue.
-
-    With lam = 0 the statistic C_j.xi2 is frozen at C_0.xi2, so
-    C_N.xi3 = C_0.xi3 + C_0.xi2 * H_N + sum_j (chi_{j+1} - C_j/(j+1)).xi2
-    with H_N the harmonic number; all direct weights are 1 and the nested
-    weights and increments are zero.
-    """
-    xi2, xi3 = _check_jordan_pair(traj, xi2, xi3, 0.0)
-    *direct, reconstructed, actual = _expand(traj, Member(0.0, xi3, xi2))
-    zeros = np.zeros(traj.n_draws)
-    return JordanExpansion(0.0, *direct, zeros, zeros, reconstructed, actual)
-
-
-def expand(traj: Trajectory, member: Member) -> MartingaleExpansion | JordanExpansion:
-    """Exact expansion of C_N.v for one member of the spectral model:
-    martingale_decompose for an eigenvector, jordan_decompose for a chain
-    member, repeated_zero_decompose for a chain member of eigenvalue 0."""
     if member.partner is None:
         return martingale_decompose(traj, member.vector, member.value)
     if member.zero:
@@ -395,15 +360,19 @@ def expand(traj: Trajectory, member: Member) -> MartingaleExpansion | JordanExpa
     return jordan_decompose(traj, member.partner, member.vector, member.value)
 
 
-def _check_member(traj: Trajectory, member: Member) -> None:
-    """Raise as expand would for member: LambdaOutOfRange, NotEigenpair
-    for an eigenvector, NotJordanPair for a chain member."""
-    if member.partner is None:
-        _check_eigenpair(traj, member.vector, _check_lambda(member.value))
-    else:
-        lam = (0.0 if member.zero
-               else _check_lambda(member.value, allow_zero=False))
-        _check_jordan_pair(traj, member.partner, member.vector, lam)
+def martingale_decompose(traj: Trajectory, xi, lam: float) -> Expansion:
+    """expand's route for an eigenvector xi of lam."""
+    return _expand(traj, Member(lam, xi))
+
+
+def jordan_decompose(traj: Trajectory, xi2, xi3, lam: float) -> Expansion:
+    """expand's route for a chain R xi3 = xi2 + lam xi3, lam != 0."""
+    return _expand(traj, Member(lam, xi3, xi2))
+
+
+def repeated_zero_decompose(traj: Trajectory, xi2, xi3) -> Expansion:
+    """expand's route for a chain R xi3 = xi2 of eigenvalue 0."""
+    return _expand(traj, Member(0.0, xi3, xi2))
 
 
 def conditional_means(traj: Trajectory, member: Member) -> np.ndarray:

@@ -150,7 +150,7 @@ def _cluster(values: np.ndarray) -> list[tuple[float, int]]:
     return out
 
 
-def real_spectrum(R: ReplacementMatrix) -> list[tuple[float, int, int]]:
+def _real_spectrum(R: ReplacementMatrix) -> list[tuple[float, int, int]]:
     """Eigenvalues with (value, algebraic, geometric) multiplicities.
 
     The principal eigenvalue 1 is listed first; the remaining real
@@ -211,7 +211,7 @@ def _null_basis(m: np.ndarray, lam: float) -> list[np.ndarray]:
     return [_canonical(vt[d - 1 - i]) for i in range(k)]
 
 
-def right_eigenvector(R: ReplacementMatrix, lam: float) -> np.ndarray:
+def _right_eigenvector(R: ReplacementMatrix, lam: float) -> np.ndarray:
     """Canonical right eigenvector for a real eigenvalue lam.
 
     Raises NotAnEigenvalue when (R - lam*I) has trivial null space.
@@ -226,22 +226,15 @@ def right_eigenvector(R: ReplacementMatrix, lam: float) -> np.ndarray:
     return xi
 
 
-def jordan_chain(R: ReplacementMatrix, lam: float) -> tuple[np.ndarray, np.ndarray]:
-    """Pair (xi2, xi3) with R xi2 = lam xi2 and R xi3 = xi2 + lam xi3.
-
-    Only defective eigenvalues of algebraic multiplicity 2 are supported.
-    Raises NotRepeated for simple eigenvalues and NotDefective when the
-    eigenspace is full (take two eigenvectors via right_eigenvector then).
-    """
-    for value, alg, geo in real_spectrum(R):
-        if abs(value - lam) < CLUSTER_TOL:
-            return _chain(R, lam, alg, geo)
-    raise NotAnEigenvalue(f"{lam} is not an eigenvalue within tolerance")
-
-
 def _chain(R: ReplacementMatrix, lam: float, alg: int,
            geo: int) -> tuple[np.ndarray, np.ndarray]:
-    """jordan_chain for an eigenvalue whose multiplicities are known."""
+    """Pair (xi2, xi3) with R xi2 = lam xi2 and R xi3 = xi2 + lam xi3 for
+    an eigenvalue of multiplicities alg and geo.
+
+    Only defective eigenvalues of algebraic multiplicity 2 are supported.
+    Raises NotRepeated for a simple eigenvalue and NotDefective when the
+    eigenspace is full.
+    """
     if alg < 2:
         raise NotRepeated(f"eigenvalue {lam} is simple")
     if geo >= alg:
@@ -250,7 +243,7 @@ def _chain(R: ReplacementMatrix, lam: float, alg: int,
     if alg > 2:
         raise UrnboundError("chains of length greater than 2 are not supported")
 
-    xi2 = right_eigenvector(R, lam)
+    xi2 = _right_eigenvector(R, lam)
     shifted = R.matrix - lam * np.eye(R.dim)
     xi3, *_ = np.linalg.lstsq(shifted, xi2, rcond=None)
     resid = np.max(np.abs(shifted @ xi3 - xi2))
@@ -340,14 +333,14 @@ class SpectralDecomposition(NamedTuple):
 def decompose(R: ReplacementMatrix) -> SpectralDecomposition:
     """Full spectral structure: pi, spectrum, right vectors, indicator alphas."""
     pi = stationary_vector(R)
-    spectrum = real_spectrum(R)
+    spectrum = _real_spectrum(R)
     structures = []
     for lam, alg, geo in spectrum[1:]:
         if not -1.0 < lam < 1.0:
             raise LambdaOutOfRange(
                 f"nonprincipal eigenvalue {lam} outside (-1, 1)")
         if alg == 1:
-            vectors = (right_eigenvector(R, lam),)
+            vectors = (_right_eigenvector(R, lam),)
         elif geo == alg:
             vectors = tuple(_null_basis(R.matrix, lam))
         else:  # defective; _chain rejects chains longer than 2

@@ -22,13 +22,18 @@ increment_bounds_reference and center_reference) are the package's
 earlier code, kept verbatim: the one increment model that replaced them
 must reproduce their numbers.  So is combined_report_reference, the
 earlier bound for one threshold at a time: a bound over a threshold
-grid must give each threshold its numbers bit for bit.  The special-case martingale checks that
-conditional_means replaced are kept verbatim as well:
-increment_conditional_means (eigenvectors only), the normalized
+grid must give each threshold its numbers bit for bit.  The earlier
+expansion records, MartingaleExpansion and JordanExpansion, with their
+builders (expansion_record_reference) and decompose.json layout
+(summary_reference), are kept verbatim too: the one Expansion record of
+expand must reproduce their bits, tables and keys.  The special-case
+martingale checks that conditional_means replaced are kept verbatim as
+well: increment_conditional_means (eigenvectors only), the normalized
 defective-case martingale dm_martingale with its dm_step_residuals, and
 euler_ratio.  The last section holds helpers that only tests use: the
 Jordan weight envelope and its calibrated constant, the scalar increment
-bound and the two-color threshold conversion.
+bound, the two-color threshold conversion, jordan_chain (a chain by its
+eigenvalue) and the scalar Azuma tail azuma_tail / azuma_log_tail.
 """
 from __future__ import annotations
 
@@ -39,11 +44,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from urnbound.bounds import BoundReport, rate_function, spread
+from urnbound._format import Table, columns
+from urnbound.bounds import BoundReport, _log_tail, rate_function, spread
 from urnbound.decomposition import (
-    _check_eigenpair,
-    _check_jordan_pair,
     _check_lambda,
+    _check_member,
     _prefix_products,
     appendix_zeroth,
     growth_product,
@@ -51,8 +56,14 @@ from urnbound.decomposition import (
     member_weights,
     tail_products,
 )
-from urnbound.errors import IndexOrder
-from urnbound.spectral import SpectralDecomposition
+from urnbound.errors import IndexOrder, NotAnEigenvalue
+from urnbound.spectral import (
+    CLUSTER_TOL,
+    Member,
+    SpectralDecomposition,
+    _chain,
+    _real_spectrum,
+)
 
 
 def _draw(counts, total: float, u: float) -> int:
@@ -425,6 +436,119 @@ def combined_report_reference(S: SpectralDecomposition, terms, n: int,
                        zeroth_shift=None if c0 is None else float(center))
 
 
+# -- the earlier expansion records, one per kind ----------------------------
+
+def _expand_reference(traj, member):
+    """The expansion of C_N.v over member_weights' parts: zeroth_v,
+    zeroth_xi2, each part's weights and increments, reconstructed, actual."""
+    n_draws = traj.n_draws
+    growth, shift, parts = member_weights(member, n_draws)
+    times = np.arange(1, n_draws + 1, dtype=float)
+    zeroth = growth * (traj.initial @ member.vector)
+    zeroth2 = shift * (traj.initial @ member.partner) if shift else 0.0
+    reconstructed, arrays = zeroth + zeroth2, []
+    for w, a, u in parts:
+        inc = a * (u[traj.draws] - traj.statistic(u)[:n_draws] / times)
+        reconstructed += float(w @ inc)
+        arrays += [w, inc]
+    actual = float(traj.statistic(member.vector)[-1])
+    return (zeroth, zeroth2, *arrays, reconstructed, actual)
+
+
+class MartingaleExpansion(NamedTuple):
+    """Exact expansion of C_N.xi for one trajectory of N draws.
+
+    reconstructed = zeroth + weights . increments and must match the
+    simulated statistic `actual` to float accuracy.
+    """
+
+    eigenvalue: float
+    zeroth: float
+    weights: np.ndarray
+    increments: np.ndarray
+    reconstructed: float
+    actual: float
+
+    @property
+    def residual(self) -> float:
+        """|reconstructed - actual| / max(1, |actual|)."""
+        return abs(self.reconstructed - self.actual) / max(1.0, abs(self.actual))
+
+    def partial_sums(self) -> np.ndarray:
+        return self.zeroth + np.cumsum(self.weights * self.increments)
+
+    @property
+    def table(self) -> Table:
+        """(header, rows): one row per draw j with its running sum."""
+        return columns(["j", "weight", "increment", "partial_sum"],
+                       range(self.weights.size), self.weights,
+                       self.increments, self.partial_sums())
+
+
+class JordanExpansion(NamedTuple):
+    """Exact expansion of C_N.xi3 for a defective eigenvalue.
+
+    reconstructed = zeroth_xi3 + zeroth_xi2
+                    + direct_weights . direct_increments   (against xi2 + lam*xi3)
+                    + nested_weights . nested_increments   (against xi2)
+    """
+
+    eigenvalue: float
+    zeroth_xi3: float
+    zeroth_xi2: float
+    direct_weights: np.ndarray
+    direct_increments: np.ndarray
+    nested_weights: np.ndarray
+    nested_increments: np.ndarray
+    reconstructed: float
+    actual: float
+
+    @property
+    def residual(self) -> float:
+        return abs(self.reconstructed - self.actual) / max(1.0, abs(self.actual))
+
+    @property
+    def table(self) -> Table:
+        """(header, rows): one row per draw j with its running sum."""
+        partial = (self.zeroth_xi3 + self.zeroth_xi2
+                   + np.cumsum(self.direct_weights * self.direct_increments
+                               + self.nested_weights * self.nested_increments))
+        return columns(["j", "direct_weight", "direct_increment",
+                        "nested_weight", "nested_increment", "partial_sum"],
+                       range(self.direct_weights.size), self.direct_weights,
+                       self.direct_increments, self.nested_weights,
+                       self.nested_increments, partial)
+
+
+def expansion_record_reference(traj, member):
+    """The earlier record of C_N.v: a MartingaleExpansion for an
+    eigenvector, a JordanExpansion for a chain member, whose nested
+    weights and increments are zeros when its eigenvalue is 0."""
+    _check_member(traj, member)
+    if member.partner is None:
+        lam = _check_lambda(member.value)
+        zeroth, _, *rest = _expand_reference(traj, Member(lam, member.vector))
+        return MartingaleExpansion(lam, zeroth, *rest)
+    if member.zero:
+        chain = Member(0.0, member.vector, member.partner)
+        *direct, reconstructed, actual = _expand_reference(traj, chain)
+        zeros = np.zeros(traj.n_draws)
+        return JordanExpansion(0.0, *direct, zeros, zeros, reconstructed,
+                               actual)
+    lam = _check_lambda(member.value, allow_zero=False)
+    return JordanExpansion(lam, *_expand_reference(
+        traj, Member(lam, member.vector, member.partner)))
+
+
+def summary_reference(record) -> dict:
+    """The earlier decompose.json record: every scalar field of the
+    record in order, then the residual."""
+    summary = {k: v for k, v in record._asdict().items()
+               if not isinstance(v, np.ndarray)}
+    summary["residual"] = record.residual
+    return summary
+
+
 # -- the earlier special-case martingale checks --------------------------------
 
 def increment_conditional_means(traj, xi, lam: float) -> np.ndarray:
@@ -434,7 +558,7 @@ def increment_conditional_means(traj, xi, lam: float) -> np.ndarray:
     probabilities C_j[i]/(j+1); algebraically zero at every step.
     """
     lam = _check_lambda(lam)
-    xi = _check_eigenpair(traj, xi, lam)
+    _check_member(traj, Member(lam, xi))
     n_draws = traj.n_draws
     counts = traj.counts_matrix()[:n_draws]
     path = traj.statistic(xi)[:n_draws]
@@ -467,7 +591,7 @@ class MartingaleSeries(NamedTuple):
 def dm_martingale(traj, xi2, xi3, lam: float) -> MartingaleSeries:
     """Normalized martingale along a trajectory; M_0 = C_0.xi3."""
     lam = _check_lambda(lam)
-    xi2, xi3 = _check_jordan_pair(traj, xi2, xi3, lam)
+    _check_member(traj, Member(lam, xi3, xi2))
     n_draws = traj.n_draws
     s2 = traj.statistic(xi2)
     s3 = traj.statistic(xi3)
@@ -559,3 +683,29 @@ def color_threshold_factor(S: SpectralDecomposition, color: int) -> float:
     if S.matrix.dim != 2:
         raise ValueError("threshold factor is a two-color notion")
     return 1.0 / S.alphas[color][1]
+
+
+def jordan_chain(R, lam: float):
+    """Pair (xi2, xi3) with R xi2 = lam xi2 and R xi3 = xi2 + lam xi3,
+    found by the eigenvalue's multiplicities as decompose finds it.
+
+    Raises NotAnEigenvalue when lam is not an eigenvalue, and as
+    decompose's chain does otherwise (NotRepeated, NotDefective).
+    """
+    for value, alg, geo in _real_spectrum(R):
+        if abs(value - lam) < CLUSTER_TOL:
+            return _chain(R, lam, alg, geo)
+    raise NotAnEigenvalue(f"{lam} is not an eigenvalue within tolerance")
+
+
+def azuma_log_tail(s: float, c) -> float:
+    """log of exp(-2 s^2 / sum_j (2 c_j)^2) for a martingale with
+    |increment_j| <= c_j, through the bounds' _log_tail; -inf encodes the
+    exact-zero case."""
+    return _log_tail(s, float(np.sum((2.0 * np.asarray(c, float)) ** 2)))
+
+
+def azuma_tail(s: float, c) -> float:
+    """exp(azuma_log_tail(s, c)): 1 at s = 0, and exactly 0 for a positive
+    deviation when every c_j is zero."""
+    return math.exp(azuma_log_tail(s, c))  # exp(-inf) is exactly 0

@@ -17,11 +17,15 @@ from urnbound.decomposition import (
     appendix_zeroth,
     conditional_means,
     dn_exact,
-    jordan_decompose,
-    martingale_decompose,
+    expand,
 )
 from urnbound.process import simulate_replicas
-from urnbound.spectral import decompose, indicator_coefficients, validate_matrix
+from urnbound.spectral import (
+    Member,
+    decompose,
+    indicator_coefficients,
+    validate_matrix,
+)
 from urnbound.verification import (
     dominance_check,
     exact_distribution,
@@ -65,7 +69,7 @@ def test_criterion_1_reconstruction_exactness():
     batch = simulate_replicas([1.0, 0.0], R2, 10_000, 100, seed=1,
                               keep_draws=True)
     worst = max(
-        martingale_decompose(batch.trajectory(r), XI, LAM2).residual
+        expand(batch.trajectory(r), Member(LAM2, XI)).residual
         for r in range(100))
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-9 and elapsed <= 5.0
@@ -81,7 +85,7 @@ def test_criterion_2_jordan_reconstruction():
     batch = simulate_replicas([1.0, 0.0, 0.0], RJ, 1_000, 50, seed=2,
                               keep_draws=True)
     worst = max(
-        jordan_decompose(batch.trajectory(r), xi2, xi3, LAMJ).residual
+        expand(batch.trajectory(r), Member(LAMJ, xi3, xi2)).residual
         for r in range(50))
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-9 and elapsed <= 5.0

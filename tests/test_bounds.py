@@ -17,8 +17,6 @@ from urnbound import (
     ReplacementMatrix,
     Trajectory,
     SpectralDecomposition,
-    azuma_log_tail,
-    azuma_tail,
     color_deviation_bound,
     conditional_means,
     decompose,
@@ -26,7 +24,6 @@ from urnbound import (
     exact_distribution,
     growth_product,
     indicator_coefficients,
-    jordan_chain,
     jordan_weights,
     rate_function,
     simulate,
@@ -39,12 +36,17 @@ from urnbound.decomposition import expand, member_weights
 from urnbound.spectral import Member
 
 from oracles import (
+    azuma_log_tail,
+    azuma_tail,
     center_reference,
     color_threshold_factor,
     combined_report_reference,
+    expansion_record_reference,
     expansion_reference,
     increment_bound,
     increment_bounds_reference,
+    jordan_chain,
+    summary_reference,
     tail_reference,
 )
 
@@ -359,13 +361,8 @@ def test_bound_and_expansion_agree_for_every_member(name, k):
         c0 = np.full(d, 1.0 / d) if seed % 2 else np.eye(d)[0]
         report, = statistic_bound(S, [(1.0, member)], n, [0.1], initial=c0)
         exp = expand(simulate(c0, S.matrix, n, seed), member)
-        if member.partner is None:
-            zeroth = exp.zeroth
-            steps = exp.weights * exp.increments
-        else:
-            zeroth = exp.zeroth_xi3 + exp.zeroth_xi2
-            steps = (exp.direct_weights * exp.direct_increments
-                     + exp.nested_weights * exp.nested_increments)
+        zeroth = sum(exp.zeroths)
+        steps = sum(w * inc for w, inc in exp.parts)
         assert report.zeroth_shift == pytest.approx(zeroth, rel=1e-12,
                                                     abs=1e-12)
         # 1e-12 relative: the bound and the step round differently
@@ -375,6 +372,44 @@ def test_bound_and_expansion_agree_for_every_member(name, k):
     for c0 in (np.eye(d)[0], np.full(d, 1.0 / d)):
         exp = expand(simulate(c0, S.matrix, 0, 0), member)
         assert exp.reconstructed == exp.actual == c0 @ member.vector
+
+
+def _bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
+
+
+@pytest.mark.parametrize("name,k", MEMBER_CASES)
+def test_expand_keeps_the_bits_of_the_earlier_records(name, k):
+    # the one Expansion record against the earlier per-kind records of
+    # tests/oracles.py: every weight, increment and partial sum, the
+    # zeroths, reconstructed, actual and residual, bit for bit, under the
+    # same expansion.csv header and decompose.json keys
+    S = decompose(validate_matrix(MEMBER_MATRICES[name]))
+    member = S.members[k]
+    d = S.matrix.dim
+    for n, seed in [(0, 0), (1, 1)] + [(200, seed) for seed in range(5)]:
+        c0 = np.full(d, 1.0 / d) if seed % 2 else np.eye(d)[0]
+        traj = simulate(c0, S.matrix, n, seed)
+        exp = expand(traj, member)
+        old = expansion_record_reference(traj, member)
+        (header, rows), (old_header, old_rows) = exp.table, old.table
+        assert header == old_header
+        assert list(rows.columns[0]) == list(old_rows.columns[0])  # j
+        assert len(rows.columns) == len(old_rows.columns)
+        for got, want in zip(rows.columns[1:], old_rows.columns[1:]):
+            np.testing.assert_array_equal(_bits(got), _bits(want))
+        # the parts are the old arrays; a lambda = 0 chain's old nested
+        # arrays, zeros, have no part (the table writes them)
+        old_arrays = [v for v in old if isinstance(v, np.ndarray)]
+        parts = [a for part in exp.parts for a in part]
+        assert len(parts) == (2 if member.partner is not None
+                              and member.zero else len(old_arrays))
+        for got, want in zip(parts, old_arrays):
+            np.testing.assert_array_equal(_bits(got), _bits(want))
+        summary, old_summary = exp.summary, summary_reference(old)
+        assert list(summary) == list(old_summary)
+        np.testing.assert_array_equal(_bits(list(summary.values())),
+                                      _bits(list(old_summary.values())))
 
 
 @pytest.mark.parametrize("name,k", MEMBER_CASES)
@@ -409,12 +444,12 @@ def test_member_matches_the_per_kind_reference(name, k):
                      center_reference(S, alpha, member, n, c0), exact)
             traj = simulate(c0, S.matrix, n, n)
             exp = expand(traj, member)
-            found = ((exp.zeroth, 0.0, exp.weights, exp.increments, None,
-                      None) if eigen else
-                     (exp.zeroth_xi3, exp.zeroth_xi2, exp.direct_weights,
-                      exp.direct_increments, exp.nested_weights,
-                      exp.nested_increments)) + (exp.reconstructed,
-                                                 exp.actual)
+            # the reference's layout: an eigenvector's zeroth_xi2 is 0 and
+            # its nested arrays None, a lambda = 0 chain's nested arrays 0
+            pad = (None, None) if eigen else (np.zeros(n), np.zeros(n))
+            direct, nested = (*exp.parts, pad)[:2]
+            found = ((*exp.zeroths, 0.0)[:2] + direct + nested
+                     + (exp.reconstructed, exp.actual))
             for got, want in zip(found, expansion_reference(traj, member)):
                 if want is not None:
                     same(got, want, eigen or member.zero)

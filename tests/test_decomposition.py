@@ -23,24 +23,17 @@ from urnbound import (
     dn_asymptotic,
     decompose,
     dn_exact,
+    expand,
     growth_product,
-    jordan_chain,
-    jordan_decompose,
     jordan_weights,
-    martingale_decompose,
     rate_function,
-    repeated_zero_decompose,
     simulate,
     tail_products,
     validate_matrix,
 )
 
-from urnbound.decomposition import (
-    _BLOCK,
-    JordanExpansion,
-    MartingaleExpansion,
-    expand,
-)
+from urnbound import decomposition
+from urnbound.decomposition import _BLOCK, member_weights
 from urnbound.spectral import ZERO_TOL, Member
 
 from oracles import (
@@ -53,6 +46,7 @@ from oracles import (
     euler_ratio,
     growth_reference,
     increment_conditional_means,
+    jordan_chain,
     jordan_weight_bound,
     jordan_weight_constant,
     k_weight_reference,
@@ -62,12 +56,15 @@ from oracles import (
 
 R2 = validate_matrix([[0.7, 0.3], [0.4, 0.6]])
 XI2COLOR = np.array([0.75, -1.0])
+M2 = Member(0.3, XI2COLOR)
 RJ = validate_matrix([[5 / 8, 3 / 8, 0.0], [1 / 8, 3 / 8, 1 / 2],
                       [1 / 4, 1 / 4, 1 / 2]])
 XI2, XI3 = jordan_chain(RJ, 0.25)
 R0 = validate_matrix([[1 / 3, 1 / 3, 1 / 3], [1 / 3, 1 / 3, 1 / 3],
                       [1 / 2, 1 / 6, 1 / 3]])
 Z2, Z3 = jordan_chain(R0, 0.0)
+CHAIN = Member(0.25, XI3, XI2)
+ZERO_CHAIN = Member(0.0, Z3, Z2)
 
 LAMBDA_GRID = [-0.9, -0.5, -0.1, 0.1, 0.25, 0.5, 0.75, 0.9]
 
@@ -139,8 +136,8 @@ def test_zeroth_term_values():
     assert growth_product(0.0, 10) * 0.4 == 0.4
     assert growth_product(0.5, 2) * 0.75 == pytest.approx(1.40625, abs=1e-15)
     traj = simulate([1.0, 0.0], R2, 2, 0)
-    exp = martingale_decompose(traj, XI2COLOR, 0.3)
-    assert exp.zeroth == pytest.approx(growth_product(0.3, 2) * 0.75,
+    exp = expand(traj, M2)
+    assert exp.zeroths[0] == pytest.approx(growth_product(0.3, 2) * 0.75,
                                        rel=1e-15)
 
 
@@ -150,9 +147,10 @@ def test_martingale_decompose_one_forced_draw():
     # C0=(1,0) forces a white draw; hand expansion gives zeroth 0.975,
     # a zero increment, and C_1.xi = 0.975
     traj = simulate([1.0, 0.0], R2, 1, 0)
-    exp = martingale_decompose(traj, XI2COLOR, 0.3)
-    assert exp.zeroth == pytest.approx(0.975, abs=1e-15)
-    assert exp.increments[0] == pytest.approx(0.0, abs=1e-15)
+    exp = expand(traj, M2)
+    (zeroth,), ((_, increments),) = exp.zeroths, exp.parts
+    assert zeroth == pytest.approx(0.975, abs=1e-15)
+    assert increments[0] == pytest.approx(0.0, abs=1e-15)
     assert exp.reconstructed == pytest.approx(0.975, abs=1e-15)
     assert exp.actual == pytest.approx(0.975, abs=1e-12)
 
@@ -160,27 +158,27 @@ def test_martingale_decompose_one_forced_draw():
 @pytest.mark.parametrize("seed", range(6))
 def test_martingale_reconstruction(seed):
     traj = simulate([1.0, 0.0], R2, 2000, seed)
-    exp = martingale_decompose(traj, XI2COLOR, 0.3)
+    exp = expand(traj, M2)
     assert exp.residual <= 1e-9
 
 
 def test_martingale_decompose_zero_eigenvalue_is_frozen():
     R = validate_matrix([[0.5, 0.5], [0.5, 0.5]])
     traj = simulate([1.0, 0.0], R, 300, 4)
-    exp = martingale_decompose(traj, np.array([1.0, -1.0]), 0.0)
-    assert exp.reconstructed == exp.zeroth == 1.0
+    exp = expand(traj, Member(0.0, np.array([1.0, -1.0])))
+    assert exp.reconstructed == exp.zeroths[0] == 1.0
     assert abs(exp.actual - 1.0) <= 1e-9
 
 
 def test_martingale_decompose_rejects_bad_pair():
     traj = simulate([1.0, 0.0], R2, 10, 0)
     with pytest.raises(NotEigenpair):
-        martingale_decompose(traj, np.array([1.0, 1.0]), 0.3)
+        expand(traj, Member(0.3, np.array([1.0, 1.0])))
 
 
 def test_partial_sums_end_at_reconstruction():
     traj = simulate([1.0, 0.0], R2, 50, 3)
-    exp = martingale_decompose(traj, XI2COLOR, 0.3)
+    exp = expand(traj, M2)
     assert exp.partial_sums()[-1] == pytest.approx(exp.reconstructed, abs=1e-12)
 
 
@@ -446,10 +444,11 @@ def test_jordan_decompose_one_forced_draw():
     # C0=(1,0,0): C0.xi2 = 1, C0.xi3 = 0, first draw forced to color 0;
     # C1.xi3 = 1 and the expansion is zeroth2 = Z(0) * 1 = 1 exactly
     traj = simulate([1.0, 0.0, 0.0], RJ, 1, 0)
-    exp = jordan_decompose(traj, XI2, XI3, 0.25)
-    assert exp.zeroth_xi3 == pytest.approx(0.0, abs=1e-15)
-    assert exp.zeroth_xi2 == pytest.approx(1.0, abs=1e-15)
-    assert exp.nested_weights[0] == 0.0
+    exp = expand(traj, CHAIN)
+    zeroth_xi3, zeroth_xi2 = exp.zeroths
+    assert zeroth_xi3 == pytest.approx(0.0, abs=1e-15)
+    assert zeroth_xi2 == pytest.approx(1.0, abs=1e-15)
+    assert exp.parts[1][0][0] == 0.0          # the nested weight
     assert exp.reconstructed == pytest.approx(1.0, abs=1e-12)
     assert exp.actual == pytest.approx(1.0, abs=1e-12)
 
@@ -457,61 +456,75 @@ def test_jordan_decompose_one_forced_draw():
 def test_jordan_decompose_centered_start_drops_zeroth():
     # C0 proportional to pi has C0.xi2 = C0.xi3 = 0
     traj = simulate([1 / 3, 1 / 3, 1 / 3], RJ, 100, 8)
-    exp = jordan_decompose(traj, XI2, XI3, 0.25)
-    assert abs(exp.zeroth_xi2) <= 1e-13
-    assert abs(exp.zeroth_xi3) <= 1e-13
+    exp = expand(traj, CHAIN)
+    zeroth_xi3, zeroth_xi2 = exp.zeroths
+    assert abs(zeroth_xi2) <= 1e-13
+    assert abs(zeroth_xi3) <= 1e-13
     assert exp.residual <= 1e-9
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_jordan_reconstruction(seed):
     traj = simulate([1.0, 0.0, 0.0], RJ, 1000, seed)
-    exp = jordan_decompose(traj, XI2, XI3, 0.25)
+    exp = expand(traj, CHAIN)
     assert exp.residual <= 1e-9
 
 
 def test_jordan_decompose_rejects_bad_pair():
     traj = simulate([1.0, 0.0, 0.0], RJ, 10, 0)
     with pytest.raises(NotJordanPair):
-        jordan_decompose(traj, XI3, XI2, 0.25)
+        expand(traj, Member(0.25, XI2, XI3))
+    with pytest.raises(NotJordanPair):   # lam = 0 is the lam = 0 chain's
+        expand(traj, Member(0.0, XI3, XI2))
     with pytest.raises(LambdaOutOfRange):
-        jordan_decompose(traj, XI2, XI3, 0.0)
+        expand(traj, Member(1.0, XI3, XI2))
 
 
 @pytest.mark.parametrize("lam", [1e-13, -5e-13, ZERO_TOL, -ZERO_TOL])
 def test_jordan_decompose_rejects_a_lambda_that_rounds_to_zero(lam):
-    # expand routes such a chain to repeated_zero_decompose (Member.zero);
-    # called directly, jordan_decompose must say so, not fail untyped
+    # the lambda != 0 route never sees such a chain: expand sends it to
+    # the lambda = 0 chain (Member.zero), bit for bit
     traj = simulate([1.0, 0.0, 0.0], R0, 10, 0)
-    with pytest.raises(LambdaOutOfRange, match="repeated_zero_decompose"):
-        jordan_decompose(traj, Z2, Z3, lam)
     assert Member(lam, Z3, Z2).zero
+    exp, zero = expand(traj, Member(lam, Z3, Z2)), expand(traj, ZERO_CHAIN)
+    assert exp.member.value == 0.0
+    assert exp.zeroths == zero.zeroths
+    assert exp.reconstructed == zero.reconstructed
+    (w, inc), = exp.parts
+    (w0, inc0), = zero.parts
+    np.testing.assert_array_equal(w, w0)
+    np.testing.assert_array_equal(inc, inc0)
 
 
 def test_repeated_zero_harmonic_zeroth():
     # after two draws the harmonic coefficient is 1 + 1/2
     traj = simulate([1.0, 0.0, 0.0], R0, 2, 1)
-    exp = repeated_zero_decompose(traj, Z2, Z3)
+    exp = expand(traj, ZERO_CHAIN)
     c0 = traj.initial
-    assert exp.zeroth_xi2 == pytest.approx(1.5 * float(c0 @ Z2), rel=1e-14)
-    assert exp.zeroth_xi3 == pytest.approx(float(c0 @ Z3), rel=1e-14)
+    zeroth_xi3, zeroth_xi2 = exp.zeroths
+    assert zeroth_xi2 == pytest.approx(1.5 * float(c0 @ Z2), rel=1e-14)
+    assert zeroth_xi3 == pytest.approx(float(c0 @ Z3), rel=1e-14)
     assert exp.residual <= 1e-9
 
 
 def test_repeated_zero_centered_start():
     pi = np.array([7 / 18, 5 / 18, 1 / 3])  # stationary vector of R0
     traj = simulate(pi, R0, 200, 5)
-    exp = repeated_zero_decompose(traj, Z2, Z3)
-    assert abs(exp.zeroth_xi2) <= 1e-12
+    exp = expand(traj, ZERO_CHAIN)
+    assert abs(exp.zeroths[1]) <= 1e-12
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_repeated_zero_reconstruction(seed):
     traj = simulate([1.0, 0.0, 0.0], R0, 800, seed)
-    exp = repeated_zero_decompose(traj, Z2, Z3)
+    exp = expand(traj, ZERO_CHAIN)
     assert exp.residual <= 1e-9
-    np.testing.assert_array_equal(exp.direct_weights, np.ones(800))
-    np.testing.assert_array_equal(exp.nested_increments, np.zeros(800))
+    (direct_weights, _), = exp.parts       # no nested part
+    np.testing.assert_array_equal(direct_weights, np.ones(800))
+    header, rows = exp.table
+    assert header[3:5] == ["nested_weight", "nested_increment"]
+    for column in rows.columns[3:5]:         # written as zeros
+        np.testing.assert_array_equal(column, np.zeros(800))
 
 
 # -- normalized martingale -----------------------------------------------------
@@ -547,18 +560,29 @@ def test_dm_martingale_zero_lambda_chain():
 
 
 @pytest.mark.parametrize("R,kinds", [
-    (R2, [MartingaleExpansion]),
-    (RJ, [MartingaleExpansion, JordanExpansion]),
-    (R0, [MartingaleExpansion, JordanExpansion]),
+    (R2, ["martingale_decompose"]),
+    (RJ, ["martingale_decompose", "jordan_decompose"]),
+    (R0, ["martingale_decompose", "repeated_zero_decompose"]),
 ])
-def test_expand_picks_the_decomposition_from_the_member(R, kinds):
+def test_expand_picks_the_decomposition_from_the_member(R, kinds,
+                                                        monkeypatch):
+    # each kind of member goes through its own route, one part per part
+    # of member_weights
+    taken = []
+    for name in ("martingale_decompose", "jordan_decompose",
+                 "repeated_zero_decompose"):
+        route = getattr(decomposition, name)
+        monkeypatch.setattr(decomposition, name, lambda *args, _n=name,
+                            _route=route: taken.append(_n) or _route(*args))
     c0 = np.eye(R.dim)[0]
     traj = simulate(c0, R, 300, 12)
     members = decompose(R).members
-    assert [type(expand(traj, m)) for m in members] == kinds
-    for m in members:
-        exp = expand(traj, m)
-        assert exp.eigenvalue == pytest.approx(m.value, abs=1e-12)
+    expansions = [expand(traj, m) for m in members]
+    assert taken == kinds
+    for m, exp in zip(members, expansions):
+        assert exp.summary["eigenvalue"] == pytest.approx(m.value, abs=1e-12)
         assert exp.residual <= 1e-9
-    if R is R0:   # the lam = 0 chain: repeated_zero_decompose
-        assert not expand(traj, members[1]).nested_weights.any()
+        assert len(exp.parts) == len(member_weights(m, 300)[2])
+    if R is R0:   # the lam = 0 chain: one part, zero nested columns
+        _, rows = expansions[1].table
+        assert not np.any(rows.columns[3:5])

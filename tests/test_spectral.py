@@ -25,15 +25,16 @@ from urnbound import (
     EigenStructure,
     decompose,
     indicator_coefficients,
-    jordan_chain,
-    real_spectrum,
-    right_eigenvector,
     stationary_vector,
     validate_matrix,
 )
-from urnbound.spectral import _strong_components
+from urnbound.spectral import (
+    _real_spectrum as real_spectrum,
+    _right_eigenvector as right_eigenvector,
+    _strong_components,
+)
 
-from oracles import strong_components_reference
+from oracles import jordan_chain, strong_components_reference
 
 R2_ROWS = [[0.7, 0.3], [0.4, 0.6]]
 RJ_ROWS = [[5 / 8, 3 / 8, 0.0], [1 / 8, 3 / 8, 1 / 2], [1 / 4, 1 / 4, 1 / 2]]
@@ -223,7 +224,7 @@ def test_decompose_solves_the_spectrum_once(monkeypatch):
         calls.append(R)
         return real_spectrum(R)
 
-    monkeypatch.setattr(spectral, "real_spectrum", counted)
+    monkeypatch.setattr(spectral, "_real_spectrum", counted)
     S = decompose(validate_matrix(RJ_ROWS))
     assert len(calls) == 1
     assert S.structures[0].jordan
