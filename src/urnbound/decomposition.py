@@ -221,6 +221,14 @@ def appendix_zeroth(lam: float, n: int) -> float:
     return total
 
 
+def _part_vectors(member: Member):
+    """The (a, u) of each part of member_weights(member, n), for any n."""
+    lam, v, xi2 = member
+    if xi2 is None:
+        return [(lam, v)]
+    return [(1.0, xi2)] if member.zero else [(1.0, xi2 + lam * v), (lam, xi2)]
+
+
 def member_weights(member: Member, n: int):
     """(growth, shift, parts) for the member v after n draws: C_n.v =
     growth C_0.v + shift C_0.xi2 + sum over the parts (w, a, u) of
@@ -231,17 +239,18 @@ def member_weights(member: Member, n: int):
     1, xi2 + lam v), (jordan_weights, lam, xi2)].  Chain member of
     eigenvalue 0: 1, the harmonic number H_n, [(ones, 1, xi2)].
     """
-    lam, v, xi2 = member
+    lam, _, xi2 = member
+    vectors = _part_vectors(member)
     if xi2 is not None and member.zero:
         harmonic = float(np.sum(1.0 / np.arange(1.0, n + 1.0)))
-        return 1.0, harmonic, [(np.ones(n), 1.0, xi2)]
+        return 1.0, harmonic, [(np.ones(n), *vectors[0])]
     growth = growth_product(lam, n)
     tails = tail_products(lam, n - 1) if n else np.empty(0)
     if xi2 is None:
-        return growth, 0.0, [(tails, lam, v)]
+        return growth, 0.0, [(tails, *vectors[0])]
     shift, nested = ((appendix_zeroth(lam, n - 1), jordan_weights(lam, n - 1))
                      if n else (0.0, np.empty(0)))
-    return growth, shift, [(tails, 1.0, xi2 + lam * v), (nested, lam, xi2)]
+    return growth, shift, [(w, *au) for w, au in zip((tails, nested), vectors)]
 
 
 # (zeroth names, column prefixes of the parts) of each kind of member
@@ -386,9 +395,8 @@ def conditional_means(traj: Trajectory, member: Member) -> np.ndarray:
     """
     _check_member(traj, member)
     n_draws = traj.n_draws
-    _, _, parts = member_weights(member, n_draws)
     times = np.arange(1, n_draws + 1, dtype=float)
     probs = traj.counts_matrix()[:n_draws] / times[:, None]
     total = probs.sum(axis=1)
     return np.array([a * (probs @ u - (traj.statistic(u)[:n_draws] / times)
-                          * total) for _, a, u in parts])
+                          * total) for a, u in _part_vectors(member)])

@@ -32,8 +32,9 @@ state the exact law enumerates: C_j = C_0 + k^T R.  Each draw rebuilds
 the cumulative sums of colors 0 .. d-2 from k as products with fixed
 row differences, counts the sums the uniform reaches (a sum counts only
 where the one before it does) and adds 1 to the drawn color's count.
-There are no per-color gathers, and the final counts are formed once
-from k.  Its draws differ from those of the row-major rule
+Its uniforms come one row per draw, so its scratch does not grow with
+n.  There are no per-color gathers, and the final counts are formed
+once from k.  Its draws differ from those of the row-major rule
 min(sum(u >= cumsum(counts)), d - 1) it replaced only where a uniform
 lands within one rounding of a sum; they are equal on every stream the
 tests check, and golden hashes pin the streams.
@@ -54,12 +55,6 @@ BALANCE_TOL = 1e-9
 DEFAULT_CHUNK = 16384
 _MIN_WINDOW = 1024   # each window pays a fixed numpy overhead
 _MAX_WINDOW = 4096
-# One rng call fills this many bytes of uniforms: 8 draws of a full
-# chunk.  On R2, 65,536 replicas x 1,000 draws at 2 threads (2-vCPU Xeon,
-# medians of 10 alternating rounds), 128 KiB, 256 KiB, 1 MiB and 4 MiB
-# took 0.350, 0.295, 0.279 and 0.275 s with the same bits: the gain stops
-# at 1 MiB, and a larger block only holds more memory per thread.
-_UNIFORM_BYTES = 1 << 20
 
 
 class ColorCount(NamedTuple("ColorCount",
@@ -266,11 +261,11 @@ def _run_chunk(rows: np.ndarray, c0: np.ndarray, n: int,
     put two equal sums out of order, so sum i counts as reached only
     where sum i - 1 is: the rule applied to s_i raised to s_{i-1}.  The
     hits are then monotone, color c >= 1 is drawn where sum c - 1 is
-    reached and sum c is not, and a draw counts once.  Each uniform block
-    comes from one rng.random call and is scaled by j + 1 in one product:
-    the same doubles and the same products as one call per draw.  The
-    final counts are built once, c0_i + k_0 R[0, i] + k_1 R[1, i] + ...,
-    added in color order.
+    reached and sum c is not, and a draw counts once.  Draw j fills one
+    length-m vector with rng.random and scales it in place by j + 1, so
+    the scratch is O(m d) and does not grow with n.  The final counts are
+    built once, c0_i + k_0 R[0, i] + k_1 R[1, i] + ..., added in color
+    order.
 
     The draws equal the row-major kernel's except where a uniform lands
     within one rounding of a sum.  At an empty color such a window can
@@ -291,34 +286,27 @@ def _run_chunk(rows: np.ndarray, c0: np.ndarray, n: int,
     hits = np.empty((d - 1, m), dtype=bool)
     reached_below = list(zip(hits[1:], hits[:-1]))
     take_off = list(zip(step[:-1], step[1:]))
-    per_call = max(1, _UNIFORM_BYTES // (8 * m))
-    uniforms = np.empty((min(per_call, n), m))
-    for j0 in range(0, n, per_call):
-        block = uniforms[:n - j0]
-        times = np.arange(j0, j0 + len(block))
-        rng.random(out=block)
-        block *= (times + 1.0)[:, None]
-        offsets = cc + times[:, None, None] * rc0
-        for j, u, offset in zip(times, block, offsets):
-            np.multiply(gains[0], k[0], out=sums)
-            for gain, kc in zip(gains[1:], k[1:]):
-                sums += np.multiply(gain, kc, out=step)
-            sums += offset
-            np.greater_equal(u, sums, out=hits)
-            for hit, below in reached_below:
-                hit &= below
-            # color c >= 1 is drawn where sum c - 1 is reached and sum c
-            # is not
-            np.copyto(step, hits)
-            for drawn, beyond in take_off:
-                drawn -= beyond
-            k += step
-            if draws is not None:
-                hits.sum(axis=0, dtype=np.int16, out=draws[:, j])
-    k = np.vstack([n - k.sum(axis=0), k])    # now k_0 .. k_{d-1}
+    u = np.empty(m)
+    for j in range(n):
+        rng.random(out=u)
+        u *= j + 1.0
+        np.multiply(gains[0], k[0], out=sums)
+        for gain, kc in zip(gains[1:], k[1:]):
+            sums += np.multiply(gain, kc, out=step)
+        sums += cc + j * rc0
+        np.greater_equal(u, sums, out=hits)
+        for hit, below in reached_below:
+            hit &= below
+        np.copyto(step, hits)    # color c: sum c - 1 reached, sum c not
+        for drawn, beyond in take_off:
+            drawn -= beyond
+        k += step
+        if draws is not None:
+            hits.sum(axis=0, dtype=np.int16, out=draws[:, j])
+    k0 = n - k.sum(axis=0)
     for col, c0_i, column in zip(finals.T, c0, rows.T):
-        col[:] = c0_i + k[0] * column[0]
-        for kc, r in zip(k[1:], column[1:]):
+        col[:] = c0_i + k0 * column[0]
+        for kc, r in zip(k, column[1:]):
             col += kc * r
 
 

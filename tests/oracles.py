@@ -26,14 +26,17 @@ grid must give each threshold its numbers bit for bit.  The earlier
 expansion records, MartingaleExpansion and JordanExpansion, with their
 builders (expansion_record_reference) and decompose.json layout
 (summary_reference), are kept verbatim too: the one Expansion record of
-expand must reproduce their bits, tables and keys.  The special-case
-martingale checks that conditional_means replaced are kept verbatim as
-well: increment_conditional_means (eigenvectors only), the normalized
-defective-case martingale dm_martingale with its dm_step_residuals, and
-euler_ratio.  The last section holds helpers that only tests use: the
-Jordan weight envelope and its calibrated constant, the scalar increment
-bound, the two-color threshold conversion, jordan_chain (a chain by its
-eigenvalue) and the scalar Azuma tail azuma_tail / azuma_log_tail.
+expand must reproduce their bits, tables and keys.  The earlier
+conditional_means (conditional_means_reference), which built every
+part's weights to read its (a, u), is kept verbatim: the rows must keep
+its bits.  The special-case martingale checks that conditional_means
+replaced are kept verbatim as well: increment_conditional_means
+(eigenvectors only), the normalized defective-case martingale
+dm_martingale with its dm_step_residuals, and euler_ratio.  The last
+section holds helpers that only tests use: the Jordan weight envelope
+and its calibrated constant, the scalar increment bound, the two-color
+threshold conversion, jordan_chain (a chain by its eigenvalue) and the
+scalar Azuma tail azuma_tail / azuma_log_tail.
 """
 from __future__ import annotations
 
@@ -550,6 +553,19 @@ def summary_reference(record) -> dict:
 
 
 # -- the earlier special-case martingale checks --------------------------------
+
+def conditional_means_reference(traj, member) -> np.ndarray:
+    """The earlier conditional_means, which read each part's (a, u) from
+    all of member_weights(member, N)."""
+    _check_member(traj, member)
+    n_draws = traj.n_draws
+    _, _, parts = member_weights(member, n_draws)
+    times = np.arange(1, n_draws + 1, dtype=float)
+    probs = traj.counts_matrix()[:n_draws] / times[:, None]
+    total = probs.sum(axis=1)
+    return np.array([a * (probs @ u - (traj.statistic(u)[:n_draws] / times)
+                          * total) for _, a, u in parts])
+
 
 def increment_conditional_means(traj, xi, lam: float) -> np.ndarray:
     """Exact conditional mean of each increment given the past.

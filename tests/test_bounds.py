@@ -41,6 +41,7 @@ from oracles import (
     center_reference,
     color_threshold_factor,
     combined_report_reference,
+    conditional_means_reference,
     expansion_record_reference,
     expansion_reference,
     increment_bound,
@@ -471,6 +472,24 @@ def test_conditional_means_vanish_for_every_member(name, k):
         for row, (_, _, u) in zip(means, parts):
             scale = np.maximum(1.0, np.abs(traj.statistic(u)[:n]))
             assert np.all(np.abs(row) <= 1e-12 * scale)
+
+
+@pytest.mark.parametrize("name,k", MEMBER_CASES)
+def test_conditional_means_keep_the_bits_of_the_member_weights_route(name,
+                                                                     k):
+    # the parts' (a, u) come without their weights, and every row keeps
+    # the bits it had when they were read from member_weights(member, N)
+    S = decompose(validate_matrix(MEMBER_MATRICES[name]))
+    member = S.members[k]
+    d = S.matrix.dim
+    for n, seed in [(0, 0), (1, 1)] + [(300, seed) for seed in range(4)]:
+        c0 = np.full(d, 1.0 / d) if seed % 2 else np.eye(d)[0]
+        traj = simulate(c0, S.matrix, n, seed)
+        got = conditional_means(traj, member)
+        want = conditional_means_reference(traj, member)
+        assert got.shape == want.shape
+        np.testing.assert_array_equal(got.view(np.uint64),
+                                      want.view(np.uint64))
 
 
 @pytest.mark.parametrize("name,k", MEMBER_CASES)

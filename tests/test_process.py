@@ -5,6 +5,7 @@ import hashlib
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -412,8 +413,7 @@ class _ScriptedUniforms(np.random.Generator):
         self.script = list(script)
 
     def random(self, size=None, dtype=np.float64, out=None):
-        out[...] = np.array(self.script[:len(out)])[:, None]
-        del self.script[:len(out)]
+        out[...] = self.script.pop(0)
         return out
 
 
@@ -470,21 +470,41 @@ def test_replicas_agree_across_threads_with_a_short_last_chunk():
 
 @pytest.mark.parametrize("R,c0", [(R2, [1.0, 0.0]), (RJ, [1.0, 0.0, 0.0])],
                          ids=["R2", "RJ"])
-def test_replica_stream_does_not_depend_on_the_uniform_block(monkeypatch,
-                                                              R, c0):
-    # one rng call per draw, per 3 draws (1000 is not a multiple of 3) and
-    # the default block give the same doubles, products and draws; the
-    # last chunk is short, so its blocks hold more draws
-    m, default = 256, process._UNIFORM_BYTES
-    runs = []
-    for size in (8 * m, 24 * m, default):
-        monkeypatch.setattr(process, "_UNIFORM_BYTES", size)
-        runs.append(simulate_replicas(c0, R, 1000, 2 * m + 88, seed=17,
-                                      keep_draws=True, chunk_size=m))
-    for batch in runs[1:]:
-        np.testing.assert_array_equal(batch.final_counts.view(np.uint64),
-                                      runs[0].final_counts.view(np.uint64))
-        np.testing.assert_array_equal(batch.draws, runs[0].draws)
+def test_replica_chunks_match_the_row_major_reference(R, c0):
+    # every chunk, the short last one too, draws as the row-major kernel
+    # does on its own stream, one rng call per draw
+    m, seed = 256, 17
+    batch = simulate_replicas(c0, R, 1000, 2 * m + 88, seed=seed,
+                              keep_draws=True, chunk_size=m)
+    for c, start in enumerate(range(0, batch.replicas, m)):
+        mine = slice(start, start + m)
+        stream = np.random.SeedSequence(seed, spawn_key=(c,))
+        _, ref_draws = replica_chunk_reference(
+            R.matrix, np.array(c0), 1000, len(batch.draws[mine]), stream,
+            True)
+        np.testing.assert_array_equal(batch.draws[mine], ref_draws,
+                                      strict=True)
+        np.testing.assert_array_equal(
+            batch.final_counts[mine].view(np.uint64),
+            replica_counts_reference(R.matrix, c0, ref_draws).view(np.uint64))
+
+
+@pytest.mark.parametrize("n", [1000, 20_000])
+@pytest.mark.parametrize("R,c0", [(R2, [1.0, 0.0]), (RJ, [1.0, 0.0, 0.0])],
+                         ids=["R2", "RJ"])
+def test_replica_scratch_does_not_grow_with_n(R, c0, n):
+    # a chunk holds its counts, sums, products and hits, one row of
+    # uniforms and a few temporaries: about 8 rows of m (d - 1) doubles,
+    # where uniforms or offsets for every draw grow with n
+    m = 2048
+    simulate_replicas(c0, R, 10, 10, seed=0)    # imports numpy.random
+    tracemalloc.start()
+    try:
+        batch = simulate_replicas(c0, R, n, m, seed=0, chunk_size=m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < batch.final_counts.nbytes + 10 * 8 * m * (R.dim - 1)
 
 
 def test_replica_threads_are_capped_at_the_usable_cpus(monkeypatch):

@@ -8,9 +8,13 @@ matrices that together hold every kind of spectral member (eigenvector,
 Jordan chain, lambda = 0 chain, full repeated eigenspace, a frozen
 lambda = 0 eigenvector, negative and non-dyadic eigenvalues), eigen,
 color and vector statistics, and the exact, auto and mc modes (mc with a
-small replica count).  The calls are `cli.main(argv)` in this process.
-Each invocation writes its artifacts to OUT/<config>/<command>-<format>/;
-OUT/log.txt gets one line per invocation with its exit code and stderr.
+small replica count).  One more mc config, rj-s0-mc-chunks, has
+2 * 16384 + 37 replicas, so it crosses the replica kernel's chunk
+boundary; it runs at --threads 1 and at --threads 2.  The calls are
+`cli.main(argv)` in this process.  Each invocation writes its artifacts
+to OUT/<config>/<command>-<format>/ (with -t1 or -t2 appended for the
+thread runs); OUT/log.txt gets one line per invocation with its exit
+code and stderr, and OUT/log-threads.txt the same for the thread runs.
 
 A refactor that must not change any output is checked with
 
@@ -42,6 +46,7 @@ MATRICES = {
 VECTORS = {2: "0.75, -1", 3: "1, 2, -3"}
 COMMANDS = ("spectrum", "simulate", "decompose", "bound", "verify", "sweep")
 FORMATS = ("csv", "json")
+CHUNKED_REPLICAS = 2 * 16384 + 37    # the replica kernel's chunk is 16384
 
 
 def _statistics(d: int):
@@ -51,19 +56,32 @@ def _statistics(d: int):
             + [f"color:{k}" for k in range(d)] + [f"vector:{VECTORS[d]}"])
 
 
+def _config(rows, initial: str, stat: str, mode: str,
+            replicas: int = 3000) -> str:
+    """Config text of one matrix, statistic, mode and replica count."""
+    matrix = "\n".join(", ".join(repr(x) for x in row) for row in rows)
+    lines = [matrix, f"statistic = {stat}", f"mode = {mode}",
+             "horizon = 10", "horizons = 4, 10",
+             "thresholds = 0.05, 0.1, 0.2", "seed = 3",
+             f"replicas = {replicas}"]
+    if mode != "exact":
+        lines.append(f"initial = {initial}")
+    return "\n".join(lines) + "\n"
+
+
 def configs():
-    """(name, config text) for every matrix, statistic and mode."""
+    """(name, config text, runs) for every matrix, statistic and mode, run
+    once without --threads, then one mc config whose replicas fill two
+    whole chunks and a short third, run at --threads 1 and 2.  A run is
+    (suffix of its output directories, extra CLI arguments)."""
     for label, (rows, initial) in MATRICES.items():
-        matrix = "\n".join(", ".join(repr(x) for x in row) for row in rows)
         for k, stat in enumerate(_statistics(len(rows))):
             for mode in ("exact", "auto", "mc"):
-                lines = [matrix, f"statistic = {stat}", f"mode = {mode}",
-                         "horizon = 10", "horizons = 4, 10",
-                         "thresholds = 0.05, 0.1, 0.2", "seed = 3",
-                         "replicas = 3000"]
-                if mode != "exact":
-                    lines.append(f"initial = {initial}")
-                yield f"{label}-s{k}-{mode}", "\n".join(lines) + "\n"
+                yield (f"{label}-s{k}-{mode}",
+                       _config(rows, initial, stat, mode), (("", ()),))
+    yield ("rj-s0-mc-chunks",
+           _config(*MATRICES["rj"], "eigen:0", "mc", CHUNKED_REPLICAS),
+           tuple((f"-t{t}", ("--threads", str(t))) for t in (1, 2)))
 
 
 def run(argv, main) -> tuple[int, str]:
@@ -86,8 +104,9 @@ def main(src: str, out: str) -> int:
 
     os.makedirs(out, exist_ok=True)
     count = 0
-    with open(os.path.join(out, "log.txt"), "w") as log:
-        for name, text in configs():
+    with open(os.path.join(out, "log.txt"), "w") as log, \
+            open(os.path.join(out, "log-threads.txt"), "w") as log_threads:
+        for name, text, runs in configs():
             base = os.path.join(out, name)
             os.makedirs(base, exist_ok=True)
             config = os.path.join(base, "config.txt")
@@ -95,12 +114,15 @@ def main(src: str, out: str) -> int:
                 fh.write(text)
             for command in COMMANDS:
                 for fmt in FORMATS:
-                    where = os.path.join(base, f"{command}-{fmt}")
-                    code, err = run([command, "--config", config, "--out",
-                                     where, "--format", fmt], cli_main)
-                    log.write(f"{name} {command} {fmt} exit={code} "
-                              f"stderr={err!r}\n")
-                    count += 1
+                    for suffix, extra in runs:
+                        where = os.path.join(base, f"{command}-{fmt}{suffix}")
+                        code, err = run([command, "--config", config,
+                                         "--out", where, "--format", fmt,
+                                         *extra], cli_main)
+                        (log_threads if extra else log).write(
+                            f"{name} {command} {fmt}{suffix} exit={code} "
+                            f"stderr={err!r}\n")
+                        count += 1
     print(f"{count} invocations, artifacts in {out}")
     return 0
 
