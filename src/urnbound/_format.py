@@ -4,15 +4,15 @@ Every number is written with the digits fmt() gives it: floats at 17
 significant digits (`format(x, '.17g')`), so a rerun with the same seed
 produces byte-identical files and every value round-trips exactly.
 Scalars and reports go through fmt() one value at a time.  A table is
-held as its columns (Rows).  A table, and a float list or array inside
-render_json(), is rendered _BLOCK_ROWS rows or items at a time by
-_block_text: each cell gets a fixed-width slot of NUL-padded bytes in
-numpy, the slots are laid out between the constant text of a row (commas
-or a JSON row's keys), the NULs are dropped and the block is written at
-once.  An int column takes `%d`'s digits.  A column of fewer than
-_FEW_CELLS cells in the block, a string or None cell, and a row above
-the first cell of a short column take their fmt() (CSV) or render_json()
-text cell by cell.
+held as its columns (Rows, read row by row, never indexed).  A table,
+and a float list or array inside render_json(), is rendered _BLOCK_ROWS
+rows or items at a time by _block_text: each cell gets a fixed-width
+slot of NUL-padded bytes in numpy, the slots are laid out between the
+constant text of a row (commas or a JSON row's keys), the NULs are
+dropped and the block is written at once.  An int column takes `%d`'s
+digits.  A column of fewer than _FEW_CELLS cells in the block, a string
+or None cell, and a row above the first cell of a short column take
+their fmt() (CSV) or render_json() text cell by cell.
 
 _float_text gives a double fmt()'s text in float64 arithmetic, exactly,
 when 1e-220 <= |x| <= 1e250.  With e10 = floor(log10 |x|) and
@@ -29,11 +29,12 @@ exactly from (p, t), by comparing t with the differences 1e16 - p and
 fl(p + t), which rounds up to 1e17 from below.  The 17 digits are then
 D = p + floor(t) + [frac(t) > 0.5], the correct rounding of y, unless
 frac(t) is within 2^-40 of 1/2: there the error in t could decide, and
-an exact tie must round to even.  Those values, zeros, subnormals and
-values outside the domain go to fmt() one by one.  D = 10^17 moves up a
-decade.  The text is %g's: fixed notation for -4 <= e10 < 17, else
-d.ddd...e+XX, trailing zeros dropped.  A float column is checked with
-np.isfinite, where fmt() checks each value.
+an exact tie must round to even.  Those values, subnormals and values
+outside the domain go to fmt() one by one; a zero takes the slot of 1
+with D = 0, so its text is 0 or -0.  D = 10^17 moves up a decade.  The
+text is %g's: fixed notation for -4 <= e10 < 17, else d.ddd...e+XX,
+trailing zeros dropped.  A float column is checked with np.isfinite,
+where fmt() checks each value.
 
 A write holds one block's slots and text, never a whole column's, so the
 peak memory of a run follows its numpy arrays.  A file is written to a
@@ -45,7 +46,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from collections.abc import Sequence
 from contextlib import contextmanager
 from functools import cache
 from typing import NamedTuple
@@ -187,8 +187,10 @@ def _float_text(x, out) -> None:
     dec = _decades()
     n = x.size
     ax = np.abs(x)
+    zero = ax == 0.0
     fast = (ax >= _FAST_MIN) & (ax <= _FAST_MAX)
     ax[~fast] = 1.0      # log10 and the split see in-domain values only
+    fast |= zero
     e = np.floor(np.log10(ax)).astype(np.intp)
     p, t = _scaled(ax, e, dec)
     # y = p + t must lie in [1e16, 1e17); both differences are exact
@@ -202,6 +204,7 @@ def _float_text(x, out) -> None:
     frac = t - whole
     fast &= np.abs(frac - 0.5) >= _TIE_WINDOW
     d = p.astype(np.int64) + whole.astype(np.int64) + (frac > 0.5)
+    d[zero] = 0
     carry = d == 10 ** 17
     d[carry] = 10 ** 16
     e += carry
@@ -308,10 +311,7 @@ def _dump(write, obj, indent: int) -> None:
     it is never converted to Python floats or text as a whole."""
     pad = "  " * indent
     inner = "  " * (indent + 1)
-    if obj is None:
-        write("null")
-        return
-    if isinstance(obj, str):
+    if obj is None or isinstance(obj, str):
         write(json.dumps(obj))
         return
     if isinstance(obj, (bool, np.bool_, int, np.integer, float, np.floating)):
@@ -352,10 +352,19 @@ def _dump(write, obj, indent: int) -> None:
     raise TypeError(f"unsupported type for JSON output: {type(obj)!r}")
 
 
-class Rows(Sequence):
+def _head(col, n: int, stop: int) -> list:
+    """Rows 0 .. stop - 1 of a column of an n-row table, as Python
+    scalars: None above the column's first cell."""
+    cells = col[:max(stop - n + len(col), 0)]
+    cells = cells.tolist() if isinstance(cells, np.ndarray) else list(cells)
+    return [None] * min(n - len(col), stop) + cells
+
+
+class Rows:
     """The rows of a table, held as its columns: numpy arrays, ranges or
     lists.  A column shorter than the table lacks its leading cells,
-    which read as None.  A row is a tuple of Python scalars."""
+    which read as None.  Iterating gives each row as a tuple of Python
+    scalars; rows are not indexed."""
 
     def __init__(self, cols):
         self.columns = tuple(cols)
@@ -364,29 +373,8 @@ class Rows(Sequence):
     def __len__(self) -> int:
         return self._len
 
-    def _cells(self, col) -> list:
-        cells = col.tolist() if isinstance(col, np.ndarray) else list(col)
-        return [None] * (self._len - len(col)) + cells
-
     def __iter__(self):
-        return zip(*map(self._cells, self.columns))
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return list(self)[i]
-        i = range(self._len)[i]
-        row = []
-        for col in self.columns:
-            k = i - (self._len - len(col))
-            cell = None if k < 0 else col[k]
-            row.append(cell.item() if isinstance(cell, np.generic) else cell)
-        return tuple(row)
-
-    def __eq__(self, other):
-        if not isinstance(other, Sequence) or isinstance(other, str):
-            return NotImplemented
-        return len(self) == len(other) and all(
-            row == tuple(o) for row, o in zip(self, other))
+        return zip(*(_head(c, self._len, self._len) for c in self.columns))
 
 
 class Table(NamedTuple):
@@ -413,8 +401,7 @@ def _write_rows(fh, header, rows: Rows, as_json: bool) -> None:
     lits, sep, empty = [""] + [","] * (len(cols) - 1) + ["\n"], "", opening
     if as_json:
         order = sorted(range(len(header)), key=header.__getitem__)
-        rows = Rows(cols[j] for j in order)
-        cols, cell, sep = rows.columns, render_json, ",\n"
+        cols, cell, sep = [cols[j] for j in order], render_json, ",\n"
         lits = [(",\n  {\n" if j == 0 else ",\n")
                 + f"    {json.dumps(str(header[k]))}: "
                 for j, k in enumerate(order)] + ["\n  }"]
@@ -425,7 +412,7 @@ def _write_rows(fh, header, rows: Rows, as_json: bool) -> None:
     head = n - min(map(len, cols))
     for lo in [0] * (head > 0) + list(range(head, n, _BLOCK_ROWS)):
         hi = head if lo < head else min(lo + _BLOCK_ROWS, n)
-        block = (zip(*map(rows.__getitem__, range(lo, hi))) if lo < head
+        block = ([_head(c, n, head) for c in cols] if lo < head
                  else (c[len(c) - n + lo:len(c) - n + hi] for c in cols))
         parts = [lits[0]]
         for col, lit in zip(block, lits[1:]):
@@ -466,10 +453,8 @@ def write_json(path, obj) -> None:
             fh.write(b"\n")
 
 
-def write_csv(path, header: list[str], rows) -> None:
-    """Write Rows, or any sequence of rows of scalars, as CSV with '\\n'
-    line endings; None is an empty cell."""
-    if not isinstance(rows, Rows):
-        rows = Rows(list(zip(*rows)))
+def write_csv(path, header: list[str], rows: Rows) -> None:
+    """Write the rows of a columns() table as CSV with '\\n' line endings;
+    None is an empty cell."""
     with _replacing(path) as fh:
         _write_rows(fh, header, rows, as_json=False)

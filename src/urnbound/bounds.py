@@ -104,26 +104,12 @@ class BoundReport(NamedTuple):
     zeroth_shift: float | None = None
 
 
-def _term(S: SpectralDecomposition, alpha: float, member: Member):
-    """(alpha, member) for one term alpha * C.v of a statistic.  A chain
+def _term(S: SpectralDecomposition, alpha, vector, lam):
+    """(alpha, member) for one term alpha * C.v of a statistic, v an
+    eigenvector or the generalized member of a chain for lam.  A chain
     member is bounded through its image (R - lam I) v as its partner,
-    which equals xi2 to within the spectral residual tolerance."""
-    if member.partner is not None:
-        v, lam = member.vector, member.value
-        member = member._replace(partner=S.matrix.matrix @ v - lam * v)
-    return float(alpha), member
-
-
-def _label(terms) -> str:
-    return " + ".join(f"{alpha:g}*[constant, lam=0]"
-                      if m.partner is None and m.zero
-                      else f"{alpha:g}*[{m.kind}, lam={m.value:g}]"
-                      for alpha, m in terms)
-
-
-def _checked_member(S: SpectralDecomposition, vector, lam: float) -> Member:
-    """Classify a caller's (vector, lam) as an eigenvector or the
-    generalized member of a chain; raise NotEigenpair if it is neither."""
+    which equals xi2 to within the spectral residual tolerance.  Raises
+    LambdaOutOfRange, or NotEigenpair when v is neither."""
     m = S.matrix.matrix
     v = np.asarray(vector, dtype=float)
     lam = float(lam)
@@ -131,11 +117,18 @@ def _checked_member(S: SpectralDecomposition, vector, lam: float) -> Member:
         raise LambdaOutOfRange(f"member eigenvalue {lam} outside (-1, 1)")
     r = m @ v - lam * v
     if np.max(np.abs(r)) <= EIGEN_RESID_TOL:
-        return Member(lam, v)
+        return float(alpha), Member(lam, v)
     if np.max(np.abs(m @ r - lam * r)) <= EIGEN_RESID_TOL:
-        return Member(lam, v, r)
+        return float(alpha), Member(lam, v, r)
     raise NotEigenpair(
         f"vector is neither an eigenvector nor a chain member for lam={lam}")
+
+
+def _label(terms) -> str:
+    return " + ".join(f"{alpha:g}*[constant, lam=0]"
+                      if m.partner is None and m.zero
+                      else f"{alpha:g}*[{m.kind}, lam={m.value:g}]"
+                      for alpha, m in terms)
 
 
 def _grid_reports(members, n, thresholds, scale, label,
@@ -183,8 +176,9 @@ def statistic_bound(S: SpectralDecomposition, combo, n: int, thresholds,
     bounded event is sum_i alpha_i (C_n.v_i - A_i) > n*t.  Pass the
     initial state to have the reports carry the total center shift.
     """
-    members = [_term(S, entry[0], entry[1] if len(entry) == 2
-                     else _checked_member(S, *entry[1:])) for entry in combo]
+    triples = [e if len(e) == 3 else (e[0], e[1].vector, e[1].value)
+               for e in combo]
+    members = [_term(S, *e) for e in triples]
     return _grid_reports(members, n, thresholds, float(n), _label(members),
                          initial)
 
@@ -202,7 +196,7 @@ def color_deviation_bound(R, color: int, n: int, thresholds,
     """
     S = R if isinstance(R, SpectralDecomposition) else decompose(
         R if isinstance(R, ReplacementMatrix) else ReplacementMatrix(np.asarray(R, float)))
-    members = [_term(S, a, m)
+    members = [_term(S, a, m.vector, m.value)
                for a, m in S.terms(indicator_coefficients(S, color))]
     label = (f"color {color} deviation per unit mass; members: "
              + _label(members))

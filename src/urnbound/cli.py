@@ -17,7 +17,10 @@ Config files are flat key = value text; lines without '=' are matrix rows
 (comma-separated).  A file whose first non-space character is '{' is
 parsed as JSON with the same keys.  Keys: initial, horizon, horizons,
 thresholds, replicas, seed, statistic (eigen:K | color:K | vector:...),
-mode (auto | exact | mc).  Both formats go through one typed check: a
+mode (auto | exact | mc).  eigen:K takes the last member of structure K
+(a chain's generalized member xi3); only vector:, which decompose does
+not take, reaches a chain's eigenvector xi2 or the first vector of a
+full repeated eigenspace.  Both formats go through one typed check: a
 value of the wrong type or range, an unknown key, a key given twice, a
 negative --seed or --threads below 1 is a configuration error (exit 1).
 """

@@ -32,9 +32,11 @@ state the exact law enumerates: C_j = C_0 + k^T R.  Each draw rebuilds
 the cumulative sums of colors 0 .. d-2 from k as products with fixed
 row differences, counts the sums the uniform reaches (a sum counts only
 where the one before it does) and adds 1 to the drawn color's count.
-Its uniforms come one row per draw, so its scratch does not grow with
-n.  There are no per-color gathers, and the final counts are formed
-once from k.  Its draws differ from those of the row-major rule
+The comparisons land as 0.0 or 1.0 in the float rows that held the
+products, so a draw makes no bool array and no copy of one.  Its
+uniforms come one row per draw, so its scratch does not grow with n.
+There are no per-color gathers, and the final counts are formed once
+from k.  Its draws differ from those of the row-major rule
 min(sum(u >= cumsum(counts)), d - 1) it replaced only where a uniform
 lands within one rounding of a sum; they are equal on every stream the
 tests check, and golden hashes pin the streams.
@@ -260,12 +262,14 @@ def _run_chunk(rows: np.ndarray, c0: np.ndarray, n: int,
     of the row-major kernel this one replaced.  At d >= 3 rounding can
     put two equal sums out of order, so sum i counts as reached only
     where sum i - 1 is: the rule applied to s_i raised to s_{i-1}.  The
-    hits are then monotone, color c >= 1 is drawn where sum c - 1 is
-    reached and sum c is not, and a draw counts once.  Draw j fills one
-    length-m vector with rng.random and scales it in place by j + 1, so
-    the scratch is O(m d) and does not grow with n.  The final counts are
-    built once, c0_i + k_0 R[0, i] + k_1 R[1, i] + ..., added in color
-    order.
+    hits are compared straight into the products' float scratch, as 0.0
+    or 1.0, so that rule is a product of neighbouring rows and their sum
+    over i is the drawn color.  They are then monotone, color c >= 1 is
+    drawn where sum c - 1 is reached and sum c is not, and a draw counts
+    once.  Draw j fills one length-m vector with rng.random and scales it
+    in place by j + 1, so the scratch is O(m d) and does not grow with n.
+    The final counts are built once, c0_i + k_0 R[0, i] + k_1 R[1, i] +
+    ..., added in color order.
 
     The draws equal the row-major kernel's except where a uniform lands
     within one rounding of a sum.  At an empty color such a window can
@@ -282,9 +286,8 @@ def _run_chunk(rows: np.ndarray, c0: np.ndarray, n: int,
     cc, rc0 = np.cumsum(c0)[:-1, None], rc[0, :-1, None]
     k = np.zeros((d - 1, m))
     sums = np.empty((d - 1, m))
-    step = np.empty((d - 1, m))     # also the products' scratch
-    hits = np.empty((d - 1, m), dtype=bool)
-    reached_below = list(zip(hits[1:], hits[:-1]))
+    step = np.empty((d - 1, m))     # the products' scratch, then the hits
+    reached_below = list(zip(step[1:], step[:-1]))
     take_off = list(zip(step[:-1], step[1:]))
     u = np.empty(m)
     for j in range(n):
@@ -294,15 +297,14 @@ def _run_chunk(rows: np.ndarray, c0: np.ndarray, n: int,
         for gain, kc in zip(gains[1:], k[1:]):
             sums += np.multiply(gain, kc, out=step)
         sums += cc + j * rc0
-        np.greater_equal(u, sums, out=hits)
+        np.greater_equal(u, sums, out=step)     # 1.0 where sum i is reached
         for hit, below in reached_below:
-            hit &= below
-        np.copyto(step, hits)    # color c: sum c - 1 reached, sum c not
-        for drawn, beyond in take_off:
+            hit *= below
+        if draws is not None:
+            step.sum(axis=0, dtype=np.int16, out=draws[:, j])
+        for drawn, beyond in take_off:   # drawn: sum c - 1 reached, sum c not
             drawn -= beyond
         k += step
-        if draws is not None:
-            hits.sum(axis=0, dtype=np.int16, out=draws[:, j])
     k0 = n - k.sum(axis=0)
     for col, c0_i, column in zip(finals.T, c0, rows.T):
         col[:] = c0_i + k0 * column[0]

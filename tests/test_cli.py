@@ -37,6 +37,17 @@ seed = 4
 statistic = eigen:0
 """
 
+# The lambda = 0 chain: its expansion's two nested columns are zeros.
+R0_TEXT = """\
+0.3333333333333333, 0.3333333333333333, 0.3333333333333333
+0.3333333333333333, 0.3333333333333333, 0.3333333333333333
+0.5, 0.16666666666666666, 0.3333333333333333
+initial = 1, 0, 0
+horizon = 40
+seed = 4
+statistic = eigen:0
+"""
+
 # Non-dyadic entries: most cells need all 17 digits.
 R3_FLOAT_TEXT = """\
 0.5772156649, 0.3, 0.1227843351
@@ -263,16 +274,16 @@ def test_simulate_json_format(tmp_path):
 
 
 def test_failed_write_leaves_no_partial_file(tmp_path):
-    from urnbound._format import write_csv, write_json
+    from urnbound._format import columns, write_csv, write_json
     csv_path, json_path = tmp_path / "t.csv", tmp_path / "t.json"
     with pytest.raises(ValueError):
-        write_csv(str(csv_path), ["a"], [[1.0], [float("nan")]])
+        write_csv(str(csv_path), *columns(["a"], [1.0, float("nan")]))
     with pytest.raises(ValueError):
         write_json(str(json_path), [1.0, float("nan")])
     assert list(tmp_path.iterdir()) == []  # no artifact, no temporary
-    write_csv(str(csv_path), ["a"], [[1.0]])
+    write_csv(str(csv_path), *columns(["a"], [1.0]))
     with pytest.raises(ValueError):
-        write_csv(str(csv_path), ["a"], [[2.0], [float("nan")]])
+        write_csv(str(csv_path), *columns(["a"], [2.0, float("nan")]))
     assert csv_path.read_text() == "a\n1\n"
     assert list(tmp_path.iterdir()) == [csv_path]
 
@@ -618,12 +629,17 @@ SWEEP_TEXT = TWO_COLOR.replace("horizon = 12", "horizons = 8, 12, 16")
 
 # sha256 of each table artifact, recorded from the per-cell writer
 # (format() of every cell); a writer change must reproduce them byte for
-# byte.  RJ's cells are dyadic, R3_FLOAT's need all 17 digits.
+# byte.  RJ's cells are dyadic, R3_FLOAT's need all 17 digits, and R0's
+# nested columns hold 5000 zeros each.
 GOLDEN_TABLES = {
     "r2/dominance.csv":
         "7ba23bc6ebd1d22ce82dddbcf8ceae40469e0f6540e8e2ebb2842357e95d19f0",
     "r2/dominance.json":
         "36fd51965e5156e95dafe48a2bef6791c82fbb3e6102f9792e6878a785e55022",
+    "r0/expansion.csv":
+        "5926c61e2ef1ea4a9c4173e02a677636e68610f9d553e5b32277b8d62aceaee0",
+    "r0/expansion.json":
+        "fda8b2c0c1eb926244f57f5fcc6b73174e966fcc611ecd1b985cda2dbd0c69f7",
     "r3float/expansion.csv":
         "83755ab9762393ba516abd590f1330c216201b592d48ef3a142c206b4edba36c",
     "r3float/expansion.json":
@@ -652,6 +668,7 @@ def test_table_artifacts_match_golden_hashes(tmp_path):
             ("rj", JORDAN_TEXT, "decompose", "expansion"),
             ("r3float", R3_FLOAT_TEXT, "simulate", "trajectory"),
             ("r3float", R3_FLOAT_TEXT, "decompose", "expansion"),
+            ("r0", R0_TEXT, "decompose", "expansion"),
             ("r2", SWEEP_TEXT, "sweep", "dominance")]
     found = {}
     for label, text, command, name in runs:

@@ -283,8 +283,8 @@ def test_decade_edges_and_ties_match_fmt(tmp_path):
 
 
 def test_zeros_subnormals_and_huge_values_raise_no_warning(tmp_path):
-    # on the numpy path they go to fmt(), so log10 and the split never
-    # see them
+    # on the numpy path a zero takes the slot of 1 and the others go to
+    # fmt(), so log10 and the split never see them
     values = np.tile([0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e308,
                       -1.7976931348623157e308, 1.5], 10)
     path = str(tmp_path / "t.csv")
@@ -302,15 +302,42 @@ def test_zeros_subnormals_and_huge_values_raise_no_warning(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
 
 
+def test_zeros_render_in_numpy_without_fmt(monkeypatch, tmp_path):
+    # +-0 among ordinary values (and one value outside the fast domain)
+    # in columns of 64 cells and more: a zero cell never falls back to
+    # fmt(), and every cell reads as fmt() gives it, in a CSV table, a
+    # JSON table and a JSON float list or array
+    values = np.resize([0.0, 1.5, -0.0, -2.0 / 3, 0.0, 1e-300, 12.0], 96)
+    cells = [fmt(v) for v in values.tolist()]
+    assert cells[:3] == ["0", "1.5", "-0"]
+    calls = []
+
+    def counting_fmt(x):
+        calls.append(float(x))
+        return fmt(x)
+
+    monkeypatch.setattr(_format, "fmt", counting_fmt)
+    path = str(tmp_path / "t")
+    write_csv(path, *columns(["x", "k"], values, np.arange(96)))
+    with open(path) as fh:
+        assert fh.read() == "x,k\n" + "".join(
+            f"{c},{k}\n" for k, c in enumerate(cells))
+    write_json(path, columns(["x"], values))
+    with open(path) as fh:
+        assert fh.read() == "[\n" + ",\n".join(
+            '  {\n    "x": ' + c + "\n  }" for c in cells) + "\n]\n"
+    for listed in (values, values.tolist()):
+        assert render_json(listed) == "[\n  " + ",\n  ".join(cells) + "\n]"
+    assert calls and all(v == 1e-300 for v in calls)
+
+
 def test_rows_read_as_python_scalars():
     header, rows = columns(["time", "x", "draw"], range(3),
                            np.array([0.5, 1.0, 2.0]), np.array([2, 0]))
     assert header == ["time", "x", "draw"]
     assert len(rows) == 3
-    assert rows[0] == (0, 0.5, None) and rows[-1] == (2, 2.0, 0)
-    assert type(rows[1][1]) is float and type(rows[1][2]) is int
-    assert rows[1:] == [(1, 1.0, 2), (2, 2.0, 0)]
-    assert rows == [[0, 0.5, None], [1, 1.0, 2], [2, 2.0, 0]]
-    assert list(rows) == rows[:]
-    with pytest.raises(IndexError):
-        rows[3]
+    listed = list(rows)
+    assert listed == [(0, 0.5, None), (1, 1.0, 2), (2, 2.0, 0)]
+    assert all(type(row) is tuple for row in listed)
+    assert [type(cell) for cell in listed[1]] == [int, float, int]
+    assert list(rows) == listed     # the rows read the same every time

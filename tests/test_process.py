@@ -248,6 +248,8 @@ def test_trajectory_table_and_csv(tmp_path):
     traj = simulate([1.0, 0.0], R2, 3, 0)
     header, rows = traj.table
     assert header == ["time", "count_0", "count_1", "draw"]
+    assert len(rows) == 4
+    rows = list(rows)
     assert rows[0] == (0, 1.0, 0.0, None)
     assert [row[-1] for row in rows[1:]] == traj.draws.tolist()
     np.testing.assert_array_equal([row[1:3] for row in rows],

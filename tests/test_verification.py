@@ -545,8 +545,8 @@ def test_dominance_table_csv(tmp_path):
     header, rows = table.table
     assert header == ["n", "t", "bound", "probability", "mode", "margin",
                       "pass"]
-    assert rows == [[5, 0.2, report.tail, 0.01, "exact",
-                     report.tail - 0.01, "true"]]
+    assert list(rows) == [(5, 0.2, report.tail, 0.01, "exact",
+                           report.tail - 0.01, "true")]
 
 
 def test_batch_and_exact_agree_on_mean():

@@ -3,18 +3,25 @@
     python tools/artifacts.py SRC OUT
 
 Imports urnbound from SRC (a tree's `src` directory) and runs all six
-commands, in csv and in json format, on each config of CONFIGS: seven
-matrices that together hold every kind of spectral member (eigenvector,
-Jordan chain, lambda = 0 chain, full repeated eigenspace, a frozen
-lambda = 0 eigenvector, negative and non-dyadic eigenvalues), eigen,
-color and vector statistics, and the exact, auto and mc modes (mc with a
-small replica count).  One more mc config, rj-s0-mc-chunks, has
-2 * 16384 + 37 replicas, so it crosses the replica kernel's chunk
-boundary; it runs at --threads 1 and at --threads 2.  The calls are
-`cli.main(argv)` in this process.  Each invocation writes its artifacts
-to OUT/<config>/<command>-<format>/ (with -t1 or -t2 appended for the
-thread runs); OUT/log.txt gets one line per invocation with its exit
-code and stderr, and OUT/log-threads.txt the same for the thread runs.
+commands, in csv and in json format, on each config of configs(): seven
+matrices (MATRICES) that together hold every kind of spectral member
+(eigenvector, Jordan chain, lambda = 0 chain, full repeated eigenspace,
+a frozen lambda = 0 eigenvector, negative and non-dyadic eigenvalues),
+eigen, color and vector statistics, and the exact, auto and mc modes
+(mc with a small replica count), at horizon 10.  One more mc config,
+rj-s0-mc-chunks, has 2 * 16384 + 37 replicas, so it crosses the replica
+kernel's chunk boundary; it runs at --threads 1 and at --threads 2.
+Then the same runs on R4, a reversible 4-color matrix, whose spectrum
+comes from numpy's eigvals (d <= 3 has closed forms), and simulate,
+decompose and bound of frozen and r0 at horizon LONG_HORIZON, where
+their tables and float lists are long enough for the writer's numpy
+path and full of exact zeros (frozen's increment bounds, r0's nested
+expansion columns).  The calls are `cli.main(argv)` in this process.
+Each invocation writes its artifacts to OUT/<config>/<command>-<format>/
+(with -t1 or -t2 appended for the thread runs) and one line with its
+exit code and stderr to a log: OUT/log.txt for the seven matrices,
+OUT/log-threads.txt for the thread runs and OUT/log-more.txt for the
+rest, so a tree without the later configs writes the same first logs.
 
 A refactor that must not change any output is checked with
 
@@ -43,10 +50,15 @@ MATRICES = {
                  [0.1414213562, 0.6, 0.2585786438],
                  [0.2, 0.3678794412, 0.4321205588]], "0.2, 0.3, 0.5"),
 }
-VECTORS = {2: "0.75, -1", 3: "1, 2, -3"}
+# eigenvalues 1, 0.829, 0.344 and -0.190
+R4 = ([[0.75, 0.25, 0.0, 0.0], [0.25, 0.5, 0.25, 0.0],
+       [0.0, 0.2, 0.4, 0.4], [0.0, 0.0, 2 / 3, 1 / 3]], "0.1, 0.2, 0.3, 0.4")
+VECTORS = {2: "0.75, -1", 3: "1, 2, -3", 4: "1, 2, -3, 0.5"}
 COMMANDS = ("spectrum", "simulate", "decompose", "bound", "verify", "sweep")
 FORMATS = ("csv", "json")
+MODES = ("exact", "auto", "mc")
 CHUNKED_REPLICAS = 2 * 16384 + 37    # the replica kernel's chunk is 16384
+LONG_HORIZON = 1000    # past the writer's 64-cell threshold
 
 
 def _statistics(d: int):
@@ -57,11 +69,12 @@ def _statistics(d: int):
 
 
 def _config(rows, initial: str, stat: str, mode: str,
-            replicas: int = 3000) -> str:
-    """Config text of one matrix, statistic, mode and replica count."""
+            replicas: int = 3000, horizon: int = 10) -> str:
+    """Config text of one matrix, statistic, mode, replica count and
+    horizon."""
     matrix = "\n".join(", ".join(repr(x) for x in row) for row in rows)
     lines = [matrix, f"statistic = {stat}", f"mode = {mode}",
-             "horizon = 10", "horizons = 4, 10",
+             f"horizon = {horizon}", "horizons = 4, 10",
              "thresholds = 0.05, 0.1, 0.2", "seed = 3",
              f"replicas = {replicas}"]
     if mode != "exact":
@@ -69,19 +82,31 @@ def _config(rows, initial: str, stat: str, mode: str,
     return "\n".join(lines) + "\n"
 
 
+def _every_statistic(label: str, rows, initial: str, log: str):
+    """The configs of every statistic and mode of one matrix."""
+    for k, stat in enumerate(_statistics(len(rows))):
+        for mode in MODES:
+            yield (log, f"{label}-s{k}-{mode}",
+                   _config(rows, initial, stat, mode), COMMANDS, (("", ()),))
+
+
 def configs():
-    """(name, config text, runs) for every matrix, statistic and mode, run
-    once without --threads, then one mc config whose replicas fill two
-    whole chunks and a short third, run at --threads 1 and 2.  A run is
+    """(log, name, config text, commands, runs): every statistic and mode
+    of each matrix, run once without --threads; one mc config whose
+    replicas fill two whole chunks and a short third, run at --threads 1
+    and 2; R4's statistics and modes; and the long-horizon runs.  A run is
     (suffix of its output directories, extra CLI arguments)."""
     for label, (rows, initial) in MATRICES.items():
-        for k, stat in enumerate(_statistics(len(rows))):
-            for mode in ("exact", "auto", "mc"):
-                yield (f"{label}-s{k}-{mode}",
-                       _config(rows, initial, stat, mode), (("", ()),))
-    yield ("rj-s0-mc-chunks",
+        yield from _every_statistic(label, rows, initial, "log")
+    yield ("log-threads", "rj-s0-mc-chunks",
            _config(*MATRICES["rj"], "eigen:0", "mc", CHUNKED_REPLICAS),
-           tuple((f"-t{t}", ("--threads", str(t))) for t in (1, 2)))
+           COMMANDS, tuple((f"-t{t}", ("--threads", str(t))) for t in (1, 2)))
+    yield from _every_statistic("r4", *R4, "log-more")
+    for label in ("frozen", "r0"):
+        yield ("log-more", f"{label}-s0-n{LONG_HORIZON}",
+               _config(*MATRICES[label], "eigen:0", "auto",
+                       horizon=LONG_HORIZON),
+               ("simulate", "decompose", "bound"), (("", ()),))
 
 
 def run(argv, main) -> tuple[int, str]:
@@ -104,22 +129,25 @@ def main(src: str, out: str) -> int:
 
     os.makedirs(out, exist_ok=True)
     count = 0
-    with open(os.path.join(out, "log.txt"), "w") as log, \
-            open(os.path.join(out, "log-threads.txt"), "w") as log_threads:
-        for name, text, runs in configs():
+    with contextlib.ExitStack() as stack:
+        logs = {}
+        for log, name, text, commands, runs in configs():
+            if log not in logs:
+                logs[log] = stack.enter_context(
+                    open(os.path.join(out, f"{log}.txt"), "w"))
             base = os.path.join(out, name)
             os.makedirs(base, exist_ok=True)
             config = os.path.join(base, "config.txt")
             with open(config, "w") as fh:
                 fh.write(text)
-            for command in COMMANDS:
+            for command in commands:
                 for fmt in FORMATS:
                     for suffix, extra in runs:
                         where = os.path.join(base, f"{command}-{fmt}{suffix}")
                         code, err = run([command, "--config", config,
                                          "--out", where, "--format", fmt,
                                          *extra], cli_main)
-                        (log_threads if extra else log).write(
+                        logs[log].write(
                             f"{name} {command} {fmt}{suffix} exit={code} "
                             f"stderr={err!r}\n")
                         count += 1
