@@ -9,9 +9,9 @@ bound      deviation-bound reports over the threshold grid -> bounds.json
 verify     bounds against the exact law or Monte Carlo -> dominance file
 sweep      bound + verify over a grid of horizons
 
-Exit codes: 0 success, 1 configuration error or unwritable --out, 2 a
-bad command line, complex spectrum or reducible matrix, 3 dominance
-failure.
+Exit codes: 0 success, 1 configuration error, unwritable --out or out
+of memory, 2 a bad command line, complex spectrum or reducible matrix,
+3 dominance failure.
 
 Config files are flat key = value text; lines without '=' are matrix rows
 (comma-separated).  A file whose first non-space character is '{' is
@@ -52,7 +52,9 @@ from .verification import (
 )
 
 # The builtin SHA-256, as the stdlib random module takes its sha512:
-# hashlib maps OpenSSL (3.5 MiB) only to hash the config file.
+# hashlib maps OpenSSL (3.5 MiB) only to hash the config file.  Runs
+# that draw import numpy.random without secrets (process._numpy_random),
+# so with numpy >= 2 no run maps OpenSSL.
 try:
     from _sha2 import sha256 as _sha256        # Python 3.12+
 except ImportError:
@@ -348,6 +350,10 @@ def _truths(cfg, S, stat, reports, n, c0, threads):
     takes the exact law whenever its state count fits STATE_BUDGET."""
     exact = cfg.mode == "exact" or (
         cfg.mode == "auto" and exact_states(S.matrix.dim, n) <= STATE_BUDGET)
+    # every C_n . vector, and each partial sum of it, is at most this
+    if not math.isfinite((n + 1.0) * float(np.abs(stat.vector).max())):
+        raise ConfigError(f"statistic vector is too large for horizon {n}: "
+                          f"C_n . vector overflows")
     # each centered event as a threshold on C_n . vector
     thresholds = [stat.constant * (n + 1.0) + r.zeroth_shift + r.deviation
                   for r in reports]
@@ -463,6 +469,10 @@ def main(argv=None) -> int:
     except (UrnboundError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, (ComplexSpectrum, NotIrreducible)) else 1
+    except MemoryError as exc:
+        print(f"error: out of memory{f': {exc}' if str(exc) else ''}",
+              file=sys.stderr)
+        return 1
     finally:
         # a failed run takes back the empty directories it made
         for path in new_dirs:

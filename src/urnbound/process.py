@@ -40,11 +40,19 @@ from k.  Its draws differ from those of the row-major rule
 min(sum(u >= cumsum(counts)), d - 1) it replaced only where a uniform
 lands within one rounding of a sum; they are equal on every stream the
 tests check, and golden hashes pin the streams.
+
+Generators come from _numpy_random(), which imports numpy.random (lazy
+in numpy 2) without mapping OpenSSL.  numpy's bit_generator takes only
+randbits from secrets, whose import loads hmac and with it libcrypto
+(about 3.7 MiB resident), so with numpy >= 2 no run maps OpenSSL.
 """
 from __future__ import annotations
 
 import os
+import random
+import sys
 import threading
+import types
 from typing import NamedTuple
 
 import numpy as np
@@ -88,6 +96,40 @@ def initial_counts(initial, R: ReplacementMatrix) -> np.ndarray:
     if c0.size != R.dim:
         raise DimensionMismatch(f"initial has {c0.size} colors, matrix {R.dim}")
     return c0
+
+
+def _numpy_random() -> types.ModuleType:
+    """numpy.random, imported while sys.modules["secrets"] is a stand-in.
+
+    The stand-in holds randbits as CPython's secrets defines it,
+    SystemRandom().getrandbits, and serves any other public name from
+    the real secrets, which then takes its place in sys.modules.  It is
+    removed when the import returns, so a later `import secrets` gets
+    the standard module.  When secrets or numpy.random is loaded
+    already (numpy 1.x imports numpy.random with numpy), this is a
+    plain import.  The generators are numpy's own: streams keep their
+    bits.
+    """
+    if "numpy.random" in sys.modules or "secrets" in sys.modules:
+        return np.random
+    stand_in = types.ModuleType("secrets")
+    stand_in.randbits = random.SystemRandom().getrandbits
+
+    def real(name: str):
+        if name.startswith("__"):   # the import system's probes
+            raise AttributeError(name)
+        if sys.modules.get("secrets") is stand_in:
+            del sys.modules["secrets"]
+        return getattr(__import__("secrets"), name)
+
+    stand_in.__getattr__ = real
+    sys.modules["secrets"] = stand_in
+    try:
+        import numpy.random
+    finally:
+        if sys.modules.get("secrets") is stand_in:
+            del sys.modules["secrets"]
+    return numpy.random
 
 
 def _statistic_vector(v, d: int) -> np.ndarray:
@@ -175,7 +217,7 @@ def simulate(initial, R: ReplacementMatrix, n: int, seed) -> Trajectory:
     c0 = initial_counts(initial, R)
     if n < 0:
         raise ValueError("n must be nonnegative")
-    rng = np.random.default_rng(seed)
+    rng = _numpy_random().default_rng(seed)
     targets = rng.random(n) * np.arange(1.0, n + 1.0)
     rows = R.matrix
     draws = np.empty(n, dtype=np.int64)
@@ -279,7 +321,7 @@ def _run_chunk(rows: np.ndarray, c0: np.ndarray, n: int,
     final counts differ from n sequential row adds in their last bits,
     and not at all when R is dyadic.
     """
-    rng = np.random.default_rng(seed_seq)
+    rng = _numpy_random().default_rng(seed_seq)
     m, d = finals.shape
     rc = np.cumsum(rows, axis=1)
     gains = (rc[1:, :-1] - rc[0, :-1])[:, :, None]   # gains[c - 1][i]
@@ -347,6 +389,7 @@ def simulate_replicas(initial, R: ReplacementMatrix, n: int, replicas: int,
     workers = min(threads, len(starts), _usable_cpus())
     failed = threading.Event()    # a worker raised: the others stop early
     errors = []
+    seeds = _numpy_random().SeedSequence    # imported before any helper runs
 
     def work(first: int) -> None:
         for c in range(first, len(starts), workers):
@@ -354,7 +397,7 @@ def simulate_replicas(initial, R: ReplacementMatrix, n: int, replicas: int,
                 return
             mine = slice(starts[c], starts[c] + chunk_size)
             _run_chunk(rows, c0, n,
-                       np.random.SeedSequence(seed, spawn_key=(c,)),
+                       seeds(seed, spawn_key=(c,)),
                        finals[mine], None if draws is None else draws[mine])
 
     def helper(first: int) -> None:

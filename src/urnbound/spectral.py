@@ -87,7 +87,8 @@ def validate_matrix(rows) -> ReplacementMatrix:
     if neg.size:
         i, j = neg[0]
         raise NegativeEntry(f"entry ({i},{j}) = {m[i, j]} is negative")
-    sums = m.sum(axis=1)
+    with np.errstate(over="ignore"):    # an inf sum fails the check below
+        sums = m.sum(axis=1)
     bad = np.argwhere(np.abs(sums - 1.0) > ROW_SUM_TOL)
     if bad.size:
         i = int(bad[0][0])

@@ -6,9 +6,12 @@ the installed console script.
 """
 import hashlib
 import json
+import os
 import subprocess
 import sys
+import warnings
 
+import numpy as np
 import pytest
 
 from urnbound import cli
@@ -515,6 +518,49 @@ def test_non_finite_statistic_vector_exits_1(tmp_path, capsys, command,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command,text,message", [
+    ("spectrum", "1e308, 1e308\n0.4, 0.6\nhorizon = 5\n",
+     "row 0 sums to inf, expected 1"),
+    ("verify", TWO_COLOR.replace("eigen:0", "vector: 1e308, -1e308"),
+     "statistic vector is too large for horizon 12: C_n . vector overflows"),
+    ("verify", TWO_COLOR.replace("eigen:0", "vector: 1e308, -1e308").replace(
+        "mode = exact", "mode = mc"),
+     "statistic vector is too large for horizon 12: C_n . vector overflows"),
+], ids=["matrix-row", "vector-exact", "vector-mc"])
+def test_overflowing_input_is_one_error_line_and_no_warning(
+        tmp_path, capsys, command, text, message):
+    # as under -W error: a numpy RuntimeWarning on the way to the typed
+    # error would escape main() as an exception
+    out = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run([command, "--config", write(tmp_path, text),
+                    "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("reason", ["", "Unable to allocate 7.28 TiB"])
+def test_out_of_memory_is_exit_1_and_leaves_nothing(tmp_path, capsys,
+                                                    monkeypatch, reason):
+    # the writer runs out of memory halfway through trajectory.csv; the
+    # machine is never asked for the memory
+    from urnbound import _format
+
+    def half_written(fh, *args, **kwargs):
+        fh.write(b"time,count_0,count_1,draw\n0,1,0,\n")
+        raise MemoryError(reason) if reason else MemoryError
+
+    monkeypatch.setattr(_format, "_write_rows", half_written)
+    out = tmp_path / "fresh" / "out"
+    assert run(["simulate", "--config", write(tmp_path, TWO_COLOR),
+                "--out", str(out)]) == 1
+    text = f"out of memory: {reason}" if reason else "out of memory"
+    assert capsys.readouterr().err == f"error: {text}\n"
+    assert list(tmp_path.iterdir()) == [tmp_path / "exp.cfg"]
+
+
 def test_exit_code_on_complex_spectrum(tmp_path):
     cfg = write(tmp_path,
                 "0.1, 0.9, 0\n0, 0.1, 0.9\n0.9, 0, 0.1\nhorizon = 5\n")
@@ -756,3 +802,38 @@ def test_bound_run_leaves_unused_modules_unloaded(tmp_path):
     proc = subprocess.run([sys.executable, "-c", code],
                           capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/maps"),
+                    reason="reads the process's mappings from /proc")
+@pytest.mark.skipif(np.lib.NumpyVersion(np.__version__) < "2.0.0",
+                    reason="numpy 1.x imports numpy.random, and secrets, "
+                           "with numpy")
+@pytest.mark.parametrize("argv,text", [
+    (["verify", "--threads", "2"],
+     TWO_COLOR.replace("mode = exact", "mode = mc")),
+    (["simulate"], JORDAN_TEXT),
+    (["decompose"], JORDAN_TEXT),
+], ids=["verify-mc", "simulate", "decompose"])
+def test_drawing_runs_map_no_openssl(tmp_path, argv, text):
+    # numpy.random is imported with a stand-in for secrets, whose import
+    # loads hmac and maps libcrypto.  A fresh process, since pytest or
+    # hypothesis may have imported secrets here; afterwards secrets is
+    # the standard module again
+    argv = argv + ["--config", write(tmp_path, text),
+                   "--out", str(tmp_path / "out")]
+    code = ("import os, sys, urnbound.cli\n"
+            f"assert urnbound.cli.main({argv!r}) == 0\n"
+            "assert 'numpy.random' in sys.modules\n"
+            "print(sorted(m for m in ('_hashlib', 'hmac', 'hashlib',\n"
+            "                         'secrets') if m in sys.modules))\n"
+            "with open('/proc/self/maps') as fh:\n"
+            "    print(sorted({line.split()[-1] for line in fh\n"
+            "                  if 'libcrypto' in line}))\n"
+            "import secrets\n"
+            "assert os.path.dirname(secrets.__file__) == "
+            "os.path.dirname(os.__file__)\n"
+            "print(len(secrets.token_hex(16)))\n")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.splitlines() == ["[]", "[]", "32"]

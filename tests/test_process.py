@@ -2,7 +2,9 @@
 draw-law checks and the batched replica runner.
 """
 import hashlib
+import subprocess
 import sys
+import textwrap
 import threading
 import time
 import tracemalloc
@@ -637,3 +639,103 @@ def test_simulate_matches_reference_on_the_trajectory_io_config():
     traj = _assert_simulate_matches_reference([1.0, 0.0, 0.0], RJ, 100_000, 3)
     assert _sha256(traj.draws) == (
         "64cc6c07ce857727b5d44eeab539fa83965dd57753187e4846bf5eb381afb418")
+
+
+def _fresh(code: str) -> list[str]:
+    """Output lines of code run in a new interpreter, where neither
+    secrets nor numpy.random is loaded yet (pytest or hypothesis may have
+    imported secrets in this one)."""
+    proc = subprocess.run([sys.executable, "-c", textwrap.dedent(code)],
+                          capture_output=True, text=True, check=True)
+    return proc.stdout.splitlines()
+
+
+def test_stand_in_serves_other_secrets_names_from_the_real_module():
+    # a finder called inside the import window asks for another name of
+    # secrets: the real module answers and takes the stand-in's place
+    assert _fresh("""
+        import os, sys
+        from urnbound import process
+        seen = []
+
+        class Probe:
+            @staticmethod
+            def find_spec(name, path=None, target=None):
+                if name == "numpy.random" and not seen:
+                    stand_in = sys.modules["secrets"]
+                    from secrets import token_hex
+                    seen.append((stand_in, token_hex, sys.modules["secrets"]))
+
+        sys.meta_path.insert(0, Probe)
+        process._numpy_random()
+        stand_in, token_hex, then = seen[0]
+        import secrets
+        print(stand_in is not secrets, then is secrets,
+              token_hex is secrets.token_hex, len(token_hex(4)),
+              os.path.dirname(secrets.__file__) == os.path.dirname(os.__file__))
+        """) == ["True True True 8 True"]
+
+
+def test_unseeded_seed_sequence_draws_128_bits_of_os_entropy():
+    assert _fresh("""
+        import random, sys
+        from urnbound import process
+        sizes, urandom = [], random._urandom
+
+        def recording(k):
+            sizes.append(k)
+            return urandom(k)
+
+        random._urandom = recording
+        rnd = process._numpy_random()
+        sizes.clear()       # numpy's import seeds its legacy RandomState
+        entropy = rnd.SeedSequence().entropy
+        print(sizes, 0 <= entropy < 1 << 128, "secrets" in sys.modules)
+        """) == ["[16] True False"]
+
+
+def test_numpy_random_import_leaves_loaded_modules_as_they_are():
+    # with secrets loaded, numpy takes the real randbits; with numpy.random
+    # loaded, a second call changes nothing
+    assert _fresh("""
+        import secrets, sys
+        from urnbound import process
+        before = dict(sys.modules)
+        rnd = process._numpy_random()
+        print(sys.modules["secrets"] is secrets,
+              rnd.bit_generator.randbits is secrets.randbits,
+              all(sys.modules[k] is v for k, v in before.items()))
+        """) == ["True True True"]
+    assert _fresh("""
+        import sys
+        from urnbound import process
+        rnd = process._numpy_random()
+        before = dict(sys.modules)
+        print(process._numpy_random() is rnd is sys.modules["numpy.random"],
+              sys.modules == before, "secrets" in sys.modules)
+        """) == ["True True False"]
+
+
+def test_first_draw_on_four_threads_gives_the_bits_of_one():
+    # numpy.random is imported once, before any helper thread starts,
+    # even when threads switch every microsecond
+    assert _fresh("""
+        import sys
+        from urnbound import process, simulate_replicas, validate_matrix
+        RJ = validate_matrix([[5 / 8, 3 / 8, 0.0], [1 / 8, 3 / 8, 1 / 2],
+                              [1 / 4, 1 / 4, 1 / 2]])
+        args = ([0.25, 0.5, 0.25], RJ, 30, 7 * 25 + 13)
+        process._usable_cpus = lambda: 4
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            many = simulate_replicas(*args, seed=8, keep_draws=True,
+                                     threads=4, chunk_size=25)
+        finally:
+            sys.setswitchinterval(interval)
+        one = simulate_replicas(*args, seed=8, keep_draws=True,
+                                chunk_size=25)
+        print((one.final_counts.view("u8") == many.final_counts.view("u8")
+               ).all(), (one.draws == many.draws).all(),
+              "secrets" in sys.modules)
+        """) == ["True True False"]
