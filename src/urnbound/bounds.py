@@ -37,7 +37,7 @@ from .decomposition import (
     dn_asymptotic,
     member_weights,
 )
-from .errors import IndexOrder, LambdaOutOfRange, NotEigenpair
+from .errors import IndexOrder, LambdaOutOfRange, NotEigenpair, UrnboundError
 from .spectral import (
     Member,
     ReplacementMatrix,
@@ -157,6 +157,11 @@ def _grid_reports(members, n, thresholds, scale, label,
             if shift:
                 term += alpha * shift * float(c0 @ member.partner)
             center += term
+    # sum_j (2 c_j)^2 <= n (2 max c)^2, in Python floats: no numpy warning
+    top = 2.0 * float(c.max())
+    if not math.isfinite(n * top * top):
+        raise UrnboundError(f"statistic is too large for horizon {n}: its "
+                            f"squared increment bounds overflow")
     sum_sq = float(np.sum((2.0 * c) ** 2))
     zeroth = None if c0 is None else float(center)
     log_tails = [_log_tail(scale * t, sum_sq) for t in ts]  # exp(-inf) = 0

@@ -31,6 +31,7 @@ import json
 import math
 import os
 import sys
+from contextlib import contextmanager
 from typing import NamedTuple
 
 import numpy as np
@@ -350,10 +351,6 @@ def _truths(cfg, S, stat, reports, n, c0, threads):
     takes the exact law whenever its state count fits STATE_BUDGET."""
     exact = cfg.mode == "exact" or (
         cfg.mode == "auto" and exact_states(S.matrix.dim, n) <= STATE_BUDGET)
-    # every C_n . vector, and each partial sum of it, is at most this
-    if not math.isfinite((n + 1.0) * float(np.abs(stat.vector).max())):
-        raise ConfigError(f"statistic vector is too large for horizon {n}: "
-                          f"C_n . vector overflows")
     # each centered event as a threshold on C_n . vector
     thresholds = [stat.constant * (n + 1.0) + r.zeroth_shift + r.deviation
                   for r in reports]
@@ -372,6 +369,10 @@ def _verify(cfg, S, args, out_dir, horizons) -> int:
     stat = resolve_statistic(cfg.statistic, S)
     grids, truths = [], []
     for n in horizons:
+        # every C_n . vector, and each partial sum of it, is at most this
+        if not math.isfinite((n + 1.0) * float(np.abs(stat.vector).max())):
+            raise ConfigError(f"statistic vector is too large for horizon "
+                              f"{n}: C_n . vector overflows")
         grids.append(_bound_reports(cfg, S, stat, n, c0))
         truths.extend(_truths(cfg, S, stat, grids[-1], n, c0, args.threads))
     table = dominance_check([r for grid in grids for r in grid], truths)
@@ -451,6 +452,37 @@ def _missing_dirs(path) -> list[str]:
     return missing
 
 
+@contextmanager
+def _staged(out_dir):
+    """A directory of the run's own inside out_dir, where its files wait
+    until it has finished; it is removed on exit with what is left in it,
+    so a failure at any point leaves out_dir as it was."""
+    stage = os.path.join(out_dir, f".urnbound-{os.getpid()}")
+    os.mkdir(stage)
+    try:
+        yield stage
+    finally:
+        for name in os.listdir(stage):
+            os.remove(os.path.join(stage, name))
+        os.rmdir(stage)
+
+
+def _publish(stage, out_dir) -> None:
+    """Move the finished run's files from stage into out_dir, the
+    manifest last.  If one cannot be moved, those moved before it are
+    removed again."""
+    moved = []
+    try:
+        for name in sorted(os.listdir(stage),
+                           key=lambda name: (name == "manifest.json", name)):
+            os.replace(os.path.join(stage, name), os.path.join(out_dir, name))
+            moved.append(os.path.join(out_dir, name))
+    except OSError:
+        for path in moved:
+            os.remove(path)
+        raise
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     new_dirs = _missing_dirs(args.out)
@@ -462,9 +494,11 @@ def main(argv=None) -> int:
         matrix = validate_matrix(cfg.matrix)
         S = decompose(matrix)
         os.makedirs(args.out, exist_ok=True)
-        code = COMMANDS[args.command](cfg, S, args, args.out)
-        # the manifest marks a finished run: a failed one writes none
-        _write_manifest(args.out, args.command, config_hash, cfg, args)
+        with _staged(args.out) as stage:
+            code = COMMANDS[args.command](cfg, S, args, stage)
+            # the manifest marks a finished run: a failed one writes none
+            _write_manifest(stage, args.command, config_hash, cfg, args)
+            _publish(stage, args.out)
         return code
     except (UrnboundError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -32,14 +32,18 @@ state the exact law enumerates: C_j = C_0 + k^T R.  Each draw rebuilds
 the cumulative sums of colors 0 .. d-2 from k as products with fixed
 row differences, counts the sums the uniform reaches (a sum counts only
 where the one before it does) and adds 1 to the drawn color's count.
-The comparisons land as 0.0 or 1.0 in the float rows that held the
-products, so a draw makes no bool array and no copy of one.  Its
-uniforms come one row per draw, so its scratch does not grow with n.
-There are no per-color gathers, and the final counts are formed once
-from k.  Its draws differ from those of the row-major rule
-min(sum(u >= cumsum(counts)), d - 1) it replaced only where a uniform
-lands within one rounding of a sum; they are equal on every stream the
-tests check, and golden hashes pin the streams.
+The comparisons land as 0.0 or 1.0 in the sums' rows, so a draw makes
+no bool array and no copy of one.  Each worker holds one float block of
+3 (d - 1) rows of the chunk length (counts, sums and hits, products and
+uniforms), allocated by simulate_replicas before any helper starts, so
+its scratch does not grow with n and no draw or chunk allocates an
+array of the chunk's length: 0.375 MiB at d = 2 and 0.75 MiB at d = 3
+for a 16,384-replica chunk.  There are no per-color gathers, and the
+final counts are formed once from k, in the block's rows.  Its draws
+differ from those of the row-major rule min(sum(u >= cumsum(counts)),
+d - 1) it replaced only where a uniform lands within one rounding of a
+sum; they are equal on every stream the tests check, and golden hashes
+pin the streams.
 
 Generators come from _numpy_random(), which imports numpy.random (lazy
 in numpy 2) without mapping OpenSSL.  numpy's bit_generator takes only
@@ -286,10 +290,12 @@ class ReplicaBatch(NamedTuple):
 
 def _run_chunk(rows: np.ndarray, c0: np.ndarray, n: int,
                seed_seq: np.random.SeedSequence, finals: np.ndarray,
-               draws: np.ndarray | None) -> None:
+               draws: np.ndarray | None, block: np.ndarray) -> None:
     """Advance m = len(finals) replicas by n draws on the stream
     default_rng(seed_seq), writing their final counts into finals (m, d)
     and, unless draws is None, their drawn colors into draws (m, n).
+    block is the worker's float scratch, of shape (3, d - 1, >= m); the
+    chunk allocates no array of its length.
 
     A balanced urn has C_j = C_0 + k^T R, where k counts the draws of
     each color, so a replica holds only its draw counts: k_c for the
@@ -304,14 +310,20 @@ def _run_chunk(rows: np.ndarray, c0: np.ndarray, n: int,
     of the row-major kernel this one replaced.  At d >= 3 rounding can
     put two equal sums out of order, so sum i counts as reached only
     where sum i - 1 is: the rule applied to s_i raised to s_{i-1}.  The
-    hits are compared straight into the products' float scratch, as 0.0
-    or 1.0, so that rule is a product of neighbouring rows and their sum
-    over i is the drawn color.  They are then monotone, color c >= 1 is
-    drawn where sum c - 1 is reached and sum c is not, and a draw counts
-    once.  Draw j fills one length-m vector with rng.random and scales it
-    in place by j + 1, so the scratch is O(m d) and does not grow with n.
-    The final counts are built once, c0_i + k_0 R[0, i] + k_1 R[1, i] +
-    ..., added in color order.
+    hits are compared into the sums' rows in place, as 0.0 or 1.0, so
+    that rule is a product of neighbouring rows and their sum over i is
+    the drawn color.  They are then monotone, color c >= 1 is drawn where
+    sum c - 1 is reached and sum c not, and a draw counts once.
+
+    The block holds three groups of d - 1 rows: the counts k, the sums
+    (then the hits) and the products, whose first row takes the draw's
+    uniforms once the products are summed; the draw's one rng.random
+    call fills it and it is scaled in place by j + 1.  So a worker holds
+    3 (d - 1) rows of its chunk length, whatever n is: 0.375 MiB at
+    d = 2 and 0.75 MiB at d = 3 for a 16,384-replica chunk.  The final
+    counts are built once, c0_i + k_0 R[0, i] + k_1 R[1, i] + ..., added
+    in color order, through out= into finals' columns: k_0 goes in the
+    uniforms' row and each k_c R[c, i] in a sums row.
 
     The draws equal the row-major kernel's except where a uniform lands
     within one rounding of a sum.  At an empty color such a window can
@@ -326,32 +338,32 @@ def _run_chunk(rows: np.ndarray, c0: np.ndarray, n: int,
     rc = np.cumsum(rows, axis=1)
     gains = (rc[1:, :-1] - rc[0, :-1])[:, :, None]   # gains[c - 1][i]
     cc, rc0 = np.cumsum(c0)[:-1, None], rc[0, :-1, None]
-    k = np.zeros((d - 1, m))
-    sums = np.empty((d - 1, m))
-    step = np.empty((d - 1, m))     # the products' scratch, then the hits
-    reached_below = list(zip(step[1:], step[:-1]))
-    take_off = list(zip(step[:-1], step[1:]))
-    u = np.empty(m)
+    k, sums, products = block[..., :m]
+    u = products[0]
+    k.fill(0.0)
+    reached_below = list(zip(sums[1:], sums[:-1]))
+    take_off = list(zip(sums[:-1], sums[1:]))
     for j in range(n):
-        rng.random(out=u)
-        u *= j + 1.0
         np.multiply(gains[0], k[0], out=sums)
         for gain, kc in zip(gains[1:], k[1:]):
-            sums += np.multiply(gain, kc, out=step)
+            sums += np.multiply(gain, kc, out=products)
         sums += cc + j * rc0
-        np.greater_equal(u, sums, out=step)     # 1.0 where sum i is reached
+        rng.random(out=u)
+        u *= j + 1.0
+        np.greater_equal(u, sums, out=sums)     # 1.0 where sum i is reached
         for hit, below in reached_below:
             hit *= below
         if draws is not None:
-            step.sum(axis=0, dtype=np.int16, out=draws[:, j])
+            sums.sum(axis=0, dtype=np.int16, out=draws[:, j])
         for drawn, beyond in take_off:   # drawn: sum c - 1 reached, sum c not
             drawn -= beyond
-        k += step
-    k0 = n - k.sum(axis=0)
+        k += sums
+    k0, term = u, sums[0]
+    np.subtract(n, k.sum(axis=0, out=k0), out=k0)
     for col, c0_i, column in zip(finals.T, c0, rows.T):
-        col[:] = c0_i + k0 * column[0]
+        np.add(np.multiply(k0, column[0], out=col), c0_i, out=col)
         for kc, r in zip(k, column[1:]):
-            col += kc * r
+            col += np.multiply(kc, r, out=term)
 
 
 def _usable_cpus() -> int:
@@ -372,7 +384,10 @@ def simulate_replicas(initial, R: ReplacementMatrix, n: int, replicas: int,
     result depends only on (seed, replicas, chunk_size), never on thread
     count or scheduling.  With w = min(threads, chunks, usable CPUs)
     workers, worker i runs the chunks c = i (mod w): worker 0 is the
-    calling thread, and w - 1 helper threads run the rest.  Raises
+    calling thread, and w - 1 helper threads run the rest.  Each worker
+    runs its chunks in one scratch block of 3 (d - 1) rows of
+    min(chunk_size, replicas) floats, allocated here on the calling
+    thread and dropped on return.  Raises
     ValueError, naming the argument, when n < 0, replicas < 1,
     chunk_size < 1 or threads < 1.
     """
@@ -387,6 +402,9 @@ def simulate_replicas(initial, R: ReplacementMatrix, n: int, replicas: int,
     draws = np.empty((replicas, n), dtype=np.int16) if keep_draws else None
     starts = range(0, replicas, chunk_size)
     workers = min(threads, len(starts), _usable_cpus())
+    # each worker's kernel scratch, allocated here before any helper runs
+    blocks = [np.empty((3, R.dim - 1, min(chunk_size, replicas)))
+              for _ in range(workers)]
     failed = threading.Event()    # a worker raised: the others stop early
     errors = []
     seeds = _numpy_random().SeedSequence    # imported before any helper runs
@@ -396,9 +414,9 @@ def simulate_replicas(initial, R: ReplacementMatrix, n: int, replicas: int,
             if failed.is_set():
                 return
             mine = slice(starts[c], starts[c] + chunk_size)
-            _run_chunk(rows, c0, n,
-                       seeds(seed, spawn_key=(c,)),
-                       finals[mine], None if draws is None else draws[mine])
+            _run_chunk(rows, c0, n, seeds(seed, spawn_key=(c,)),
+                       finals[mine], None if draws is None else draws[mine],
+                       blocks[first])
 
     def helper(first: int) -> None:
         try:

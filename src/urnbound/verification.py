@@ -152,9 +152,13 @@ def exact_distribution(initial, R: ReplacementMatrix, n: int) -> ExactDistributi
         m = prob.size
         flow = prob * (head[:, :m] + (t - drawn[:m]) * last) / (t + 1)
         mass = np.zeros(exact_states(d, t + 1))
-        for i in range(d):
-            # k -> k + e_i is one-to-one: no index repeats within a color
-            mass[succ[i, :m]] += flow[i]
+        for i in range(d - 1):
+            if d == 2:      # k + e_0 ranks one above k
+                mass[1:m + 1] += flow[0]
+            else:
+                # k -> k + e_i is one-to-one: no index repeats in a color
+                mass[succ[i, :m]] += flow[i]
+        mass[:m] += flow[d - 1]     # k + e_{d-1} has the rank of k
         prob = mass
 
     kept = prob != 0

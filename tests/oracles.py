@@ -9,10 +9,12 @@ values of the doubles (exact_law_dp_reference); the package's float DP
 must stay within its proven rounding bound of them.  Two exceptions are
 kept verbatim because the package must reproduce their numbers bit for
 bit: simulate_reference, the earlier per-draw trajectory loop (with its
-draw rule _draw), and the draws of replica_chunk_reference, the earlier
-row-major replica kernel.  replica_counts_reference rebuilds a replica's
-final counts from its draws, c0 + sum_c k_c R[c] in color order, the sum
-the replica kernel forms.  The D_n envelope needs no reference: it is a
+draw rule _draw), the draws of replica_chunk_reference, the earlier
+row-major replica kernel, and exact_distribution_gather_reference, the
+float DP with one fancy-indexed add per color.
+replica_counts_reference rebuilds a replica's final counts from its
+draws, c0 + sum_c k_c R[c] in color order, the sum the replica kernel
+forms.  The D_n envelope needs no reference: it is a
 closed form with a proof, and the tests check it against dn_exact.
 dn_exact_reference reuses the package's tail products, which
 tail_reference checks, and sums their squares exactly, so it tests the
@@ -60,6 +62,7 @@ from urnbound.decomposition import (
     tail_products,
 )
 from urnbound.errors import IndexOrder, NotAnEigenvalue
+from urnbound.verification import _layout, exact_states
 from urnbound.spectral import (
     CLUSTER_TOL,
     Member,
@@ -260,6 +263,27 @@ def exact_law_dp_reference(c0, rows, n: int) -> dict:
                 nxt[e] = nxt.get(e, 0) + p * c
         layer = nxt
     return {k: (counts(k), p) for k, p in layer.items()}
+
+
+def exact_distribution_gather_reference(c0, rows, n: int):
+    """The float DP of exact_distribution as it was when every color
+    scattered its flows through the successor ranks, one fancy-indexed
+    add per color: (atoms, mass) of the states with positive mass."""
+    d = rows.shape[0]
+    K, succ = _layout(d, n)
+    head = np.ascontiguousarray((c0 + K[:, :-1] @ rows[:-1]).T)
+    drawn = (n - K[:, -1]).astype(float)
+    last = rows[-1][:, None]
+    prob = np.ones(1)
+    for t in range(n):
+        m = prob.size
+        flow = prob * (head[:, :m] + (t - drawn[:m]) * last) / (t + 1)
+        mass = np.zeros(exact_states(d, t + 1))
+        for i in range(d):
+            mass[succ[i, :m]] += flow[i]
+        prob = mass
+    kept = prob != 0
+    return (c0 + K @ rows)[kept], prob[kept]
 
 
 def replica_chunk_reference(rows, c0, n: int, m: int, seed_seq,

@@ -307,6 +307,50 @@ def test_failed_run_keeps_an_existing_out_directory(tmp_path):
     assert out.is_dir() and list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("command", ["verify", "sweep"])
+def test_failed_run_leaves_no_file_it_wrote(tmp_path, capsys, monkeypatch,
+                                            command):
+    # bounds.json fails after dominance.csv is complete: neither that
+    # table nor anything else of the run is left, and the files that were
+    # in --out before the run, one named like an artifact, are untouched
+    cfg = write(tmp_path, TWO_COLOR + "horizons = 4, 8\n")
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "notes.txt").write_text("keep")
+    (out / "dominance.csv").write_text("an earlier run")
+    write_json = cli.write_json
+
+    def failing(path, obj):
+        if os.path.basename(path) == "bounds.json":
+            raise OSError("disk full")
+        write_json(path, obj)
+
+    monkeypatch.setattr(cli, "write_json", failing)
+    assert run([command, "--config", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: disk full\n"
+    assert sorted(p.name for p in out.iterdir()) == ["dominance.csv",
+                                                     "notes.txt"]
+    assert (out / "notes.txt").read_text() == "keep"
+    assert (out / "dominance.csv").read_text() == "an earlier run"
+    monkeypatch.undo()
+    assert run([command, "--config", cfg, "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        "bounds.json", "dominance.csv", "manifest.json", "notes.txt"]
+
+
+def test_a_file_that_cannot_be_moved_into_out_takes_back_the_others(
+        tmp_path, capsys):
+    # bounds.json is moved into --out first; dominance.csv cannot replace
+    # the directory of that name, so bounds.json is removed again
+    out = tmp_path / "out"
+    (out / "dominance.csv").mkdir(parents=True)
+    assert run(["verify", "--config", write(tmp_path, TWO_COLOR),
+                "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert [p.name for p in out.iterdir()] == ["dominance.csv"]
+    assert (out / "dominance.csv").is_dir()
+
+
 def test_decompose_simple_eigenvalue(tmp_path):
     cfg = write(tmp_path, TWO_COLOR)
     out = tmp_path / "out"
@@ -526,7 +570,14 @@ def test_non_finite_statistic_vector_exits_1(tmp_path, capsys, command,
     ("verify", TWO_COLOR.replace("eigen:0", "vector: 1e308, -1e308").replace(
         "mode = exact", "mode = mc"),
      "statistic vector is too large for horizon 12: C_n . vector overflows"),
-], ids=["matrix-row", "vector-exact", "vector-mc"])
+    ("bound", TWO_COLOR.replace("eigen:0", "vector: 1e300, -1e300"),
+     "statistic is too large for horizon 12: its squared increment bounds "
+     "overflow"),
+    ("verify", TWO_COLOR.replace("eigen:0", "vector: 1e300, -1e300"),
+     "statistic is too large for horizon 12: its squared increment bounds "
+     "overflow"),
+], ids=["matrix-row", "vector-exact", "vector-mc", "increments-bound",
+        "increments-verify"])
 def test_overflowing_input_is_one_error_line_and_no_warning(
         tmp_path, capsys, command, text, message):
     # as under -W error: a numpy RuntimeWarning on the way to the typed

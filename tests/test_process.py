@@ -340,7 +340,8 @@ def _chunk(rows, c0, n, m, seed_seq, keep_draws):
     written: (final counts, drawn colors or None)."""
     finals = np.full((m, rows.shape[0]), np.nan)
     draws = np.full((m, n), -1, dtype=np.int16) if keep_draws else None
-    _run_chunk(rows, c0, n, seed_seq, finals, draws)
+    block = np.full((3, rows.shape[0] - 1, m), np.nan)
+    _run_chunk(rows, c0, n, seed_seq, finals, draws, block)
     return finals, draws
 
 
@@ -511,6 +512,27 @@ def test_replica_scratch_does_not_grow_with_n(R, c0, n):
     assert peak < batch.final_counts.nbytes + 10 * 8 * m * (R.dim - 1)
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("R,c0", [(R2, [1.0, 0.0]), (RJ, [1.0, 0.0, 0.0])],
+                         ids=["R2", "RJ"])
+def test_replica_workers_hold_one_block_each(monkeypatch, R, c0, threads):
+    # a worker holds one block of 3 (d - 1) rows of its chunk length (the
+    # counts, the sums and hits, the products and uniforms) and no
+    # temporary of that length: one row of slack covers the generators
+    # and the small arrays
+    m = 16384
+    monkeypatch.setattr(process, "_usable_cpus", lambda: 2)
+    simulate_replicas(c0, R, 10, 10, seed=0)    # imports numpy.random
+    tracemalloc.start()
+    try:
+        batch = simulate_replicas(c0, R, 50, 2 * m, seed=0, threads=threads)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    rows = threads * 3 * (R.dim - 1) + 1
+    assert peak < batch.final_counts.nbytes + rows * 8 * m
+
+
 def test_replica_threads_are_capped_at_the_usable_cpus(monkeypatch):
     # min(threads, chunks, usable CPUs) threads run chunks, the calling
     # thread one of them, and the results do not change
@@ -571,14 +593,14 @@ def test_a_failed_chunk_raises_after_every_helper_is_joined(monkeypatch,
     # thread would start another chunk
     seen, run_chunk, entered = [], process._run_chunk, threading.Event()
 
-    def failing(rows, c0, n, seed_seq, finals, draws):
+    def failing(rows, c0, n, seed_seq, finals, draws, block):
         seen.append(threading.current_thread())
         if seed_seq.spawn_key == (bad,):
             entered.wait(timeout=10)
             raise RuntimeError(f"chunk {bad} failed")
         entered.set()
         time.sleep(0.2)
-        run_chunk(rows, c0, n, seed_seq, finals, draws)
+        run_chunk(rows, c0, n, seed_seq, finals, draws, block)
 
     monkeypatch.setattr(process, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(process, "_run_chunk", failing)

@@ -36,6 +36,7 @@ from urnbound.verification import (
 )
 
 from oracles import (
+    exact_distribution_gather_reference,
     exact_law_dp_reference,
     exact_law_reference,
     wilson_reference,
@@ -241,6 +242,29 @@ def test_exact_distribution_matches_path_enumeration(R, initial, n, is_short):
     assert not dist.rational
     assert all_short(initial, R) == is_short
     assert_law_matches(dist, initial, R)
+
+
+R4_FLOAT = validate_matrix([[0.4, 0.3, 0.2, 0.1], [0.1, 0.5, 0.3, 0.1],
+                            [0.2, 0.2, 0.4, 0.2], [0.1, 0.1, 0.1, 0.7]])
+
+
+@pytest.mark.parametrize("R,initial,n", [
+    (R2_FLOAT, [0.3, 0.7], 2000),
+    (R2, [0.25, 0.75], 500),
+    (R3_FLOAT, [0.2, 0.3, 0.5], 150),
+    (RJ, [0.3, 0.3, 0.4], 100),
+    (R4_FLOAT, [0.1, 0.2, 0.3, 0.4], 40),
+], ids=["R2_FLOAT", "R2", "R3_FLOAT", "RJ", "R4_FLOAT"])
+def test_exact_distribution_keeps_the_bits_of_the_gather_dp(R, initial, n):
+    # the successor slices add the same flows, in the same color order,
+    # as one fancy-indexed add per color
+    dist = exact_distribution(np.array(initial), R, n)
+    atoms, mass = exact_distribution_gather_reference(np.array(initial),
+                                                      R.matrix, n)
+    np.testing.assert_array_equal(dist.atoms.view(np.uint64),
+                                  atoms.view(np.uint64))
+    np.testing.assert_array_equal(dist.mass.view(np.uint64),
+                                  mass.view(np.uint64))
 
 
 def reversible(data, d: int, integer: bool):

@@ -8,6 +8,11 @@ child's exit code and its peak in MiB, and exits 1 when the child exits
 non-zero or when its peak is above M MiB, else 0.  A child's ru_maxrss
 starts from its parent's peak at exec, so this launcher imports only os
 and sys: it stays smaller than the peaks it measures.
+
+The child runs without PYTHONDONTWRITEBYTECODE, as the benchmark's
+children do: with it set, a tree whose sources have changed since their
+bytecode was cached recompiles them on every import, which adds about
+1.1 MiB to a Python child's peak.
 """
 import os
 import sys
@@ -31,10 +36,12 @@ def main(argv) -> int:
         except ValueError:
             print(USAGE, file=sys.stderr)
             return 2
+    env = dict(os.environ)
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
     pid = os.fork()
     if pid == 0:
         try:
-            os.execvp(command[0], command)
+            os.execvpe(command[0], command, env)
         finally:
             os._exit(127)
     _, status, usage = os.wait4(pid, 0)
