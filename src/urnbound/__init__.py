@@ -16,7 +16,6 @@ from .errors import (
     NotEigenpair,
     NotIrreducible,
     NotJordanPair,
-    NotRepeated,
     RowSumNotOne,
     TooLarge,
     UrnboundError,

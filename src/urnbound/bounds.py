@@ -38,13 +38,7 @@ from .decomposition import (
     member_weights,
 )
 from .errors import IndexOrder, LambdaOutOfRange, NotEigenpair, UrnboundError
-from .spectral import (
-    Member,
-    ReplacementMatrix,
-    SpectralDecomposition,
-    decompose,
-    indicator_coefficients,
-)
+from .spectral import Member, SpectralDecomposition
 
 
 def spread(xi) -> float:
@@ -188,21 +182,22 @@ def statistic_bound(S: SpectralDecomposition, combo, n: int, thresholds,
                          initial)
 
 
-def color_deviation_bound(R, color: int, n: int, thresholds,
-                          initial=None) -> list[BoundReport]:
+def color_deviation_bound(S: SpectralDecomposition, color: int, n: int,
+                          thresholds, initial=None) -> list[BoundReport]:
     """Bounds for P(C_n[color] - pi[color]*(n+1) - A > t*(n+1)), one per
     threshold t of the grid.
 
-    The indicator of the color is expanded in the right-vector basis;
-    the principal coefficient pi[color] carries the linear growth and the
-    remaining members form the bounded martingale.  A is the centering
-    shift of those members (reported when the initial state is given).
-    A color outside 0 .. d-1 raises ValueError.
+    The indicator of the color is read in the right-vector basis from
+    S.alphas[color]; the principal coefficient pi[color] carries the
+    linear growth and the remaining members form the bounded martingale.
+    A is the centering shift of those members (reported when the initial
+    state is given).  A color outside 0 .. d-1 raises ValueError.
     """
-    S = R if isinstance(R, SpectralDecomposition) else decompose(
-        R if isinstance(R, ReplacementMatrix) else ReplacementMatrix(np.asarray(R, float)))
+    d = S.matrix.dim
+    if not 0 <= color < d:
+        raise ValueError(f"color {color} out of range for {d} colors")
     members = [_term(S, a, m.vector, m.value)
-               for a, m in S.terms(indicator_coefficients(S, color))]
+               for a, m in S.terms(S.alphas[color])]
     label = (f"color {color} deviation per unit mass; members: "
              + _label(members))
     return _grid_reports(members, n, thresholds, n + 1.0, label, initial)

@@ -29,22 +29,20 @@ class NotIrreducible(UrnboundError):
 
 
 # -- spectral structure ------------------------------------------------------
+# A config can reach ComplexSpectrum; the others guard numerical failures
+# of decompose's solves (BasisSingular also a hand-built basis).
 
 class ComplexSpectrum(UrnboundError):
     """The matrix has a nonreal eigenvalue beyond tolerance."""
 
 
 class NotAnEigenvalue(UrnboundError):
-    """The requested value is not an eigenvalue of the matrix."""
-
-
-class NotRepeated(UrnboundError):
-    """The eigenvalue is simple, so no generalized vector exists."""
+    """A computed root has no eigenvector within tolerance."""
 
 
 class NotDefective(UrnboundError):
-    """The repeated eigenvalue has a full eigenspace; use plain
-    eigenvectors instead of a chain."""
+    """A defective eigenvalue's chain equation has no solution within
+    tolerance."""
 
 
 class BasisSingular(UrnboundError):

@@ -2,11 +2,11 @@
 
 A replacement matrix R is row-stochastic and irreducible: every draw adds
 one unit of total mass, and every color is reachable from every other.
-This module validates R, computes its stationary (left Perron) vector pi,
-lists the real spectrum with algebraic and geometric multiplicities,
-produces canonical right eigenvectors, builds (eigenvector, generalized
-vector) chains for defective repeated eigenvalues, and expands color
-indicator vectors in the right-vector basis.
+This module validates R, computes its stationary (left Perron) vector pi
+and the real spectrum, solves each nonprincipal root's null space once
+for a canonical right eigenvector, a full eigenspace or an (eigenvector,
+generalized vector) chain, and expands color indicator vectors in the
+resulting right-vector basis.
 
 Conventions
 -----------
@@ -35,7 +35,6 @@ from .errors import (
     NotAnEigenvalue,
     NotDefective,
     NotIrreducible,
-    NotRepeated,
     RowSumNotOne,
     UrnboundError,
 )
@@ -65,9 +64,6 @@ class ReplacementMatrix(NamedTuple("ReplacementMatrix",
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-    def __array__(self, dtype=None, copy=None):
-        return np.array(self.matrix, dtype=dtype)
 
 
 def validate_matrix(rows) -> ReplacementMatrix:
@@ -117,7 +113,8 @@ def _strong_components(adjacency: np.ndarray) -> int:
 
 
 def stationary_vector(R: ReplacementMatrix) -> np.ndarray:
-    """Left Perron vector: pi R = pi, pi > 0, sum(pi) = 1."""
+    """Left Perron vector: pi R = pi, pi > 0, sum(pi) = 1.  Raises
+    NotIrreducible unless pi > 0; the residual check is a numerical guard."""
     m = R.matrix
     d = R.dim
     a = np.vstack([m.T - np.eye(d), np.ones(d)])
@@ -139,25 +136,12 @@ def _det3(m) -> float:
             + m[0, 2] * (m[1, 0] * m[2, 1] - m[1, 1] * m[2, 0]))
 
 
-def _cluster(values: np.ndarray) -> list[tuple[float, int]]:
-    """Group sorted-descending values within CLUSTER_TOL of each other."""
-    out: list[tuple[float, int]] = []
-    for v in sorted(values, reverse=True):
-        if out and abs(out[-1][0] - v) < CLUSTER_TOL:
-            lam, k = out[-1]
-            out[-1] = (lam, k + 1)  # keep first representative of the cluster
-        else:
-            out.append((v, 1))
-    return out
+def _real_spectrum(R: ReplacementMatrix) -> list[tuple[float, int]]:
+    """Nonprincipal roots in descending order, each with its algebraic
+    multiplicity; roots within CLUSTER_TOL are one root.
 
-
-def _real_spectrum(R: ReplacementMatrix) -> list[tuple[float, int, int]]:
-    """Eigenvalues with (value, algebraic, geometric) multiplicities.
-
-    The principal eigenvalue 1 is listed first; the remaining real
-    eigenvalues follow in descending order.  For d <= 3 the nonprincipal
-    roots come from the characteristic polynomial with the factor
-    (lam - 1) divided out, so small cases are closed-form.  Raises
+    For d <= 3 the roots come from the characteristic polynomial with the
+    factor (lam - 1) divided out, so small cases are closed-form.  Raises
     ComplexSpectrum when an imaginary part exceeds 1e-9.
     """
     m = R.matrix
@@ -185,13 +169,14 @@ def _real_spectrum(R: ReplacementMatrix) -> list[tuple[float, int, int]]:
             raise ComplexSpectrum(f"imaginary part {worst:.3e} beyond tolerance")
         vals = np.real(eig)
         principal = int(np.argmin(np.abs(vals - 1.0)))
-        others = list(np.delete(vals, principal))
-
-    spectrum = [(1.0, 1, 1)]
-    for lam, alg in _cluster(np.array(others, dtype=float)):
-        geo = len(_null_basis(m, lam)) if alg > 1 else 1
-        spectrum.append((float(lam), alg, min(geo, alg)))
-    return spectrum
+        others = np.delete(vals, principal)
+    roots: list[tuple[float, int]] = []
+    for v in sorted(others, reverse=True):
+        if roots and abs(roots[-1][0] - v) < CLUSTER_TOL:
+            roots[-1] = (roots[-1][0], roots[-1][1] + 1)  # keep the first
+        else:
+            roots.append((float(v), 1))
+    return roots
 
 
 def _canonical(v: np.ndarray) -> np.ndarray:
@@ -212,39 +197,12 @@ def _null_basis(m: np.ndarray, lam: float) -> list[np.ndarray]:
     return [_canonical(vt[d - 1 - i]) for i in range(k)]
 
 
-def _right_eigenvector(R: ReplacementMatrix, lam: float) -> np.ndarray:
-    """Canonical right eigenvector for a real eigenvalue lam.
-
-    Raises NotAnEigenvalue when (R - lam*I) has trivial null space.
+def _chain(R: ReplacementMatrix, lam: float,
+           xi2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pair (xi2, xi3) with R xi3 = xi2 + lam xi3, for an eigenvector xi2
+    of a defective eigenvalue lam of algebraic multiplicity 2.  Raises
+    NotDefective, a numerical guard, when the residual exceeds RESIDUAL_TOL.
     """
-    basis = _null_basis(R.matrix, lam)
-    if not basis:
-        raise NotAnEigenvalue(f"{lam} is not an eigenvalue within tolerance")
-    xi = basis[0]
-    resid = np.max(np.abs(R.matrix @ xi - lam * xi))
-    if resid > RESIDUAL_TOL:
-        raise NotAnEigenvalue(f"eigen residual {resid:.3e} for lam={lam}")
-    return xi
-
-
-def _chain(R: ReplacementMatrix, lam: float, alg: int,
-           geo: int) -> tuple[np.ndarray, np.ndarray]:
-    """Pair (xi2, xi3) with R xi2 = lam xi2 and R xi3 = xi2 + lam xi3 for
-    an eigenvalue of multiplicities alg and geo.
-
-    Only defective eigenvalues of algebraic multiplicity 2 are supported.
-    Raises NotRepeated for a simple eigenvalue and NotDefective when the
-    eigenspace is full.
-    """
-    if alg < 2:
-        raise NotRepeated(f"eigenvalue {lam} is simple")
-    if geo >= alg:
-        raise NotDefective(
-            f"eigenvalue {lam} has a full eigenspace; no chain exists")
-    if alg > 2:
-        raise UrnboundError("chains of length greater than 2 are not supported")
-
-    xi2 = _right_eigenvector(R, lam)
     shifted = R.matrix - lam * np.eye(R.dim)
     xi3, *_ = np.linalg.lstsq(shifted, xi2, rcond=None)
     resid = np.max(np.abs(shifted @ xi3 - xi2))
@@ -332,22 +290,40 @@ class SpectralDecomposition(NamedTuple):
 
 
 def decompose(R: ReplacementMatrix) -> SpectralDecomposition:
-    """Full spectral structure: pi, spectrum, right vectors, indicator alphas."""
+    """Full spectral structure: pi, spectrum, right vectors, indicator alphas.
+
+    Each nonprincipal root's null space is solved once.  Its dimension geo
+    picks a full eigenspace when geo = alg > 1, else the first null vector:
+    alone for a simple root, as a chain's head when alg = 2.
+    LambdaOutOfRange is reachable from a config; the other raises guard
+    numerical failures.
+    """
     pi = stationary_vector(R)
-    spectrum = _real_spectrum(R)
-    structures = []
-    for lam, alg, geo in spectrum[1:]:
+    eigenvalues, structures = [(1.0, 1, 1)], []
+    for lam, alg in _real_spectrum(R):
         if not -1.0 < lam < 1.0:
             raise LambdaOutOfRange(
                 f"nonprincipal eigenvalue {lam} outside (-1, 1)")
-        if alg == 1:
-            vectors = (_right_eigenvector(R, lam),)
-        elif geo == alg:
-            vectors = tuple(_null_basis(R.matrix, lam))
-        else:  # defective; _chain rejects chains longer than 2
-            vectors = _chain(R, lam, alg, geo)
+        basis = _null_basis(R.matrix, lam)
+        geo = min(len(basis), alg)
+        if geo == alg > 1:
+            vectors = tuple(basis)
+        elif alg > 2:
+            raise UrnboundError(
+                "chains of length greater than 2 are not supported")
+        elif not basis:
+            raise NotAnEigenvalue(
+                f"{lam} is not an eigenvalue within tolerance")
+        else:
+            xi = basis[0]
+            resid = np.max(np.abs(R.matrix @ xi - lam * xi))
+            if resid > RESIDUAL_TOL:
+                raise NotAnEigenvalue(
+                    f"eigen residual {resid:.3e} for lam={lam}")
+            vectors = (xi,) if alg == 1 else _chain(R, lam, xi)
+        eigenvalues.append((lam, alg, geo))
         structures.append(EigenStructure(lam, alg, geo, vectors, geo < alg))
-    dec = SpectralDecomposition(R, pi, tuple(spectrum), tuple(structures))
+    dec = SpectralDecomposition(R, pi, tuple(eigenvalues), tuple(structures))
     return dec._replace(alphas=np.vstack(
         [indicator_coefficients(dec, c) for c in range(R.dim)]))
 
@@ -358,7 +334,8 @@ def indicator_coefficients(S: SpectralDecomposition, color: int) -> np.ndarray:
 
     alpha_1 always equals pi[color]: every right vector is pi-orthogonal,
     so dotting the expansion with pi isolates the constant term.  Raises
-    BasisSingular when the vectors are dependent beyond tolerance.
+    BasisSingular, a numerical guard, when the vectors are dependent
+    beyond tolerance.
     """
     d = S.matrix.dim
     if not 0 <= color < d:

@@ -32,6 +32,7 @@ from .spectral import ReplacementMatrix
 STATE_BUDGET = 1 << 14
 TIE_RTOL = 1e-12
 WILSON_LEVEL = 0.99
+_WILSON_Z = 2.3263478740408408    # NormalDist().inv_cdf(WILSON_LEVEL)
 
 
 class ExactDistribution(NamedTuple):
@@ -205,13 +206,12 @@ def exact_tail(dist: ExactDistribution, v, threshold: float) -> float:
     return float(np.cumsum(dist.mass[hit])[-1]) if hit.any() else 0.0
 
 
-def wilson_upper(hits: int, trials: int, level: float = WILSON_LEVEL) -> float:
-    """One-sided upper confidence limit for a binomial proportion."""
+def wilson_upper(hits: int, trials: int) -> float:
+    """One-sided upper confidence limit, at level WILSON_LEVEL, for a
+    binomial proportion."""
     if trials < 1:
         raise ValueError("need at least one trial")
-    # imported here, so only Monte Carlo runs load it
-    from statistics import NormalDist
-    z = NormalDist().inv_cdf(level)
+    z = _WILSON_Z
     p = hits / trials
     z2n = z * z / trials
     center = p + z2n / 2.0

@@ -61,14 +61,13 @@ from urnbound.decomposition import (
     member_weights,
     tail_products,
 )
-from urnbound.errors import IndexOrder, NotAnEigenvalue
+from urnbound.errors import IndexOrder
 from urnbound.verification import _layout, exact_states
 from urnbound.spectral import (
-    CLUSTER_TOL,
     Member,
     SpectralDecomposition,
     _chain,
-    _real_spectrum,
+    _null_basis,
 )
 
 
@@ -726,16 +725,10 @@ def color_threshold_factor(S: SpectralDecomposition, color: int) -> float:
 
 
 def jordan_chain(R, lam: float):
-    """Pair (xi2, xi3) with R xi2 = lam xi2 and R xi3 = xi2 + lam xi3,
-    found by the eigenvalue's multiplicities as decompose finds it.
-
-    Raises NotAnEigenvalue when lam is not an eigenvalue, and as
-    decompose's chain does otherwise (NotRepeated, NotDefective).
-    """
-    for value, alg, geo in _real_spectrum(R):
-        if abs(value - lam) < CLUSTER_TOL:
-            return _chain(R, lam, alg, geo)
-    raise NotAnEigenvalue(f"{lam} is not an eigenvalue within tolerance")
+    """Pair (xi2, xi3) with R xi2 = lam xi2 and R xi3 = xi2 + lam xi3 for a
+    defective eigenvalue lam of algebraic multiplicity 2, built as
+    decompose builds it: the chain from the first null-space vector."""
+    return _chain(R, lam, _null_basis(R.matrix, lam)[0])
 
 
 def azuma_log_tail(s: float, c) -> float:

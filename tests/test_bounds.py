@@ -231,12 +231,6 @@ def test_color_bound_matches_converted_eigen_bound():
         azuma_tail((n + 1.0) * t * factor, eigen.increment_bounds), rel=1e-12)
 
 
-def test_color_bound_accepts_raw_rows():
-    a, = color_deviation_bound([[0.7, 0.3], [0.4, 0.6]], 0, 25, [0.2])
-    b, = color_deviation_bound(S2, 0, 25, [0.2])
-    assert a.tail == pytest.approx(b.tail, rel=1e-13)
-
-
 def test_color_bound_zero_threshold():
     report, = color_deviation_bound(S2, 0, 10, [0.0])
     assert report.tail == 1.0

@@ -14,7 +14,14 @@ import warnings
 import numpy as np
 import pytest
 
-from urnbound import cli
+from urnbound import (
+    ComplexSpectrum,
+    LambdaOutOfRange,
+    NotIrreducible,
+    cli,
+    decompose,
+    validate_matrix,
+)
 from urnbound.cli import ConfigError, parse_config
 
 TWO_COLOR = """\
@@ -619,6 +626,32 @@ def test_exit_code_on_complex_spectrum(tmp_path):
                 "--out", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize("rows,error,code,message", [
+    ([[1]], ValueError, 1, "need at least two colors"),
+    ([[0, 1], [1, 0]], LambdaOutOfRange, 1,
+     "nonprincipal eigenvalue -1.0 outside (-1, 1)"),
+    (np.roll(np.eye(4), 1, axis=1).tolist(), ComplexSpectrum, 2,
+     "imaginary part 1.000e+00 beyond tolerance"),
+    ([[0, 1], [5e-324, 1]], NotIrreducible, 2,
+     "stationary vector not strictly positive"),
+], ids=["one-color", "lambda-minus-one", "cyclic-shift-4", "pi-not-positive"])
+def test_spectral_errors_are_one_line_and_their_exit_code(tmp_path, capsys,
+                                                          rows, error, code,
+                                                          message):
+    # decompose runs in every command, so each command fails the same way
+    with pytest.raises(error) as err:
+        decompose(validate_matrix(rows))
+    assert type(err.value) is error and str(err.value) == message
+    matrix = "\n".join(", ".join(repr(x) for x in row) for row in rows)
+    cfg = write(tmp_path, matrix + "\nhorizon = 5\n")
+    for command in ("spectrum", "simulate", "decompose", "bound", "verify",
+                    "sweep"):
+        out = tmp_path / command
+        assert run([command, "--config", cfg, "--out", str(out)]) == code
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()    # no manifest, nor the directory
+
+
 def test_exact_row_with_a_bound_of_one_passes(tmp_path):
     # C_5 . xi is 0 on every path of this urn, so the tail at t = 0 and
     # its bound are both 1; Monte Carlo counts the tie by the same rule
@@ -826,23 +859,14 @@ def test_import_leaves_scipy_unloaded():
     assert proc.stdout.strip() == "[]"
 
 
-def test_bound_run_leaves_unused_modules_unloaded(tmp_path):
-    # an exact sweep draws no random numbers, so nothing maps OpenSSL
-    # (_hashlib): the config hash is the builtin SHA-256.  The writer's
-    # table of powers of ten is built from ints (no fractions, no
-    # decimal) when a float column first takes the numpy path, not on
-    # import, and the sweep's short columns never take it
-    argv = ["sweep", "--config", write(tmp_path, SWEEP_TEXT),
-            "--out", str(tmp_path / "out")]
+def _modules_loaded_by(argv, prelude=""):
+    """Run prelude, then cli.main(argv), in a fresh process and return
+    the printed list of the named modules it loaded.  Neither may build
+    the writer's table of powers of ten."""
     code = ("import sys, urnbound.cli\n"
             "from urnbound import _format\n"
             "assert _format._decades.cache_info().currsize == 0\n"
-            "from urnbound import (color_deviation_bound, decompose,\n"
-            "                      validate_matrix)\n"
-            "R = validate_matrix([[0.5772156649, 0.3, 0.1227843351],\n"
-            "                     [0.1414213562, 0.6, 0.2585786438],\n"
-            "                     [0.2, 0.3678794412, 0.4321205588]])\n"
-            "color_deviation_bound(decompose(R), 0, 40, [0.1])\n"
+            + prelude +
             f"assert urnbound.cli.main({argv!r}) == 0\n"
             "assert _format._decades.cache_info().currsize == 0\n"
             "_format._decades()\n"
@@ -852,7 +876,34 @@ def test_bound_run_leaves_unused_modules_unloaded(tmp_path):
             "             if m in sys.modules))\n")
     proc = subprocess.run([sys.executable, "-c", code],
                           capture_output=True, text=True, check=True)
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.strip()
+
+
+def test_bound_run_leaves_unused_modules_unloaded(tmp_path):
+    # an exact sweep draws no random numbers, so nothing maps OpenSSL
+    # (_hashlib): the config hash is the builtin SHA-256.  The writer's
+    # table of powers of ten is built from ints (no fractions, no
+    # decimal) when a float column first takes the numpy path, not on
+    # import, and the sweep's short columns never take it
+    argv = ["sweep", "--config", write(tmp_path, SWEEP_TEXT),
+            "--out", str(tmp_path / "out")]
+    prelude = ("from urnbound import (color_deviation_bound, decompose,\n"
+               "                      validate_matrix)\n"
+               "R = validate_matrix([[0.5772156649, 0.3, 0.1227843351],\n"
+               "                     [0.1414213562, 0.6, 0.2585786438],\n"
+               "                     [0.2, 0.3678794412, 0.4321205588]])\n"
+               "color_deviation_bound(decompose(R), 0, 40, [0.1])\n")
+    assert _modules_loaded_by(argv, prelude) == "[]"
+
+
+def test_mc_verify_leaves_unused_modules_unloaded(tmp_path):
+    # the Wilson limit's normal quantile is a constant, so an MC run loads
+    # no statistics (nor its fractions and decimal); numpy.random comes
+    # without OpenSSL
+    text = TWO_COLOR.replace("mode = exact", "mode = mc")
+    argv = ["verify", "--threads", "2", "--config", write(tmp_path, text),
+            "--out", str(tmp_path / "out")]
+    assert _modules_loaded_by(argv) == "[]"
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/maps"),

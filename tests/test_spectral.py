@@ -15,10 +15,7 @@ from urnbound import (
     ComplexSpectrum,
     NegativeEntry,
     NonFiniteEntry,
-    NotAnEigenvalue,
-    NotDefective,
     NotIrreducible,
-    NotRepeated,
     ReplacementMatrix,
     RowSumNotOne,
     SpectralDecomposition,
@@ -28,11 +25,9 @@ from urnbound import (
     stationary_vector,
     validate_matrix,
 )
-from urnbound.spectral import (
-    _real_spectrum as real_spectrum,
-    _right_eigenvector as right_eigenvector,
-    _strong_components,
-)
+from urnbound import spectral
+from urnbound.spectral import _real_spectrum as real_spectrum
+from urnbound.spectral import _strong_components
 
 from oracles import jordan_chain, strong_components_reference
 
@@ -40,6 +35,22 @@ R2_ROWS = [[0.7, 0.3], [0.4, 0.6]]
 RJ_ROWS = [[5 / 8, 3 / 8, 0.0], [1 / 8, 3 / 8, 1 / 2], [1 / 4, 1 / 4, 1 / 2]]
 RS_ROWS = [[0.5, 0.25, 0.25], [0.25, 0.5, 0.25], [0.25, 0.25, 0.5]]
 R0_ROWS = [[1 / 3, 1 / 3, 1 / 3], [1 / 3, 1 / 3, 1 / 3], [1 / 2, 1 / 6, 1 / 3]]
+R3_FLOAT_ROWS = [[0.5772156649, 0.3, 0.1227843351],
+                 [0.1414213562, 0.6, 0.2585786438],
+                 [0.2, 0.3678794412, 0.4321205588]]
+R4_ROWS = [[0.75, 0.25, 0.0, 0.0], [0.25, 0.5, 0.25, 0.0],
+           [0.0, 0.2, 0.4, 0.4], [0.0, 0.0, 2 / 3, 1 / 3]]
+
+
+def spectrum(rows):
+    return decompose(validate_matrix(rows)).eigenvalues
+
+
+def first_vector(rows, lam):
+    """The first right vector decompose gives for the eigenvalue lam."""
+    (st,) = [st for st in decompose(validate_matrix(rows)).structures
+             if abs(st.value - lam) < 1e-8]
+    return st.vectors[0]
 
 
 def test_validate_accepts_two_color_example():
@@ -112,8 +123,8 @@ def test_stationary_properties(rows):
 
 
 def test_spectrum_two_color_is_trace_minus_one_exactly():
-    spec = real_spectrum(validate_matrix(R2_ROWS))
-    assert spec == [(1.0, 1, 1), (0.7 + 0.6 - 1.0, 1, 1)]
+    spec = spectrum(R2_ROWS)
+    assert spec == ((1.0, 1, 1), (0.7 + 0.6 - 1.0, 1, 1))
 
 
 @pytest.mark.parametrize("rows", [
@@ -122,22 +133,22 @@ def test_spectrum_two_color_is_trace_minus_one_exactly():
     [[0.5, 0.5], [0.5, 0.5]],
 ])
 def test_spectrum_two_color_exactness_property(rows):
-    spec = real_spectrum(validate_matrix(rows))
+    spec = spectrum(rows)
     assert spec[1][0] == rows[0][0] + rows[1][1] - 1.0
 
 
 def test_spectrum_defective_repeated():
-    spec = real_spectrum(validate_matrix(RJ_ROWS))
-    assert spec == [(1.0, 1, 1), (0.25, 2, 1)]
+    spec = spectrum(RJ_ROWS)
+    assert spec == ((1.0, 1, 1), (0.25, 2, 1))
 
 
 def test_spectrum_repeated_full_eigenspace():
-    spec = real_spectrum(validate_matrix(RS_ROWS))
-    assert spec == [(1.0, 1, 1), (0.25, 2, 2)]
+    spec = spectrum(RS_ROWS)
+    assert spec == ((1.0, 1, 1), (0.25, 2, 2))
 
 
 def test_spectrum_defective_zero():
-    spec = real_spectrum(validate_matrix(R0_ROWS))
+    spec = spectrum(R0_ROWS)
     assert spec[0] == (1.0, 1, 1)
     lam, alg, geo = spec[1]
     assert abs(lam) <= 1e-12 and (alg, geo) == (2, 1)
@@ -147,30 +158,25 @@ def test_spectrum_complex_pair_rejected():
     # 3-cycle rotation mixed with rest: nonprincipal pair is complex
     rows = [[0.1, 0.9, 0.0], [0.0, 0.1, 0.9], [0.9, 0.0, 0.1]]
     with pytest.raises(ComplexSpectrum):
-        real_spectrum(validate_matrix(rows))
+        spectrum(rows)
 
 
 def test_spectrum_four_color_via_general_path():
     rows = (0.6 * np.eye(4) + 0.1 * np.ones((4, 4))).tolist()
-    spec = real_spectrum(validate_matrix(rows))
+    spec = spectrum(rows)
     assert spec[0] == (1.0, 1, 1)
     lam, alg, geo = spec[1]
     assert abs(lam - 0.6) <= 1e-9 and (alg, geo) == (3, 3)
 
 
 def test_right_eigenvector_two_color_canonical():
-    xi = right_eigenvector(validate_matrix(R2_ROWS), 0.3)
+    xi = first_vector(R2_ROWS, 0.3)
     np.testing.assert_allclose(xi, [0.75, -1.0], atol=1e-12)
 
 
 def test_right_eigenvector_rj():
-    xi = right_eigenvector(validate_matrix(RJ_ROWS), 0.25)
+    xi = first_vector(RJ_ROWS, 0.25)
     np.testing.assert_allclose(xi, [1.0, -1.0, 0.0], atol=1e-12)
-
-
-def test_right_eigenvector_rejects_non_eigenvalue():
-    with pytest.raises(NotAnEigenvalue):
-        right_eigenvector(validate_matrix(R2_ROWS), 0.9)
 
 
 @pytest.mark.parametrize("rows,lam", [
@@ -181,7 +187,7 @@ def test_right_eigenvector_rejects_non_eigenvalue():
 def test_pi_orthogonality(rows, lam):
     R = validate_matrix(rows)
     pi = stationary_vector(R)
-    xi = right_eigenvector(R, lam)
+    xi = first_vector(rows, lam)
     assert abs(pi @ xi) <= 1e-10
 
 
@@ -197,16 +203,6 @@ def test_jordan_chain_relations_and_independence():
     assert np.max(np.abs(R.matrix @ xi2 - 0.25 * xi2)) <= 1e-10
     assert np.max(np.abs(R.matrix @ xi3 - xi2 - 0.25 * xi3)) <= 1e-10
     assert np.linalg.matrix_rank(np.column_stack([xi2, xi3])) == 2
-
-
-def test_jordan_chain_full_eigenspace_rejected():
-    with pytest.raises(NotDefective):
-        jordan_chain(validate_matrix(RS_ROWS), 0.25)
-
-
-def test_jordan_chain_simple_eigenvalue_rejected():
-    with pytest.raises(NotRepeated):
-        jordan_chain(validate_matrix(R2_ROWS), 0.3)
 
 
 def test_jordan_chain_defective_zero():
@@ -228,6 +224,23 @@ def test_decompose_solves_the_spectrum_once(monkeypatch):
     S = decompose(validate_matrix(RJ_ROWS))
     assert len(calls) == 1
     assert S.structures[0].jordan
+
+
+@pytest.mark.parametrize("rows", [R2_ROWS, RJ_ROWS, RS_ROWS, R0_ROWS,
+                                  R3_FLOAT_ROWS, R4_ROWS],
+                         ids=["R2", "RJ", "RS", "R0", "R3_FLOAT", "R4"])
+def test_decompose_solves_each_null_space_once(monkeypatch, rows):
+    # one SVD per nonprincipal root, whatever its vectors turn out to be
+    solved = []
+
+    def counted(m, lam):
+        solved.append(lam)
+        return null_basis(m, lam)
+
+    null_basis = spectral._null_basis
+    monkeypatch.setattr(spectral, "_null_basis", counted)
+    S = decompose(validate_matrix(rows))
+    assert solved == [st.value for st in S.structures]
 
 
 def test_indicator_coefficients_two_color_textbook_vector():

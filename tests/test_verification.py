@@ -31,6 +31,8 @@ from urnbound import (
 from urnbound.verification import (
     STATE_BUDGET,
     TIE_RTOL,
+    WILSON_LEVEL,
+    _WILSON_Z,
     _exceeds,
     exact_states,
 )
@@ -407,6 +409,12 @@ def test_wilson_upper_matches_quadratic_solution():
     for hits, trials in ((0, 1000), (5, 1000), (850, 1000), (1000, 1000)):
         assert wilson_upper(hits, trials) == pytest.approx(
             wilson_reference(hits, trials, z), rel=1e-12)
+
+
+def test_wilson_quantile_is_the_normal_quantile_of_the_level():
+    from statistics import NormalDist
+    z = NormalDist().inv_cdf(WILSON_LEVEL)
+    assert abs(_WILSON_Z - z) <= math.ulp(z)
 
 
 def test_wilson_upper_basic_shape():

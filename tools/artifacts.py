@@ -16,12 +16,16 @@ comes from numpy's eigvals (d <= 3 has closed forms), and simulate,
 decompose and bound of frozen and r0 at horizon LONG_HORIZON, where
 their tables and float lists are long enough for the writer's numpy
 path and full of exact zeros (frozen's increment bounds, r0's nested
-expansion columns).  The calls are `cli.main(argv)` in this process.
-Each invocation writes its artifacts to OUT/<config>/<command>-<format>/
-(with -t1 or -t2 appended for the thread runs) and one line with its
-exit code and stderr to a log: OUT/log.txt for the seven matrices,
-OUT/log-threads.txt for the thread runs and OUT/log-more.txt for the
-rest, so a tree without the later configs writes the same first logs.
+expansion columns).  Last, the matrices of ERRORS, each of which ends
+every command in a spectral error with its exit code: one color,
+lambda = -1, a complex spectrum from eigvals and a stationary vector
+that is not strictly positive.  The calls are `cli.main(argv)` in this
+process.  Each invocation writes its artifacts to
+OUT/<config>/<command>-<format>/ (with -t1 or -t2 appended for the
+thread runs) and one line with its exit code and stderr to a log:
+OUT/log.txt for the seven matrices, OUT/log-threads.txt for the thread
+runs, OUT/log-errors.txt for ERRORS and OUT/log-more.txt for the rest,
+so a tree without the later configs writes the same first logs.
 
 A refactor that must not change any output is checked with
 
@@ -53,6 +57,14 @@ MATRICES = {
 # eigenvalues 1, 0.829, 0.344 and -0.190
 R4 = ([[0.75, 0.25, 0.0, 0.0], [0.25, 0.5, 0.25, 0.0],
        [0.0, 0.2, 0.4, 0.4], [0.0, 0.0, 2 / 3, 1 / 3]], "0.1, 0.2, 0.3, 0.4")
+# each ends every command in an error: exit 1, 1, 2 and 2
+ERRORS = {
+    "one-color": [[1.0]],
+    "flip": [[0.0, 1.0], [1.0, 0.0]],
+    "cyclic4": [[0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0],
+                [0.0, 0.0, 0.0, 1.0], [1.0, 0.0, 0.0, 0.0]],
+    "pi-zero": [[0.0, 1.0], [5e-324, 1.0]],
+}
 VECTORS = {2: "0.75, -1", 3: "1, 2, -3", 4: "1, 2, -3, 0.5"}
 COMMANDS = ("spectrum", "simulate", "decompose", "bound", "verify", "sweep")
 FORMATS = ("csv", "json")
@@ -94,8 +106,9 @@ def configs():
     """(log, name, config text, commands, runs): every statistic and mode
     of each matrix, run once without --threads; one mc config whose
     replicas fill two whole chunks and a short third, run at --threads 1
-    and 2; R4's statistics and modes; and the long-horizon runs.  A run is
-    (suffix of its output directories, extra CLI arguments)."""
+    and 2; R4's statistics and modes; the long-horizon runs; and the
+    ERRORS.  A run is (suffix of its output directories, extra CLI
+    arguments)."""
     for label, (rows, initial) in MATRICES.items():
         yield from _every_statistic(label, rows, initial, "log")
     yield ("log-threads", "rj-s0-mc-chunks",
@@ -107,6 +120,9 @@ def configs():
                _config(*MATRICES[label], "eigen:0", "auto",
                        horizon=LONG_HORIZON),
                ("simulate", "decompose", "bound"), (("", ()),))
+    for label, rows in ERRORS.items():
+        yield ("log-errors", f"error-{label}",
+               _config(rows, "", "eigen:0", "exact"), COMMANDS, (("", ()),))
 
 
 def run(argv, main) -> tuple[int, str]:
