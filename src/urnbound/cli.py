@@ -11,7 +11,9 @@ sweep      bound + verify over a grid of horizons
 
 Exit codes: 0 success, 1 configuration error, unwritable --out or out
 of memory, 2 a bad command line, complex spectrum or reducible matrix,
-3 dominance failure.
+3 dominance failure.  Every command but simulate decomposes the matrix
+first, so only those exit on a spectral error; simulate takes any
+validated matrix.
 
 Config files are flat key = value text; lines without '=' are matrix rows
 (comma-separated).  A file whose first non-space character is '{' is
@@ -316,10 +318,10 @@ def cmd_spectrum(cfg, S, args, out_dir) -> int:
     return 0
 
 
-def cmd_simulate(cfg, S, args, out_dir) -> int:
+def cmd_simulate(cfg, R, args, out_dir) -> int:
     n = _need(cfg, "horizon")
-    c0 = _initial(cfg, S.matrix)
-    traj = simulate(c0, S.matrix, n, cfg.seed)
+    c0 = _initial(cfg, R)
+    traj = simulate(c0, R, n, cfg.seed)
     _write_table(out_dir, "trajectory", args.format, traj.table)
     return 0
 
@@ -492,10 +494,11 @@ def main(argv=None) -> int:
         if args.seed is not None:
             cfg = cfg._replace(seed=_checked("seed", args.seed))
         matrix = validate_matrix(cfg.matrix)
-        S = decompose(matrix)
+        # simulate draws from the matrix alone; the others read the spectrum
+        model = matrix if args.command == "simulate" else decompose(matrix)
         os.makedirs(args.out, exist_ok=True)
         with _staged(args.out) as stage:
-            code = COMMANDS[args.command](cfg, S, args, stage)
+            code = COMMANDS[args.command](cfg, model, args, stage)
             # the manifest marks a finished run: a failed one writes none
             _write_manifest(stage, args.command, config_hash, cfg, args)
             _publish(stage, args.out)

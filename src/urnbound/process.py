@@ -45,13 +45,19 @@ d - 1) it replaced only where a uniform lands within one rounding of a
 sum; they are equal on every stream the tests check, and golden hashes
 pin the streams.
 
-Generators come from _numpy_random(), which imports numpy.random (lazy
-in numpy 2) without mapping OpenSSL.  numpy's bit_generator takes only
-randbits from secrets, whose import loads hmac and with it libcrypto
-(about 3.7 MiB resident), so with numpy >= 2 no run maps OpenSSL.
+Generators come from _numpy_random(), which gives numpy.random (lazy
+in numpy 2) with only its PCG64 Generator loaded and without mapping
+OpenSSL.  Its __init__ would also load the legacy RandomState and the
+other bit generators (about 1 MiB resident), and it runs only when a
+name the helper does not bind is first used.  numpy's bit_generator
+takes only randbits from secrets, whose import loads hmac and with it
+libcrypto (about 3.7 MiB resident), so with numpy >= 2 no run maps
+OpenSSL.
 """
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import os
 import random
 import sys
@@ -103,37 +109,93 @@ def initial_counts(initial, R: ReplacementMatrix) -> np.ndarray:
 
 
 def _numpy_random() -> types.ModuleType:
-    """numpy.random, imported while sys.modules["secrets"] is a stand-in.
+    """The numpy.random package, with only what a PCG64 Generator needs.
 
-    The stand-in holds randbits as CPython's secrets defines it,
+    The package module is built from its own spec and registered, as the
+    import system would, without running its __init__: only its
+    submodules bit_generator, _pcg64 and _generator are imported (they
+    bring _common and _bounded_integers), not the legacy RandomState
+    (mtrand, seeded on import) nor the other bit generators, about
+    1 MiB resident.  The module holds Generator, PCG64, BitGenerator,
+    SeedSequence and a default_rng that gives numpy's result for a
+    Generator (as is), a BitGenerator (wrapped) and an int, SeedSequence
+    or None (Generator(PCG64(seed))); it hands any other seed to numpy's
+    own.  The first access to any other name runs the real __init__
+    into the same module (PEP 562), so a later np.random.RandomState or
+    `import numpy.random` works as after a plain import.
+
+    The submodules are imported while sys.modules["secrets"] is a
+    stand-in.  It holds randbits as CPython's secrets defines it,
     SystemRandom().getrandbits, and serves any other public name from
     the real secrets, which then takes its place in sys.modules.  It is
-    removed when the import returns, so a later `import secrets` gets
-    the standard module.  When secrets or numpy.random is loaded
-    already (numpy 1.x imports numpy.random with numpy), this is a
-    plain import.  The generators are numpy's own: streams keep their
-    bits.
+    removed when the imports return, so a later `import secrets` gets
+    the standard module.  With secrets loaded already, the real one
+    serves.  When numpy.random is loaded already (numpy 1.x imports it
+    with numpy), that module is returned as it is.  The generators are
+    numpy's own: streams keep their bits.
     """
-    if "numpy.random" in sys.modules or "secrets" in sys.modules:
-        return np.random
-    stand_in = types.ModuleType("secrets")
-    stand_in.randbits = random.SystemRandom().getrandbits
+    if "numpy.random" in sys.modules:
+        return sys.modules["numpy.random"]
+    spec = importlib.machinery.PathFinder.find_spec("numpy.random",
+                                                    np.__path__)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules["numpy.random"] = module
+    np.random = module      # bound on numpy, as the import system does
+    stand_in = None
+    if "secrets" not in sys.modules:
+        stand_in = types.ModuleType("secrets")
+        stand_in.randbits = random.SystemRandom().getrandbits
 
-    def real(name: str):
-        if name.startswith("__"):   # the import system's probes
-            raise AttributeError(name)
-        if sys.modules.get("secrets") is stand_in:
-            del sys.modules["secrets"]
-        return getattr(__import__("secrets"), name)
+        def real(name: str):
+            if name.startswith("__"):   # the import system's probes
+                raise AttributeError(name)
+            if sys.modules.get("secrets") is stand_in:
+                del sys.modules["secrets"]
+            return getattr(__import__("secrets"), name)
 
-    stand_in.__getattr__ = real
-    sys.modules["secrets"] = stand_in
+        stand_in.__getattr__ = real
+        sys.modules["secrets"] = stand_in
     try:
-        import numpy.random
+        for name in ("bit_generator", "_pcg64", "_generator"):
+            importlib.import_module(f"numpy.random.{name}")
+    except BaseException:
+        del sys.modules["numpy.random"], np.random
+        raise
     finally:
-        if sys.modules.get("secrets") is stand_in:
+        if stand_in is not None and sys.modules.get("secrets") is stand_in:
             del sys.modules["secrets"]
-    return numpy.random
+    Generator, PCG64 = module._generator.Generator, module._pcg64.PCG64
+    BitGenerator = module.bit_generator.BitGenerator
+    SeedSequence = module.bit_generator.SeedSequence
+    completing = threading.RLock()
+    running = []
+
+    def default_rng(seed=None):
+        if isinstance(seed, Generator):
+            return seed
+        if isinstance(seed, BitGenerator):
+            return Generator(seed)
+        if seed is None or isinstance(seed, (int, np.integer, SeedSequence)):
+            return Generator(PCG64(seed))
+        return complete("default_rng")(seed)
+
+    def complete(name: str):
+        with completing:
+            if running:     # the __init__ below, probing for a submodule
+                raise AttributeError(name)
+            if vars(module).get("__getattr__") is complete:
+                running.append(name)
+                try:
+                    spec.loader.exec_module(module)
+                finally:
+                    running.clear()
+                del module.__getattr__
+        return getattr(module, name)
+
+    vars(module).update(Generator=Generator, PCG64=PCG64,
+                        BitGenerator=BitGenerator, SeedSequence=SeedSequence,
+                        default_rng=default_rng, __getattr__=complete)
+    return module
 
 
 def _statistic_vector(v, d: int) -> np.ndarray:

@@ -638,7 +638,8 @@ def test_exit_code_on_complex_spectrum(tmp_path):
 def test_spectral_errors_are_one_line_and_their_exit_code(tmp_path, capsys,
                                                           rows, error, code,
                                                           message):
-    # decompose runs in every command, so each command fails the same way
+    # decompose runs in every command but simulate, so those fail the
+    # same way; simulate fails only where validate_matrix does
     with pytest.raises(error) as err:
         decompose(validate_matrix(rows))
     assert type(err.value) is error and str(err.value) == message
@@ -647,9 +648,42 @@ def test_spectral_errors_are_one_line_and_their_exit_code(tmp_path, capsys,
     for command in ("spectrum", "simulate", "decompose", "bound", "verify",
                     "sweep"):
         out = tmp_path / command
-        assert run([command, "--config", cfg, "--out", str(out)]) == code
+        exit_code = run([command, "--config", cfg, "--out", str(out)])
+        if command == "simulate" and len(rows) > 1:
+            assert exit_code == 0
+            assert capsys.readouterr().err == ""
+            assert (out / "manifest.json").exists()
+            continue
+        assert exit_code == code
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()    # no manifest, nor the directory
+
+
+@pytest.mark.parametrize("rows", [
+    [[0, 1], [1, 0]],
+    np.roll(np.eye(4), 1, axis=1).tolist(),
+    [[0, 1], [5e-324, 1]],
+], ids=["flip", "cyclic-shift-4", "pi-not-positive"])
+def test_simulate_needs_no_spectrum(tmp_path, rows):
+    # urns whose spectrum decompose refuses still simulate: each state is
+    # the one before it plus the drawn color's row, and C_n has mass n + 1
+    matrix = "\n".join(", ".join(repr(x) for x in row) for row in rows)
+    cfg = write(tmp_path, matrix + "\nhorizon = 200\nseed = 5\n")
+    assert run(["simulate", "--config", cfg, "--out",
+                str(tmp_path / "out")]) == 0
+    with open(tmp_path / "out" / "trajectory.csv") as fh:
+        header, *lines = [line.rstrip("\n").split(",") for line in fh]
+    d = len(rows)
+    assert header == (["time"] + [f"count_{i}" for i in range(d)]
+                      + ["draw"])
+    counts = np.array([[float(x) for x in line[1:-1]] for line in lines])
+    draws = [int(line[-1]) for line in lines[1:]]
+    assert [int(line[0]) for line in lines] == list(range(201))
+    assert lines[0][-1] == "" and counts[0].tolist() == [1.0] + [0.0] * (d - 1)
+    assert (counts[np.arange(200), draws] > 0).all()   # drawn colors
+    np.testing.assert_array_equal(
+        counts[1:], counts[:-1] + np.array(rows, dtype=float)[draws])
+    assert counts[-1].sum() == 201.0
 
 
 def test_exact_row_with_a_bound_of_one_passes(tmp_path):
@@ -872,7 +906,8 @@ def _modules_loaded_by(argv, prelude=""):
             "_format._decades()\n"
             "print(sorted(m for m in ('numpy.ma', 'concurrent.futures',\n"
             "                         'statistics', 'dataclasses',\n"
-            "                         'fractions', 'decimal', '_hashlib')\n"
+            "                         'fractions', 'decimal', '_hashlib',\n"
+            "                         'numpy.random', 'numpy.random.mtrand')\n"
             "             if m in sys.modules))\n")
     proc = subprocess.run([sys.executable, "-c", code],
                           capture_output=True, text=True, check=True)
@@ -880,8 +915,9 @@ def _modules_loaded_by(argv, prelude=""):
 
 
 def test_bound_run_leaves_unused_modules_unloaded(tmp_path):
-    # an exact sweep draws no random numbers, so nothing maps OpenSSL
-    # (_hashlib): the config hash is the builtin SHA-256.  The writer's
+    # an exact sweep draws no random numbers, so it imports no numpy.random
+    # and nothing maps OpenSSL (_hashlib): the config hash is the builtin
+    # SHA-256.  The writer's
     # table of powers of ten is built from ints (no fractions, no
     # decimal) when a float column first takes the numpy path, not on
     # import, and the sweep's short columns never take it
@@ -899,11 +935,11 @@ def test_bound_run_leaves_unused_modules_unloaded(tmp_path):
 def test_mc_verify_leaves_unused_modules_unloaded(tmp_path):
     # the Wilson limit's normal quantile is a constant, so an MC run loads
     # no statistics (nor its fractions and decimal); numpy.random comes
-    # without OpenSSL
+    # without OpenSSL and without its legacy RandomState
     text = TWO_COLOR.replace("mode = exact", "mode = mc")
     argv = ["verify", "--threads", "2", "--config", write(tmp_path, text),
             "--out", str(tmp_path / "out")]
-    assert _modules_loaded_by(argv) == "[]"
+    assert _modules_loaded_by(argv) == "['numpy.random']"
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/maps"),
@@ -939,3 +975,49 @@ def test_drawing_runs_map_no_openssl(tmp_path, argv, text):
     proc = subprocess.run([sys.executable, "-c", code],
                           capture_output=True, text=True, check=True)
     assert proc.stdout.splitlines() == ["[]", "[]", "32"]
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/maps"),
+                    reason="reads the process's mappings from /proc")
+@pytest.mark.skipif(np.lib.NumpyVersion(np.__version__) < "2.0.0",
+                    reason="numpy 1.x imports all of numpy.random with numpy")
+@pytest.mark.parametrize("argv,text", [
+    (["verify", "--threads", "2"],
+     TWO_COLOR.replace("mode = exact", "mode = mc")),
+    (["simulate"], JORDAN_TEXT),
+    (["decompose"], JORDAN_TEXT),
+], ids=["verify-mc", "simulate", "decompose"])
+def test_drawing_runs_load_only_the_pcg64_generator(tmp_path, argv, text):
+    # a drawing run imports numpy.random's PCG64 Generator, not its legacy
+    # modules; in the same process numpy.random still works as after a
+    # plain import, its generators give the run's doubles, and completing
+    # the package maps no OpenSSL either
+    argv = argv + ["--config", write(tmp_path, text),
+                   "--out", str(tmp_path / "out")]
+    code = (
+        "import pickle, sys, urnbound.cli\n"
+        "from urnbound import process\n"
+        f"assert urnbound.cli.main({argv!r}) == 0\n"
+        "print([m for m in ('numpy.random.mtrand', 'numpy.random._mt19937',\n"
+        "                   'numpy.random._philox', 'numpy.random._sfc64',\n"
+        "                   'numpy.random._pickle') if m in sys.modules])\n"
+        "rnd = process._numpy_random()\n"
+        "ours = [rnd.default_rng(s).random(4).tolist() for s in\n"
+        "        (rnd.SeedSequence(11, spawn_key=(2,)), 11)]\n"
+        "import numpy as np\n"
+        "gen = np.random.default_rng(3)\n"
+        "copy = pickle.loads(pickle.dumps(gen))\n"
+        "print(copy.random(2).tolist() == gen.random(2).tolist(),\n"
+        "      np.random.RandomState(1).randint(1000),\n"
+        "      np.random.bit_generator.SeedSequence is rnd.SeedSequence)\n"
+        "theirs = [np.random.default_rng(s).random(4).tolist() for s in\n"
+        "          (np.random.SeedSequence(11, spawn_key=(2,)), 11)]\n"
+        "import numpy.random\n"
+        "print(ours == theirs, numpy.random is rnd, 'secrets' in sys.modules)\n"
+        "with open('/proc/self/maps') as fh:\n"
+        "    print(sorted({line.split()[-1] for line in fh\n"
+        "                  if 'libcrypto' in line}))\n")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.splitlines() == ["[]", "True 37 True",
+                                        "True True False", "[]"]

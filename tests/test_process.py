@@ -683,7 +683,7 @@ def test_stand_in_serves_other_secrets_names_from_the_real_module():
         class Probe:
             @staticmethod
             def find_spec(name, path=None, target=None):
-                if name == "numpy.random" and not seen:
+                if name == "numpy.random.bit_generator" and not seen:
                     stand_in = sys.modules["secrets"]
                     from secrets import token_hex
                     seen.append((stand_in, token_hex, sys.modules["secrets"]))
@@ -710,24 +710,28 @@ def test_unseeded_seed_sequence_draws_128_bits_of_os_entropy():
 
         random._urandom = recording
         rnd = process._numpy_random()
-        sizes.clear()       # numpy's import seeds its legacy RandomState
+        imported = list(sizes)  # no legacy RandomState, so nothing seeded
         entropy = rnd.SeedSequence().entropy
-        print(sizes, 0 <= entropy < 1 << 128, "secrets" in sys.modules)
-        """) == ["[16] True False"]
+        print(imported, sizes, 0 <= entropy < 1 << 128,
+              "secrets" in sys.modules)
+        """) == ["[] [16] True False"]
 
 
 def test_numpy_random_import_leaves_loaded_modules_as_they_are():
     # with secrets loaded, numpy takes the real randbits; with numpy.random
-    # loaded, a second call changes nothing
+    # loaded, by the helper or by a plain import, a call changes nothing.
+    # Each branch returns the registered numpy.random
     assert _fresh("""
         import secrets, sys
+        import numpy as np
         from urnbound import process
         before = dict(sys.modules)
         rnd = process._numpy_random()
         print(sys.modules["secrets"] is secrets,
               rnd.bit_generator.randbits is secrets.randbits,
-              all(sys.modules[k] is v for k, v in before.items()))
-        """) == ["True True True"]
+              all(sys.modules[k] is v for k, v in before.items()),
+              rnd is sys.modules["numpy.random"] is np.random)
+        """) == ["True True True True"]
     assert _fresh("""
         import sys
         from urnbound import process
@@ -736,6 +740,51 @@ def test_numpy_random_import_leaves_loaded_modules_as_they_are():
         print(process._numpy_random() is rnd is sys.modules["numpy.random"],
               sys.modules == before, "secrets" in sys.modules)
         """) == ["True True False"]
+    assert _fresh("""
+        import sys
+        import numpy.random
+        from urnbound import process
+        before = dict(sys.modules)
+        rnd = process._numpy_random()
+        print(rnd is sys.modules["numpy.random"] is numpy.random,
+              sys.modules == before, "__getattr__" in vars(rnd))
+        """) == ["True True False"]
+
+
+_LEGACY = ("numpy.random.mtrand", "numpy.random._mt19937",
+           "numpy.random._philox", "numpy.random._sfc64",
+           "numpy.random._pickle")
+
+
+def test_numpy_random_loads_no_legacy_module_until_asked():
+    # the helper's generators are numpy's; any other name runs numpy's
+    # __init__ into the same module, after which numpy.random is as a
+    # plain import leaves it and gives the same doubles
+    assert _fresh(f"""
+        import pickle, sys
+        import numpy as np
+        from urnbound import process
+        legacy = {_LEGACY!r}
+        rnd = process._numpy_random()
+        print([m for m in legacy if m in sys.modules])
+        rng = rnd.default_rng
+        ours = [rng(seed).random(3).tolist()
+                for seed in (rnd.SeedSequence(9, spawn_key=(3,)), 9)]
+        gen = rng(rnd.PCG64(4))
+        print(rng(gen) is gen, gen.bit_generator.state
+              == np.random.Generator(np.random.PCG64(4)).bit_generator.state,
+              type(rng().bit_generator) is rnd.PCG64)
+        print(pickle.loads(pickle.dumps(gen)).random() == gen.random())
+        print(np.random.RandomState(1).random_sample(), "__getattr__" in
+              vars(rnd), np.random.default_rng is rnd._generator.default_rng)
+        import numpy.random
+        theirs = [np.random.default_rng(seed).random(3).tolist() for seed in
+                  (np.random.SeedSequence(9, spawn_key=(3,)), 9)]
+        print(numpy.random is rnd, ours == theirs,
+              all(m in sys.modules for m in legacy),
+              rng([1, 2]).random() == np.random.default_rng([1, 2]).random())
+        """) == ["[]", "True True True", "True",
+                   "0.417022004702574 False True", "True True True True"]
 
 
 def test_first_draw_on_four_threads_gives_the_bits_of_one():

@@ -17,9 +17,11 @@ decompose and bound of frozen and r0 at horizon LONG_HORIZON, where
 their tables and float lists are long enough for the writer's numpy
 path and full of exact zeros (frozen's increment bounds, r0's nested
 expansion columns).  Last, the matrices of ERRORS, each of which ends
-every command in a spectral error with its exit code: one color,
-lambda = -1, a complex spectrum from eigvals and a stationary vector
-that is not strictly positive.  The calls are `cli.main(argv)` in this
+every command that reads the spectrum in a spectral error with its exit
+code: one color, lambda = -1, a complex spectrum from eigvals and a
+stationary vector that is not strictly positive.  simulate needs no
+spectrum, so it writes a trajectory for the last three and fails only
+on one color, which validate_matrix refuses.  The calls are `cli.main(argv)` in this
 process.  Each invocation writes its artifacts to
 OUT/<config>/<command>-<format>/ (with -t1 or -t2 appended for the
 thread runs) and one line with its exit code and stderr to a log:
@@ -57,7 +59,8 @@ MATRICES = {
 # eigenvalues 1, 0.829, 0.344 and -0.190
 R4 = ([[0.75, 0.25, 0.0, 0.0], [0.25, 0.5, 0.25, 0.0],
        [0.0, 0.2, 0.4, 0.4], [0.0, 0.0, 2 / 3, 1 / 3]], "0.1, 0.2, 0.3, 0.4")
-# each ends every command in an error: exit 1, 1, 2 and 2
+# each ends every command but simulate in an error: exit 1, 1, 2 and 2;
+# simulate fails only on one color (exit 1)
 ERRORS = {
     "one-color": [[1.0]],
     "flip": [[0.0, 1.0], [1.0, 0.0]],
