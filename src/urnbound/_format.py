@@ -10,9 +10,10 @@ rows or items at a time by _block_text: each cell gets a fixed-width
 slot of NUL-padded bytes in numpy, the slots are laid out between the
 constant text of a row (commas or a JSON row's keys), the NULs are
 dropped and the block is written at once.  An int column takes `%d`'s
-digits.  A column of fewer than _FEW_CELLS cells in the block, a string
-or None cell, and a row above the first cell of a short column take
-their fmt() (CSV) or render_json() text cell by cell.
+digits, made by the float path's digit words (_digit_words).  A column
+of fewer than _FEW_CELLS cells in the block, a string or None cell, and
+a row above the first cell of a short column take their fmt() (CSV) or
+render_json() text cell by cell.
 
 _float_text gives a double fmt()'s text in float64 arithmetic, exactly,
 when 1e-220 <= |x| <= 1e250.  With e10 = floor(log10 |x|) and
@@ -67,6 +68,8 @@ _TIE_WINDOW = 2.0 ** -40               # |frac(t) - 1/2| sent to fmt()
 _SPLIT = 2.0 ** 27 + 1                 # Veltkamp's splitting constant
 _E_MIN, _E_MAX = -224, 254             # decades tabulated, around the domain's
 _ASCII = 0x3030303030303030            # "0" in each byte of a digit word
+# 10, ..., 10^19, from ints: a numpy power would page in code at import
+_TENS = np.array([10 ** j for j in range(1, 20)], np.uint64)
 # The slot of one float: sign, the "0." and zeros before the digits, the
 # first digit and two words of eight digits before the point, the point,
 # two words after it, and the exponent in a word of its own.
@@ -164,23 +167,6 @@ def _digit_words(v) -> np.ndarray:
     return a | (v - a * 10) << 8
 
 
-def _digits(v, width: int) -> np.ndarray:
-    """(width, n) uint8: the decimal digits of the non-negative integers
-    v < 10^width, most significant first; 9-digit limbs in int32."""
-    out = np.empty((width, v.size), np.uint8)
-    for stop in range(width, 0, -9):
-        if stop > 9:
-            high = v // 10 ** 9
-            limb, v = (v - high * 10 ** 9).astype(np.int32), high
-        else:
-            limb = v.astype(np.int32)
-        for row in range(stop - 1, max(stop - 9, 0) - 1, -1):
-            q = limb // 10
-            out[row] = limb - q * 10
-            limb = q
-    return out
-
-
 def _float_text(x, out) -> None:
     """Write fmt() of each finite double of x into the rows of out, a
     (n, _FLOAT_WIDTH) uint8 view, NUL where no character goes."""
@@ -241,16 +227,18 @@ def _float_text(x, out) -> None:
 
 def _int_text(k) -> np.ndarray:
     """(n, w) uint8: the %d text of each integer of k, NUL-padded."""
-    mag = k.astype(np.uint64)
+    mag = k.astype(np.uint64)      # |k| below, exact for -2^63 too
     neg = k < 0
     mag[neg] = 0 - mag[neg]
-    width = len(str(int(mag.max())))
-    digits = _digits(mag, width)
-    shown = np.logical_or.accumulate(digits != 0, axis=0)
-    shown[-1] = True
+    size = 1 + np.searchsorted(_TENS, mag, "right")     # digits of |k|
+    width = int(size.max())
+    words = np.stack([mag // 10 ** (8 * j) % 10 ** 8
+                      for j in range((width - 1) // 8, -1, -1)], axis=1)
+    digits = _digit_words(words).view(np.uint8)[:, -width:]
     out = np.empty((k.size, width + 1), np.uint8)
     out[:, 0] = neg * ord("-")
-    out[:, 1:] = ((digits + ord("0")) * shown).T
+    out[:, 1:] = ((digits + ord("0"))    # leading zeros are NULs
+                  * (np.arange(width) >= width - size[:, None]))
     return out
 
 

@@ -13,7 +13,11 @@ Exit codes: 0 success, 1 configuration error, unwritable --out or out
 of memory, 2 a bad command line, complex spectrum or reducible matrix,
 3 dominance failure.  Every command but simulate decomposes the matrix
 first, so only those exit on a spectral error; simulate takes any
-validated matrix.
+validated matrix.  validate_matrix judges irreducibility on the graph of
+positive entries, where a subnormal entry is an edge, and decompose also
+needs a strictly positive computed stationary vector: [[0, 1],
+[5e-324, 1]] runs in simulate, and the other five commands exit 2 with
+"stationary vector not strictly positive".
 
 Config files are flat key = value text; lines without '=' are matrix rows
 (comma-separated).  A file whose first non-space character is '{' is

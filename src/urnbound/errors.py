@@ -29,8 +29,10 @@ class NotIrreducible(UrnboundError):
 
 
 # -- spectral structure ------------------------------------------------------
-# A config can reach ComplexSpectrum; the others guard numerical failures
-# of decompose's solves (BasisSingular also a hand-built basis).
+# A config can reach ComplexSpectrum, and BasisSingular through a
+# near-defective matrix whose basis misses the indicators; the others
+# guard numerical failures of decompose's solves (BasisSingular also a
+# hand-built basis).
 
 class ComplexSpectrum(UrnboundError):
     """The matrix has a nonreal eigenvalue beyond tolerance."""

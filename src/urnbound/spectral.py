@@ -71,7 +71,10 @@ def validate_matrix(rows) -> ReplacementMatrix:
 
     Raises NonFiniteEntry, NegativeEntry, RowSumNotOne or NotIrreducible.
     Row sums within 1e-12 of 1 are divided out so downstream balance is
-    exact.
+    exact.  Irreducibility is judged on the graph of positive entries,
+    where a subnormal entry is an edge; stationary_vector (so decompose)
+    also needs the computed pi strictly positive, so [[0, 1], [5e-324, 1]]
+    passes here and is refused there.
     """
     m = ReplacementMatrix(rows).matrix  # shape checks
     # NaN passes every comparison below, so it has to be caught first
@@ -114,7 +117,10 @@ def _strong_components(adjacency: np.ndarray) -> int:
 
 def stationary_vector(R: ReplacementMatrix) -> np.ndarray:
     """Left Perron vector: pi R = pi, pi > 0, sum(pi) = 1.  Raises
-    NotIrreducible unless pi > 0; the residual check is a numerical guard."""
+    NotIrreducible unless pi > 0; the residual check is a numerical guard.
+    That is stricter than validate_matrix's graph test: [[0, 1],
+    [5e-324, 1]] passes there, but its pi[0], about 5e-324, is lost in
+    the solve's rounding, so the computed one is not positive."""
     m = R.matrix
     d = R.dim
     a = np.vstack([m.T - np.eye(d), np.ones(d)])
@@ -334,8 +340,10 @@ def indicator_coefficients(S: SpectralDecomposition, color: int) -> np.ndarray:
 
     alpha_1 always equals pi[color]: every right vector is pi-orthogonal,
     so dotting the expansion with pi isolates the constant term.  Raises
-    BasisSingular, a numerical guard, when the vectors are dependent
-    beyond tolerance.
+    BasisSingular when the vectors are dependent beyond tolerance.  A
+    config reaches it: a defective matrix moved by 1e-13 splits its double
+    root, and the nearly parallel eigenvectors miss e_color by about 6e-11
+    (the near-defective case of the CLI's spectral-error tests).
     """
     d = S.matrix.dim
     if not 0 <= color < d:

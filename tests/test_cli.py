@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from urnbound import (
+    BasisSingular,
     ComplexSpectrum,
     LambdaOutOfRange,
     NotIrreducible,
@@ -634,15 +635,25 @@ def test_exit_code_on_complex_spectrum(tmp_path):
      "imaginary part 1.000e+00 beyond tolerance"),
     ([[0, 1], [5e-324, 1]], NotIrreducible, 2,
      "stationary vector not strictly positive"),
-], ids=["one-color", "lambda-minus-one", "cyclic-shift-4", "pi-not-positive"])
+    # RJ + 1e-13 D: RJ's double eigenvalue 1/4 splits into two simple ones
+    # 4e-7 apart, whose eigenvectors are nearly parallel, so the basis
+    # misses the indicators by about 6e-11 (58 times the 1e-12 guard); at
+    # 1e-10 D the miss is 1.8e-12, too close to the guard to pin
+    ((np.array([[0.625, 0.375, 0], [0.125, 0.375, 0.5], [0.25, 0.25, 0.5]])
+      + 1e-13 * np.array([[1, -1, 0], [0, 1, -1], [-1, 0, 1]])).tolist(),
+     BasisSingular, 1, "indicator reconstruction residual "),
+], ids=["one-color", "lambda-minus-one", "cyclic-shift-4", "pi-not-positive",
+        "near-defective"])
 def test_spectral_errors_are_one_line_and_their_exit_code(tmp_path, capsys,
                                                           rows, error, code,
                                                           message):
     # decompose runs in every command but simulate, so those fail the
-    # same way; simulate fails only where validate_matrix does
+    # same way; simulate fails only where validate_matrix does.  A message
+    # ending in a space is a prefix, followed by a number
     with pytest.raises(error) as err:
         decompose(validate_matrix(rows))
-    assert type(err.value) is error and str(err.value) == message
+    assert type(err.value) is error and str(err.value).startswith(message)
+    assert message.endswith(" ") or str(err.value) == message
     matrix = "\n".join(", ".join(repr(x) for x in row) for row in rows)
     cfg = write(tmp_path, matrix + "\nhorizon = 5\n")
     for command in ("spectrum", "simulate", "decompose", "bound", "verify",
@@ -655,7 +666,10 @@ def test_spectral_errors_are_one_line_and_their_exit_code(tmp_path, capsys,
             assert (out / "manifest.json").exists()
             continue
         assert exit_code == code
-        assert capsys.readouterr().err == f"error: {message}\n"
+        text = capsys.readouterr().err
+        assert text.startswith(f"error: {message}")
+        assert text.count("\n") == 1 and text.endswith("\n")    # one line
+        assert message.endswith(" ") or text == f"error: {message}\n"
         assert not out.exists()    # no manifest, nor the directory
 
 

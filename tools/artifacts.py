@@ -18,11 +18,12 @@ their tables and float lists are long enough for the writer's numpy
 path and full of exact zeros (frozen's increment bounds, r0's nested
 expansion columns).  Last, the matrices of ERRORS, each of which ends
 every command that reads the spectrum in a spectral error with its exit
-code: one color, lambda = -1, a complex spectrum from eigvals and a
-stationary vector that is not strictly positive.  simulate needs no
-spectrum, so it writes a trajectory for the last three and fails only
-on one color, which validate_matrix refuses.  The calls are `cli.main(argv)` in this
-process.  Each invocation writes its artifacts to
+code: one color, lambda = -1, a complex spectrum from eigvals, a
+stationary vector that is not strictly positive and a near-defective
+matrix whose basis fails the indicator reconstruction guard.  simulate
+needs no spectrum, so it writes a trajectory for the last four and
+fails only on one color, which validate_matrix refuses.  The calls are
+`cli.main(argv)` in this process.  Each invocation writes its artifacts to
 OUT/<config>/<command>-<format>/ (with -t1 or -t2 appended for the
 thread runs) and one line with its exit code and stderr to a log:
 OUT/log.txt for the seven matrices, OUT/log-threads.txt for the thread
@@ -59,14 +60,18 @@ MATRICES = {
 # eigenvalues 1, 0.829, 0.344 and -0.190
 R4 = ([[0.75, 0.25, 0.0, 0.0], [0.25, 0.5, 0.25, 0.0],
        [0.0, 0.2, 0.4, 0.4], [0.0, 0.0, 2 / 3, 1 / 3]], "0.1, 0.2, 0.3, 0.4")
-# each ends every command but simulate in an error: exit 1, 1, 2 and 2;
-# simulate fails only on one color (exit 1)
+# each ends every command but simulate in an error: exit 1, 1, 2, 2 and
+# 1; simulate fails only on one color (exit 1).  near-defective is
+# RJ + 1e-13 D, D = [[1, -1, 0], [0, 1, -1], [-1, 0, 1]]
 ERRORS = {
     "one-color": [[1.0]],
     "flip": [[0.0, 1.0], [1.0, 0.0]],
     "cyclic4": [[0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0],
                 [0.0, 0.0, 0.0, 1.0], [1.0, 0.0, 0.0, 0.0]],
     "pi-zero": [[0.0, 1.0], [5e-324, 1.0]],
+    "near-defective": [[r + 1e-13 * e for r, e in zip(row, step)]
+                       for row, step in zip(MATRICES["rj"][0], (
+                           (1, -1, 0), (0, 1, -1), (-1, 0, 1)))],
 }
 VECTORS = {2: "0.75, -1", 3: "1, 2, -3", 4: "1, 2, -3, 0.5"}
 COMMANDS = ("spectrum", "simulate", "decompose", "bound", "verify", "sweep")

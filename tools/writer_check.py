@@ -8,9 +8,14 @@ from every family: random bit patterns (non-finite ones dropped),
 log-uniform magnitudes over the whole double range, neighbours of powers
 of ten (up to 4 ulps away) and exact ties at the 17th significant digit
 (odd m / 2^f whose scaled value m 5^(f-1) / 2 is half an odd integer in
-[1e16, 1e17)), all of both signs.  Each chunk is written with write_csv
-as a one-column table and every line is compared with fmt() of its
-value.  Prints the first difference and exits 1, else exits 0.
+[1e16, 1e17)), all of both signs.  Each chunk also brings a family of
+int64 values: random bit patterns and log-uniform magnitudes over the
+whole int64 range, -1,000..1,000, 10^j - 1, 10^j and 10^j + 1 for
+j <= 18, and -2^63 and 2^63 - 1, all of both signs, ordered by
+magnitude so that the blocks the writer renders at once differ in width.
+Each is written with write_csv as a one-column table and every line is
+compared with fmt() of its value (str() for an int).  Prints the first
+difference and exits 1, else exits 0.
 """
 import os
 import sys
@@ -30,6 +35,9 @@ TIE_LO = np.array([max(1, -(-2 ** f * 10 ** 17 // 10 ** f))
                    for f in range(2, 26)])
 TIE_HI = np.array([min(2 ** 53, -(-2 ** f * 10 ** 18 // 10 ** f))
                    for f in range(2, 26)])
+EDGES = np.array([-2 ** 63, 2 ** 63 - 1] + list(range(-1000, 1001))
+                 + [s * (10 ** j + k) for j in range(19) for k in (-1, 0, 1)
+                    for s in (-1, 1)], np.int64)
 
 
 def draw(rng, n: int) -> np.ndarray:
@@ -53,25 +61,46 @@ def draw(rng, n: int) -> np.ndarray:
     return rng.permutation(x)
 
 
+def draw_ints(rng, n: int) -> np.ndarray:
+    """EDGES and n int64 values, half random bit patterns and half
+    log-uniform magnitudes, of both signs, ordered by magnitude."""
+    bits = rng.integers(-2 ** 63, 2 ** 63, n // 2, dtype=np.int64)
+    spread = (10.0 ** rng.uniform(0, 18.96, n - n // 2)).astype(np.int64)
+    spread *= rng.choice([-1, 1], spread.size)
+    k = np.concatenate([EDGES, bits, spread])
+    return k[np.argsort(np.abs(k).view(np.uint64), kind="stable")]
+
+
+def mismatch(path, values) -> str | None:
+    """Write values as a one-column table at path and compare each line
+    with fmt(); the first difference, if any."""
+    write_csv(path, *columns(["x"], values))
+    with open(path) as fh:
+        lines = fh.read().splitlines()[1:]
+    for v, line in zip(values.tolist(), lines):
+        if line != fmt(v):
+            return f"{v!r}: writer {line!r}, fmt {fmt(v)!r}"
+    if len(lines) != values.size:
+        return f"{len(lines)} lines for {values.size} values"
+    return None
+
+
 def main(count: int, seed: int) -> int:
     rng = np.random.default_rng(seed)
-    checked = 0
+    checked = ints = 0
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "x.csv")
         while checked < count:
             x = draw(rng, min(CHUNK, count - checked))
-            write_csv(path, *columns(["x"], x))
-            with open(path) as fh:
-                lines = fh.read().splitlines()[1:]
-            for v, line in zip(x.tolist(), lines):
-                if line != fmt(v):
-                    print(f"{v!r}: writer {line!r}, fmt {fmt(v)!r}")
+            k = draw_ints(rng, x.size // 4)
+            for values in (x, k):
+                error = mismatch(path, values)
+                if error:
+                    print(error)
                     return 1
-            if len(lines) != x.size:
-                print(f"{len(lines)} lines for {x.size} values")
-                return 1
             checked += x.size
-    print(f"{checked} doubles: every line matches fmt()")
+            ints += k.size
+    print(f"{checked} doubles and {ints} integers: every line matches fmt()")
     return 0
 
 
