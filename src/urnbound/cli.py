@@ -9,6 +9,14 @@ bound      deviation-bound reports over the threshold grid -> bounds.json
 verify     bounds against the exact law or Monte Carlo -> dominance file
 sweep      bound + verify over a grid of horizons
 
+A command touches no file: it returns its exit code and its artifacts by
+file stem, and main alone writes them, a Table as STEM.csv or STEM.json
+by --format and anything else as STEM.json, the manifest last.  main
+writes them into a directory of the run's own inside --out, which exists
+only while it writes, and then moves them into --out, the manifest last;
+a failed move takes back the files moved before it and puts back the
+files they replaced.
+
 Exit codes: 0 success, 1 configuration error, unwritable --out or out
 of memory, 2 a bad command line, complex spectrum or reducible matrix,
 3 dominance failure.  Every command but simulate decomposes the matrix
@@ -43,7 +51,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from ._format import write_csv, write_json
+from ._format import Table, write_csv, write_json
 from .bounds import BoundReport, color_deviation_bound, statistic_bound
 from .decomposition import expand
 from .errors import ComplexSpectrum, NotIrreducible, UrnboundError
@@ -274,63 +282,42 @@ def _need(cfg, key: str):
     return value
 
 
-def _write_table(out_dir, name, fmt, table) -> None:
-    """Write a (header, rows) table as NAME.csv or as NAME.json, a list of
-    one object per row; None is an empty cell or null."""
-    path = os.path.join(out_dir, f"{name}.{fmt}")
-    if fmt == "json":
-        write_json(path, table)
-    else:
-        write_csv(path, *table)
-
-
-def _write_bounds(out_dir, stat, grids) -> None:
-    """One profile per horizon (what does not depend on t), then one
-    report per (horizon, threshold)."""
+def _bounds(stat, grids) -> dict:
+    """The bounds.json payload: one profile per horizon (what does not
+    depend on t), then one report per (horizon, threshold)."""
     profile = ("n", "increment_bounds", "sum_sq", "regime", "rate_value",
                "zeroth_shift")
-    write_json(os.path.join(out_dir, "bounds.json"), {
+    return {
         "statistic": stat.label,
         "profiles": [{k: getattr(grid[0], k) for k in profile}
                      for grid in grids],
         "reports": [{k: getattr(r, k) for k in ("n", "t", "statistic", "tail")}
                     for grid in grids for r in grid],
-    })
+    }
 
 
-# -- commands ------------------------------------------------------------------
+# -- commands: (cfg, model, threads) -> (exit code, {file stem: artifact}) ----
 
-def cmd_spectrum(cfg, S, args, out_dir) -> int:
-    payload = {
+def cmd_spectrum(cfg, S, threads) -> tuple[int, dict]:
+    return 0, {"spectrum": {
         "matrix": S.matrix.matrix,
         "pi": S.pi,
-        "eigenvalues": [
-            {"value": lam, "algebraic": am, "geometric": gm}
-            for lam, am, gm in S.eigenvalues
-        ],
-        "structures": [
-            {
-                "value": st.value,
-                "jordan": st.jordan,
-                "vectors": [v for v in st.vectors],
-            }
-            for st in S.structures
-        ],
+        "eigenvalues": [{"value": lam, "algebraic": am, "geometric": gm}
+                        for lam, am, gm in S.eigenvalues],
+        "structures": [{"value": st.value, "jordan": st.jordan,
+                        "vectors": list(st.vectors)}
+                       for st in S.structures],
         "alphas": S.alphas,
-    }
-    write_json(os.path.join(out_dir, "spectrum.json"), payload)
-    return 0
+    }}
 
 
-def cmd_simulate(cfg, R, args, out_dir) -> int:
+def cmd_simulate(cfg, R, threads) -> tuple[int, dict]:
     n = _need(cfg, "horizon")
     c0 = _initial(cfg, R)
-    traj = simulate(c0, R, n, cfg.seed)
-    _write_table(out_dir, "trajectory", args.format, traj.table)
-    return 0
+    return 0, {"trajectory": simulate(c0, R, n, cfg.seed).table}
 
 
-def cmd_decompose(cfg, S, args, out_dir) -> int:
+def cmd_decompose(cfg, S, threads) -> tuple[int, dict]:
     n = _need(cfg, "horizon")
     c0 = _initial(cfg, S.matrix)
     stat = resolve_statistic(cfg.statistic, S)
@@ -338,17 +325,14 @@ def cmd_decompose(cfg, S, args, out_dir) -> int:
         raise ConfigError("decompose needs an eigen:K statistic")
     (_, member), = stat.terms
     exp = expand(simulate(c0, S.matrix, n, cfg.seed), member)
-    _write_table(out_dir, "expansion", args.format, exp.table)
-    write_json(os.path.join(out_dir, "decompose.json"), exp.summary)
-    return 0
+    return 0, {"expansion": exp.table, "decompose": exp.summary}
 
 
-def cmd_bound(cfg, S, args, out_dir) -> int:
+def cmd_bound(cfg, S, threads) -> tuple[int, dict]:
     n = _need(cfg, "horizon")
     c0 = _initial(cfg, S.matrix)
     stat = resolve_statistic(cfg.statistic, S)
-    _write_bounds(out_dir, stat, [_bound_reports(cfg, S, stat, n, c0)])
-    return 0
+    return 0, {"bounds": _bounds(stat, [_bound_reports(cfg, S, stat, n, c0)])}
 
 
 def _truths(cfg, S, stat, reports, n, c0, threads):
@@ -368,7 +352,7 @@ def _truths(cfg, S, stat, reports, n, c0, threads):
                           cfg.replicas, cfg.seed, threads=threads)
 
 
-def _verify(cfg, S, args, out_dir, horizons) -> int:
+def _verify(cfg, S, threads, horizons) -> tuple[int, dict]:
     """Bounds against ground truth at every horizon, in one dominance
     table and one bounds.json; exit 3 if any row fails."""
     c0 = _initial(cfg, S.matrix)
@@ -380,19 +364,18 @@ def _verify(cfg, S, args, out_dir, horizons) -> int:
             raise ConfigError(f"statistic vector is too large for horizon "
                               f"{n}: C_n . vector overflows")
         grids.append(_bound_reports(cfg, S, stat, n, c0))
-        truths.extend(_truths(cfg, S, stat, grids[-1], n, c0, args.threads))
+        truths.extend(_truths(cfg, S, stat, grids[-1], n, c0, threads))
     table = dominance_check([r for grid in grids for r in grid], truths)
-    _write_table(out_dir, "dominance", args.format, table.table)
-    _write_bounds(out_dir, stat, grids)
-    return 0 if table.all_pass else 3
+    return (0 if table.all_pass else 3,
+            {"dominance": table.table, "bounds": _bounds(stat, grids)})
 
 
-def cmd_verify(cfg, S, args, out_dir) -> int:
-    return _verify(cfg, S, args, out_dir, [_need(cfg, "horizon")])
+def cmd_verify(cfg, S, threads) -> tuple[int, dict]:
+    return _verify(cfg, S, threads, [_need(cfg, "horizon")])
 
 
-def cmd_sweep(cfg, S, args, out_dir) -> int:
-    return _verify(cfg, S, args, out_dir, _need(cfg, "horizons"))
+def cmd_sweep(cfg, S, threads) -> tuple[int, dict]:
+    return _verify(cfg, S, threads, _need(cfg, "horizons"))
 
 
 COMMANDS = {
@@ -421,20 +404,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_manifest(out_dir, command, config_hash, cfg, args) -> None:
-    write_json(os.path.join(out_dir, "manifest.json"), {
-        "command": command,
-        "config_sha256": config_hash,
-        "seed": cfg.seed,
-        "threads": args.threads,
-        "format": args.format,
-        "versions": {
-            "urnbound": __version__,
-            "numpy": np.__version__,
-        },
-    })
-
-
 def _threads(requested) -> int:
     """--threads if given, else URNBOUND_THREADS, else 1; at least 1."""
     env = requested is None
@@ -460,9 +429,9 @@ def _missing_dirs(path) -> list[str]:
 
 @contextmanager
 def _staged(out_dir):
-    """A directory of the run's own inside out_dir, where its files wait
-    until it has finished; it is removed on exit with what is left in it,
-    so a failure at any point leaves out_dir as it was."""
+    """A directory of the run's own inside out_dir, where main writes its
+    files; it is removed on exit with what is left in it, so a failure at
+    any point leaves out_dir as it was."""
     stage = os.path.join(out_dir, f".urnbound-{os.getpid()}")
     os.mkdir(stage)
     try:
@@ -475,17 +444,25 @@ def _staged(out_dir):
 
 def _publish(stage, out_dir) -> None:
     """Move the finished run's files from stage into out_dir, the
-    manifest last.  If one cannot be moved, those moved before it are
-    removed again."""
-    moved = []
+    manifest last.  A file one replaces waits in stage as NAME.old until
+    _staged drops it; if one cannot be moved, those moved before it are
+    taken out again and the files they replaced put back."""
+    names = sorted(os.listdir(stage),
+                   key=lambda name: (name == "manifest.json", name))
     try:
-        for name in sorted(os.listdir(stage),
-                           key=lambda name: (name == "manifest.json", name)):
-            os.replace(os.path.join(stage, name), os.path.join(out_dir, name))
-            moved.append(os.path.join(out_dir, name))
-    except OSError:
-        for path in moved:
-            os.remove(path)
+        for name in names:
+            path = os.path.join(out_dir, name)
+            if os.path.isfile(path):
+                os.replace(path, os.path.join(stage, f"{name}.old"))
+            os.replace(os.path.join(stage, name), path)
+    except BaseException:      # an interrupt too: _staged drops NAME.old
+        for name in names:
+            path, old = (os.path.join(out_dir, name),
+                         os.path.join(stage, f"{name}.old"))
+            if os.path.exists(old):
+                os.replace(old, path)
+            elif not os.path.exists(os.path.join(stage, name)):
+                os.remove(path)
         raise
 
 
@@ -501,10 +478,28 @@ def main(argv=None) -> int:
         # simulate draws from the matrix alone; the others read the spectrum
         model = matrix if args.command == "simulate" else decompose(matrix)
         os.makedirs(args.out, exist_ok=True)
+        code, artifacts = COMMANDS[args.command](cfg, model, args.threads)
+        # the manifest marks a finished run: a failed one writes none
+        artifacts["manifest"] = {
+            "command": args.command,
+            "config_sha256": config_hash,
+            "seed": cfg.seed,
+            "threads": args.threads,
+            "format": args.format,
+            "versions": {
+                "urnbound": __version__,
+                "numpy": np.__version__,
+            },
+        }
         with _staged(args.out) as stage:
-            code = COMMANDS[args.command](cfg, model, args, stage)
-            # the manifest marks a finished run: a failed one writes none
-            _write_manifest(stage, args.command, config_hash, cfg, args)
+            for stem, artifact in artifacts.items():
+                is_table = isinstance(artifact, Table)
+                path = os.path.join(
+                    stage, f"{stem}.{args.format if is_table else 'json'}")
+                if is_table and args.format == "csv":
+                    write_csv(path, *artifact)
+                else:
+                    write_json(path, artifact)
             _publish(stage, args.out)
         return code
     except (UrnboundError, ValueError, OSError) as exc:

@@ -359,6 +359,47 @@ def test_a_file_that_cannot_be_moved_into_out_takes_back_the_others(
     assert (out / "dominance.csv").is_dir()
 
 
+def test_a_failed_publish_puts_back_the_files_it_replaced(tmp_path, capsys):
+    # the new bounds.json replaces an earlier one before dominance.csv
+    # fails on a directory of that name: the earlier bounds.json comes
+    # back, and the earlier manifest.json is never touched
+    out = tmp_path / "out"
+    (out / "dominance.csv").mkdir(parents=True)
+    (out / "bounds.json").write_bytes(b"earlier bounds")
+    (out / "manifest.json").write_bytes(b"earlier manifest")
+    assert run(["verify", "--config", write(tmp_path, TWO_COLOR),
+                "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert sorted(p.name for p in out.iterdir()) == [
+        "bounds.json", "dominance.csv", "manifest.json"]
+    assert (out / "bounds.json").read_bytes() == b"earlier bounds"
+    assert (out / "manifest.json").read_bytes() == b"earlier manifest"
+    assert (out / "dominance.csv").is_dir()
+
+
+ARTIFACTS = {
+    "spectrum": ["spectrum.json"],
+    "simulate": ["trajectory.{fmt}"],
+    "decompose": ["decompose.json", "expansion.{fmt}"],
+    "bound": ["bounds.json"],
+    "verify": ["bounds.json", "dominance.{fmt}"],
+    "sweep": ["bounds.json", "dominance.{fmt}"],
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("command", sorted(ARTIFACTS))
+def test_each_command_writes_exactly_its_artifacts(tmp_path, command, fmt):
+    # a table takes the --format extension, every other artifact .json
+    out = tmp_path / "out"
+    cfg = write(tmp_path, TWO_COLOR + "horizons = 8, 12\n")
+    assert run([command, "--config", cfg, "--out", str(out),
+                "--format", fmt]) == 0
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        [name.format(fmt=fmt) for name in ARTIFACTS[command]]
+        + ["manifest.json"])
+
+
 def test_decompose_simple_eigenvalue(tmp_path):
     cfg = write(tmp_path, TWO_COLOR)
     out = tmp_path / "out"
