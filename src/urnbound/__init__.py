@@ -17,6 +17,7 @@ from .errors import (
     NotIrreducible,
     NotJordanPair,
     RowSumNotOne,
+    TooFewReplicas,
     TooLarge,
     UrnboundError,
 )

@@ -36,7 +36,10 @@ mode (auto | exact | mc).  eigen:K takes the last member of structure K
 not take, reaches a chain's eigenvector xi2 or the first vector of a
 full repeated eigenspace.  Both formats go through one typed check: a
 value of the wrong type or range, an unknown key, a key given twice, a
-negative --seed or --threads below 1 is a configuration error (exit 1).
+negative --seed or --threads below 1 is a configuration error (exit 1),
+as is verify or sweep sampling its truth (mode mc, or auto past
+STATE_BUDGET) from fewer than MIN_REPLICAS replicas: that one is raised
+before any bound is computed.
 """
 from __future__ import annotations
 
@@ -58,6 +61,7 @@ from .errors import ComplexSpectrum, NotIrreducible, UrnboundError
 from .process import initial_counts, simulate
 from .spectral import decompose, validate_matrix
 from .verification import (
+    MIN_REPLICAS,
     STATE_BUDGET,
     dominance_check,
     exact_distribution,
@@ -335,16 +339,21 @@ def cmd_bound(cfg, S, threads) -> tuple[int, dict]:
     return 0, {"bounds": _bounds(stat, [_bound_reports(cfg, S, stat, n, c0)])}
 
 
+def _exact(cfg, S, n) -> bool:
+    """Whether the truth at horizon n is the exact law, not a sample:
+    `auto` takes the exact law whenever its state count fits
+    STATE_BUDGET."""
+    return cfg.mode == "exact" or (
+        cfg.mode == "auto" and exact_states(S.matrix.dim, n) <= STATE_BUDGET)
+
+
 def _truths(cfg, S, stat, reports, n, c0, threads):
     """Exact or estimated probabilities aligned with the reports, an
-    exact one as (tail, its relative error bound gamma); `auto`
-    takes the exact law whenever its state count fits STATE_BUDGET."""
-    exact = cfg.mode == "exact" or (
-        cfg.mode == "auto" and exact_states(S.matrix.dim, n) <= STATE_BUDGET)
+    exact one as (tail, its relative error bound gamma)."""
     # each centered event as a threshold on C_n . vector
     thresholds = [stat.constant * (n + 1.0) + r.zeroth_shift + r.deviation
                   for r in reports]
-    if exact:
+    if _exact(cfg, S, n):
         dist = exact_distribution(c0, S.matrix, n)
         return [(exact_tail(dist, stat.vector, x), dist.gamma)
                 for x in thresholds]
@@ -357,6 +366,10 @@ def _verify(cfg, S, threads, horizons) -> tuple[int, dict]:
     table and one bounds.json; exit 3 if any row fails."""
     c0 = _initial(cfg, S.matrix)
     stat = resolve_statistic(cfg.statistic, S)
+    # a sampled truth needs MIN_REPLICAS: fail before any bound is computed
+    if cfg.replicas < MIN_REPLICAS and not all(_exact(cfg, S, n)
+                                               for n in horizons):
+        raise ConfigError("need at least 10^3 replicas for a usable estimate")
     grids, truths = [], []
     for n in horizons:
         # every C_n . vector, and each partial sum of it, is at most this

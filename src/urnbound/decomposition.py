@@ -19,9 +19,9 @@ sum_j w_j * a * (chi_{j+1}.u - C_j.u/(j+1)).  expand() turns it into one
 Expansion record for any member along a trajectory, and the bounds read
 the same table; conditional_means() checks the fact both rest on: every
 part's increment has conditional mean zero given the past.
-All weighted sums of squares needed by the deviation bounds are
-available exactly (dn_exact) and through a proven closed-form envelope
-(dn_asymptotic), which dominates dn_exact for every n.
+The bounds sum their squared increment bounds themselves and read only
+the proven closed-form envelope dn_asymptotic, for rate_value; dn_exact,
+the exact weighted sum of squares, is the reference it is tested against.
 
 Index conventions follow the one-step recursion: weights for a statistic
 observed after N draws use tail_products(lam, N-1)[j] for j = 0 .. N-1,
@@ -45,7 +45,6 @@ from .process import Trajectory
 from .spectral import Member
 
 EIGEN_RESID_TOL = 1e-8
-_BLOCK = 1 << 15  # tail products are walked in blocks of this length
 
 
 def _check_lambda(lam: float, allow_one: bool = False,
@@ -73,33 +72,19 @@ def growth_product(lam: float, n: int) -> float:
 
 
 def tail_products(lam: float, n: int) -> np.ndarray:
-    """Tail products T(j, n) = prod_{k=j+1}^{n} (1 + lam/(k+1)) for
-    j = 0 .. n in one backward pass; T(n, n) = 1."""
+    """Tail products T(j, n) = prod_{k=j+1}^{n} (1 + lam/(k+1)), j = 0 .. n,
+    as one backward running product (the literal loop's bits); T(n, n) = 1."""
     lam = _check_lambda(lam, allow_one=True)
     if n < 0:
         raise IndexOrder(f"n={n} must be nonnegative")
     out = np.ones(n + 1)
-    top = n
-    for block in _tail_blocks(lam, n):
-        out[top - block.size:top] = block[::-1]
-        top -= block.size
+    steps = out[:n]                       # in place: no n-long temporary
+    np.cumsum(steps, out=steps)           # j + 1, exact below 2^53
+    steps += 1.0
+    np.divide(lam, steps, out=steps)
+    steps += 1.0
+    np.cumprod(steps[::-1], out=steps[::-1])  # from j = n-1 down to 0
     return out
-
-
-def _tail_blocks(lam: float, n: int):
-    """T(j, n) for j = n-1 down to 0, in blocks of at most _BLOCK.
-
-    Each block's cumprod is seeded with the product carried from the
-    block above, so every value is the same running product, bit for
-    bit, whatever the block size.  Memory is O(_BLOCK).
-    """
-    carry = 1.0
-    for hi in range(n + 1, 1, -_BLOCK):
-        block = 1.0 + lam / np.arange(hi, max(hi - _BLOCK, 1), -1)
-        block[0] *= carry
-        np.cumprod(block, out=block)
-        carry = block[-1]
-        yield block
 
 
 def _prefix_products(lam: float, m: int) -> np.ndarray:
@@ -110,19 +95,15 @@ def _prefix_products(lam: float, m: int) -> np.ndarray:
 
 
 def dn_exact(lam: float, n: int) -> float:
-    """Sum of squared tail products, j = 0 .. n (the exact variance scale).
-
-    Each block's squares are summed by np.add.reduce and the block sums
-    added in order: no BLAS call, so the bits do not depend on how many
-    threads the machine's BLAS runs.
-    """
+    """Sum of squared tail products, j = 0 .. n (the exact variance scale),
+    the reference that the envelope dn_asymptotic is tested against; no
+    command calls it.  np.add.reduce sums the squares with no BLAS call,
+    so the bits do not depend on how many threads BLAS runs."""
     lam = _check_lambda(lam)
     if n < 0:
         raise IndexOrder(f"n={n} must be nonnegative")
-    total = 0.0
-    for block in _tail_blocks(lam, n):
-        total += float(np.add.reduce(block * block))
-    return 1.0 + total
+    tails = tail_products(lam, n)[:-1]
+    return 1.0 + float(np.add.reduce(tails * tails))
 
 
 def _regime(lam: float) -> str:
@@ -221,14 +202,6 @@ def appendix_zeroth(lam: float, n: int) -> float:
     return total
 
 
-def _part_vectors(member: Member):
-    """The (a, u) of each part of member_weights(member, n), for any n."""
-    lam, v, xi2 = member
-    if xi2 is None:
-        return [(lam, v)]
-    return [(1.0, xi2)] if member.zero else [(1.0, xi2 + lam * v), (lam, xi2)]
-
-
 def member_weights(member: Member, n: int):
     """(growth, shift, parts) for the member v after n draws: C_n.v =
     growth C_0.v + shift C_0.xi2 + sum over the parts (w, a, u) of
@@ -239,18 +212,17 @@ def member_weights(member: Member, n: int):
     1, xi2 + lam v), (jordan_weights, lam, xi2)].  Chain member of
     eigenvalue 0: 1, the harmonic number H_n, [(ones, 1, xi2)].
     """
-    lam, _, xi2 = member
-    vectors = _part_vectors(member)
+    lam, v, xi2 = member
     if xi2 is not None and member.zero:
         harmonic = float(np.sum(1.0 / np.arange(1.0, n + 1.0)))
-        return 1.0, harmonic, [(np.ones(n), *vectors[0])]
+        return 1.0, harmonic, [(np.ones(n), 1.0, xi2)]
     growth = growth_product(lam, n)
     tails = tail_products(lam, n - 1) if n else np.empty(0)
     if xi2 is None:
-        return growth, 0.0, [(tails, *vectors[0])]
+        return growth, 0.0, [(tails, lam, v)]
     shift, nested = ((appendix_zeroth(lam, n - 1), jordan_weights(lam, n - 1))
                      if n else (0.0, np.empty(0)))
-    return growth, shift, [(w, *au) for w, au in zip((tails, nested), vectors)]
+    return growth, shift, [(tails, 1.0, xi2 + lam * v), (nested, lam, xi2)]
 
 
 # (zeroth names, column prefixes of the parts) of each kind of member
@@ -398,5 +370,6 @@ def conditional_means(traj: Trajectory, member: Member) -> np.ndarray:
     times = np.arange(1, n_draws + 1, dtype=float)
     probs = traj.counts_matrix()[:n_draws] / times[:, None]
     total = probs.sum(axis=1)
-    return np.array([a * (probs @ u - (traj.statistic(u)[:n_draws] / times)
-                          * total) for a, u in _part_vectors(member)])
+    means = [a * (probs @ u - (traj.statistic(u)[:n_draws] / times) * total)
+             for _, a, u in member_weights(member, 0)[2]]
+    return np.array(means)

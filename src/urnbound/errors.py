@@ -2,7 +2,9 @@
 
 Every error derives from UrnboundError so callers can catch the whole
 family at once.  Validation errors carry enough context in the message
-to locate the offending entry.
+to locate the offending entry.  The classes that a bad input value
+raises (a shape, an entry, a sum, a replica count) also derive from
+ValueError, so a caller that catches ValueError still catches them.
 """
 
 
@@ -16,12 +18,13 @@ class NonFiniteEntry(UrnboundError):
     """A replacement-matrix entry is NaN or infinite."""
 
 
-class NegativeEntry(UrnboundError):
-    """A replacement-matrix entry is negative."""
+class NegativeEntry(UrnboundError, ValueError):
+    """A replacement-matrix entry or a count is negative."""
 
 
-class RowSumNotOne(UrnboundError):
-    """A replacement-matrix row does not sum to 1 within tolerance."""
+class RowSumNotOne(UrnboundError, ValueError):
+    """A replacement-matrix row does not sum to 1, or the counts at time n
+    to n + 1, within tolerance."""
 
 
 class NotIrreducible(UrnboundError):
@@ -69,14 +72,21 @@ class NotJordanPair(UrnboundError):
     """The supplied pair of vectors does not satisfy the chain relations."""
 
 
-class DimensionMismatch(UrnboundError):
-    """Vector length does not match the number of colors."""
+class DimensionMismatch(UrnboundError, ValueError):
+    """A shape does not fit the colors: a vector length that does not
+    match their number, or a matrix that is not square or has fewer than
+    two colors."""
 
 
 # -- verification -------------------------------------------------------------
 
 class TooLarge(UrnboundError):
     """The exact law would exceed the state budget."""
+
+
+class TooFewReplicas(UrnboundError, ValueError):
+    """A Monte Carlo estimate was asked of fewer than
+    verification.MIN_REPLICAS replicas."""
 
 
 class GridMismatch(UrnboundError):

@@ -68,7 +68,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._format import Table, columns, write_csv
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, NegativeEntry, RowSumNotOne
 from .spectral import ReplacementMatrix
 
 BALANCE_TOL = 1e-9
@@ -88,10 +88,10 @@ class ColorCount(NamedTuple("ColorCount",
         if c.ndim != 1 or c.size < 2:
             raise ValueError("counts must be a vector of at least 2 colors")
         if np.min(c) < 0:
-            raise ValueError(f"negative count: {c.min()}")
+            raise NegativeEntry(f"negative count: {c.min()}")
         mass = time + 1.0
         if abs(c.sum() - mass) > BALANCE_TOL * mass:
-            raise ValueError(
+            raise RowSumNotOne(
                 f"counts sum to {float(c.sum())!r}, expected {mass} "
                 f"at time {time}")
         c.flags.writeable = False

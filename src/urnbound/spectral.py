@@ -29,6 +29,7 @@ import numpy as np
 from .errors import (
     BasisSingular,
     ComplexSpectrum,
+    DimensionMismatch,
     LambdaOutOfRange,
     NegativeEntry,
     NonFiniteEntry,
@@ -55,9 +56,10 @@ class ReplacementMatrix(NamedTuple("ReplacementMatrix",
     def __new__(cls, matrix):
         m = np.array(matrix, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"matrix must be square, got shape {m.shape}")
+            raise DimensionMismatch(
+                f"matrix must be square, got shape {m.shape}")
         if m.shape[0] < 2:
-            raise ValueError("need at least two colors")
+            raise DimensionMismatch("need at least two colors")
         m.flags.writeable = False
         return super().__new__(cls, m)
 

@@ -25,11 +25,12 @@ import numpy as np
 
 from ._format import Table, columns
 from .bounds import BoundReport
-from .errors import DimensionMismatch, GridMismatch, TooLarge
+from .errors import DimensionMismatch, GridMismatch, TooFewReplicas, TooLarge
 from .process import initial_counts, simulate_replicas
 from .spectral import ReplacementMatrix
 
 STATE_BUDGET = 1 << 14
+MIN_REPLICAS = 1_000   # fewest replicas for a usable estimate
 TIE_RTOL = 1e-12
 WILSON_LEVEL = 0.99
 _WILSON_Z = 2.3263478740408408    # NormalDist().inv_cdf(WILSON_LEVEL)
@@ -232,9 +233,11 @@ class EstimateReport(NamedTuple):
 def tail_estimates(initial, R: ReplacementMatrix, n: int, v, thresholds,
                    replicas: int, seed, threads: int = 1) -> list[EstimateReport]:
     """Estimates for a whole threshold grid from one shared sample; a
-    replica counts as a hit by exact_tail's rule (_exceeds)."""
-    if replicas < 1_000:
-        raise ValueError("need at least 10^3 replicas for a usable estimate")
+    replica counts as a hit by exact_tail's rule (_exceeds).  Raises
+    TooFewReplicas below MIN_REPLICAS replicas."""
+    if replicas < MIN_REPLICAS:
+        raise TooFewReplicas(
+            "need at least 10^3 replicas for a usable estimate")
     sample = simulate_replicas(initial, R, n, replicas, seed,
                                threads=threads).statistics(v)
     out = []

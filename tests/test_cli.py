@@ -17,6 +17,7 @@ import pytest
 from urnbound import (
     BasisSingular,
     ComplexSpectrum,
+    DimensionMismatch,
     LambdaOutOfRange,
     NotIrreducible,
     cli,
@@ -532,6 +533,40 @@ def test_verify_auto_falls_back_to_mc_over_the_state_budget(tmp_path):
     assert all(",mc," in line for line in lines[1:])
 
 
+MC_TWO_COLOR = TWO_COLOR.replace("mode = exact", "mode = mc")
+
+
+@pytest.mark.parametrize("command,text", [
+    ("verify", MC_TWO_COLOR),
+    ("sweep", MC_TWO_COLOR.replace("horizon = 12", "horizons = 8, 12")),
+    # exact at horizon 40 (861 states), sampled at 200 (20,301 states)
+    ("sweep", JORDAN_TEXT.replace("horizon = 40", "horizons = 40, 200")
+     + "thresholds = 0.2\nreplicas = 2000\nmode = auto\n"),
+], ids=["verify-mc", "sweep-mc", "sweep-auto"])
+def test_too_few_replicas_fail_before_any_bound(tmp_path, capsys,
+                                               monkeypatch, command, text):
+    def no_bound(*args, **kwargs):
+        raise AssertionError("a bound was computed")
+
+    monkeypatch.setattr(cli, "statistic_bound", no_bound)
+    cfg = write(tmp_path, text.replace("replicas = 2000", "replicas = 5"))
+    out = tmp_path / "out"
+    assert run([command, "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: need at least 10^3 replicas for a usable estimate\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mode", ["exact", "auto"])
+def test_few_replicas_are_enough_when_the_truth_is_exact(tmp_path, mode):
+    cfg = write(tmp_path, TWO_COLOR.replace("replicas = 2000", "replicas = 5")
+                .replace("mode = exact", f"mode = {mode}"))
+    out = tmp_path / "out"
+    assert run(["verify", "--config", cfg, "--out", str(out)]) == 0
+    lines = (out / "dominance.csv").read_text().splitlines()
+    assert all(",exact," in line for line in lines[1:])
+
+
 def test_verify_color_statistic(tmp_path):
     text = TWO_COLOR.replace("statistic = eigen:0", "statistic = color:0")
     cfg = write(tmp_path, text)
@@ -669,7 +704,7 @@ def test_exit_code_on_complex_spectrum(tmp_path):
 
 
 @pytest.mark.parametrize("rows,error,code,message", [
-    ([[1]], ValueError, 1, "need at least two colors"),
+    ([[1]], DimensionMismatch, 1, "need at least two colors"),
     ([[0, 1], [1, 0]], LambdaOutOfRange, 1,
      "nonprincipal eigenvalue -1.0 outside (-1, 1)"),
     (np.roll(np.eye(4), 1, axis=1).tolist(), ComplexSpectrum, 2,

@@ -33,7 +33,7 @@ from urnbound import (
 )
 
 from urnbound import decomposition
-from urnbound.decomposition import _BLOCK, member_weights
+from urnbound.decomposition import member_weights
 from urnbound.spectral import ZERO_TOL, Member
 
 from oracles import (
@@ -124,10 +124,17 @@ def test_tail_products_match_scalar_route(lam):
     np.testing.assert_allclose(batch, singles, rtol=1e-13)
 
 
+# tail products were once walked in blocks of this length; the horizons
+# around it stay in the grids below
+_BLOCK = 1 << 15
+
+
 @pytest.mark.parametrize("lam", [-0.6, 0.40079008156005286, 0.9])
-def test_tail_products_are_one_running_product_across_blocks(lam):
-    # the blocks must carry the product exactly: same bits as one loop
-    for n in (_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1, 100_000):
+def test_tail_products_are_one_running_product(lam):
+    # same bits as the literal loop, up to the horizon n - 1 = 2^20 + 1
+    # that member_weights passes for a bound at horizon 2^20 + 2
+    for n in (_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1, 100_000,
+              (1 << 20) + 1):
         assert tail_products(lam, n).tolist() == tails_reference(lam, n), n
 
 

@@ -1,8 +1,10 @@
-"""Guards of public functions that no config reaches through the CLI.
+"""Guards of public functions, called directly.
 
 Each bad argument below raises its documented error class, with its
 message, before any work is done.  The spectral errors that a config can
-reach are covered through cli.main in test_cli.py.
+reach are covered through cli.main in test_cli.py.  The last rows are
+bad input values, whose classes also derive from ValueError; the CLI
+checks the replica count itself before any bound (test_cli.py).
 """
 import pytest
 
@@ -10,6 +12,9 @@ from urnbound import (
     ColorCount,
     DimensionMismatch,
     IndexOrder,
+    NegativeEntry,
+    RowSumNotOne,
+    TooFewReplicas,
     appendix_zeroth,
     decompose,
     dn_asymptotic,
@@ -20,13 +25,30 @@ from urnbound import (
     growth_product,
     simulate,
     statistic_bound,
+    tail_estimates,
     validate_matrix,
     wilson_upper,
 )
 from urnbound._format import fmt, render_json
+from urnbound.process import initial_counts
 
 R2 = validate_matrix([[0.7, 0.3], [0.4, 0.6]])
 S2 = decompose(R2)
+
+
+# bad input values: each class also derives from ValueError
+VALUE_ERRORS = [
+    (lambda: validate_matrix([[0.7, 0.3, 0], [0.4, 0.6, 0]]),
+     DimensionMismatch, "matrix must be square, got shape (2, 3)"),
+    (lambda: validate_matrix([[1.0]]), DimensionMismatch,
+     "need at least two colors"),
+    (lambda: initial_counts([1.5, -0.5], R2), NegativeEntry,
+     "negative count: -0.5"),
+    (lambda: initial_counts([0.6, 0.5], R2), RowSumNotOne,
+     "counts sum to 1.1, expected 1.0 at time 0"),
+    (lambda: tail_estimates([1, 0], R2, 5, [1, 0], [0.5], 999, 0),
+     TooFewReplicas, "need at least 10^3 replicas for a usable estimate"),
+]
 
 
 @pytest.mark.parametrize("call,error,message", [
@@ -51,11 +73,18 @@ S2 = decompose(R2)
      "expected BoundReport, got <class 'float'>"),
     (lambda: ColorCount([1.0], 0), ValueError,
      "counts must be a vector of at least 2 colors"),
+    *VALUE_ERRORS,
 ], ids=["growth_product", "dn_exact", "appendix_zeroth", "statistic_bound",
         "dn_asymptotic", "simulate", "exact_distribution", "wilson_upper",
-        "exact_tail", "fmt", "render_json", "dominance_check", "ColorCount"])
+        "exact_tail", "fmt", "render_json", "dominance_check", "ColorCount",
+        "non-square", "one-color", "negative-count", "count-sum",
+        "few-replicas"])
 def test_public_guards_raise_their_typed_error(call, error, message):
     with pytest.raises(error) as err:
         call()
     assert type(err.value) is error
     assert str(err.value).startswith(message)
+
+
+def test_bad_input_values_are_also_value_errors():
+    assert all(issubclass(error, ValueError) for _, error, _ in VALUE_ERRORS)
