@@ -15,11 +15,12 @@ import numpy as np
 
 from urnbound.bounds import rate_function
 from urnbound.decomposition import (
-    appendix_zeroth,
     dn_asymptotic,
     dn_exact,
     growth_product,
+    member_weights,
 )
+from urnbound.spectral import Member
 
 
 def slopes():
@@ -70,7 +71,10 @@ def appendix():
         for j in range(n + 1):
             total += tails[j] / (j + 1.0) * prefix
             prefix *= 1.0 + lam / (j + 1.0)
-        closed = appendix_zeroth(lam, n)
+        # the shift of a chain member of lam after n + 1 draws; the
+        # chain's vectors do not enter it
+        _, closed, _ = member_weights(Member(lam, np.ones(1), np.ones(1)),
+                                      n + 1)
         print(f"  lambda {lam:+.2f}, n={n}:"
               f" {abs(closed - total) / abs(total):.2e}")
 

@@ -39,13 +39,11 @@ from .process import (
 )
 from .decomposition import (
     Expansion,
-    appendix_zeroth,
     conditional_means,
     dn_asymptotic,
     dn_exact,
     expand,
     growth_product,
-    jordan_weights,
     tail_products,
 )
 from .bounds import (

@@ -11,9 +11,9 @@ Iterating over a trajectory of N draws gives the closed form
 
 an exact identity for every realization, not just in expectation.  The
 same iteration for a generalized vector xi3 (R xi3 = xi2 + lam xi3) picks
-up two extra pieces: a deterministic coefficient on C_0.xi2 given by
-appendix_zeroth(), and nested martingale increments against xi2 carrying
-the weights jordan_weights().  member_weights() holds this for every kind
+up two extra pieces: a deterministic coefficient Z on C_0.xi2, and nested
+martingale increments against xi2 carrying the weights K.
+member_weights() computes both, and holds the expansion of every kind
 of spectral member as one table of parts (w, a, u), each the series
 sum_j w_j * a * (chi_{j+1}.u - C_j.u/(j+1)).  expand() turns it into one
 Expansion record for any member along a trajectory, and the bounds read
@@ -47,16 +47,12 @@ from .spectral import Member
 EIGEN_RESID_TOL = 1e-8
 
 
-def _check_lambda(lam: float, allow_one: bool = False,
-                  allow_zero: bool = True) -> float:
+def _check_lambda(lam: float, allow_one: bool = False) -> float:
     lam = float(lam)
     high_ok = lam <= 1.0 if allow_one else lam < 1.0
     if not (-1.0 < lam and high_ok):
         top = "1]" if allow_one else "1)"
         raise LambdaOutOfRange(f"lam={lam} outside (-1, {top}")
-    if not allow_zero and lam == 0.0:
-        raise LambdaOutOfRange(
-            "lam=0 is handled by the repeated-zero decomposition")
     return lam
 
 
@@ -160,57 +156,24 @@ def dn_asymptotic(lam: float, n: int) -> tuple[str, float]:
     return _regime(lam), envelope
 
 
-# -- defective (Jordan) eigenvalues -------------------------------------------
-
-def jordan_weights(lam: float, n: int) -> np.ndarray:
-    """Nested weights K(i, n) for i = 0 .. n in O(n) total.
-
-    K(i, n) = sum_{j=i+1}^{n} T(j, n) * (1/(j+1))
-              * prod_{l=i+1}^{j-1} (1 + lam/(l+1)),
-    which collapses to (P_{n+1}/P_{i+1}) * sum_{j=i+1}^{n} 1/(j+1+lam)
-    with P_k = growth_product(lam, k).  K(n, n) = 0 and
-    K(n-1, n) = 1/(n+1).
-    """
-    lam = _check_lambda(lam, allow_zero=False)
-    if n < 0:
-        raise IndexOrder(f"n={n} must be nonnegative")
-    prefix = _prefix_products(lam, n + 1)
-    inv = 1.0 / (np.arange(0, n + 1) + 1.0 + lam)
-    suffix = np.zeros(n + 2)
-    suffix[:n + 1] = np.cumsum(inv[::-1])[::-1]
-    return (prefix[n + 1] / prefix[1:n + 2]) * suffix[1:n + 2]
-
-
-def appendix_zeroth(lam: float, n: int) -> float:
-    """Deterministic coefficient Z(n, lam) on C_0.xi2, written as the
-    three-part sum: the j = 0 term, the j = 1 term, then j >= 2.
-
-    Z(n, lam) = sum_{j=0}^{n} T(j, n) * (1/(j+1))
-                * growth_product(lam, j);  Z(0, lam) = 1.
-    """
-    lam = _check_lambda(lam, allow_zero=False)
-    if n < 0:
-        raise IndexOrder(f"n={n} must be nonnegative")
-    tails = tail_products(lam, n)
-    total = float(tails[0])                       # j = 0: empty prefix
-    if n >= 1:
-        total += float(tails[1]) * 0.5 * (1.0 + lam)  # j = 1: prefix (1 + lam)
-    if n >= 2:
-        j = np.arange(2, n + 1)
-        prefix = _prefix_products(lam, n)
-        total += float(np.sum(tails[2:] * prefix[2:n + 1] / (j + 1.0)))
-    return total
-
-
 def member_weights(member: Member, n: int):
     """(growth, shift, parts) for the member v after n draws: C_n.v =
     growth C_0.v + shift C_0.xi2 + sum over the parts (w, a, u) of
     sum_j w_j * a * (chi_{j+1}.u - C_j.u/(j+1)), xi2 being v's partner.
 
     Eigenvector (lam = 0 too): growth_product, 0, [(tail_products, lam,
-    v)].  Chain member: growth_product, appendix_zeroth, [(tail_products,
-    1, xi2 + lam v), (jordan_weights, lam, xi2)].  Chain member of
+    v)].  Chain member: growth_product, Z(lam, n - 1), [(tail_products,
+    1, xi2 + lam v), (K(., n - 1), lam, xi2)].  Chain member of
     eigenvalue 0: 1, the harmonic number H_n, [(ones, 1, xi2)].
+
+    With T(j, m) = tail_products(lam, m)[j] and P_k = growth_product(lam,
+    k), the appendix coefficient on C_0.xi2 is Z(lam, m) = sum_{j=0}^{m}
+    T(j, m) P_j / (j+1), summed as the j = 0 term, the j = 1 term, then
+    j >= 2 (Z(lam, 0) = 1), and the nested weights are K(i, m) =
+    sum_{j=i+1}^{m} T(j, m) (1/(j+1)) prod_{l=i+1}^{j-1} (1 + lam/(l+1)),
+    which collapses to (P_{m+1}/P_{i+1}) sum_{j=i+1}^{m} 1/(j+1+lam) for
+    i = 0 .. m, so K(m, m) = 0 and K(m-1, m) = 1/(m+1).  Both read one
+    tail_products and one _prefix_products.
     """
     lam, v, xi2 = member
     if xi2 is not None and member.zero:
@@ -220,8 +183,22 @@ def member_weights(member: Member, n: int):
     tails = tail_products(lam, n - 1) if n else np.empty(0)
     if xi2 is None:
         return growth, 0.0, [(tails, lam, v)]
-    shift, nested = ((appendix_zeroth(lam, n - 1), jordan_weights(lam, n - 1))
-                     if n else (0.0, np.empty(0)))
+    shift, nested = 0.0, np.empty(0)
+    if n:
+        prefix = _prefix_products(lam, n)
+        shift = float(tails[0])                        # j = 0: P_0 = 1
+        if n >= 2:
+            shift += float(tails[1]) * 0.5 * (1.0 + lam)  # j = 1: P_1
+            shift += float(np.sum(tails[2:] * prefix[2:n]
+                                  / np.arange(3.0, n + 1.0)))
+        # in place, as tail_products: sums[i] = sum_{j=i}^{n-1} 1/(j+1+lam)
+        sums = np.arange(1.0, n + 2.0)
+        sums += lam
+        np.divide(1.0, sums, out=sums)
+        sums[n] = 0.0
+        np.cumsum(sums[::-1], out=sums[::-1])
+        nested = prefix[n] / prefix[1:]
+        nested *= sums[1:]
     return growth, shift, [(tails, 1.0, xi2 + lam * v), (nested, lam, xi2)]
 
 

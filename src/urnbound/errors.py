@@ -3,8 +3,9 @@
 Every error derives from UrnboundError so callers can catch the whole
 family at once.  Validation errors carry enough context in the message
 to locate the offending entry.  The classes that a bad input value
-raises (a shape, an entry, a sum, a replica count) also derive from
-ValueError, so a caller that catches ValueError still catches them.
+raises (a shape, an entry, a sum, a replica count, an index) also
+derive from ValueError, so a caller that catches ValueError still
+catches them.
 """
 
 
@@ -60,7 +61,7 @@ class LambdaOutOfRange(UrnboundError):
     """Eigenvalue argument outside the admissible interval."""
 
 
-class IndexOrder(UrnboundError):
+class IndexOrder(UrnboundError, ValueError):
     """Index arguments violate the required ordering (e.g. j > n)."""
 
 

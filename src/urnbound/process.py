@@ -68,7 +68,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._format import Table, columns, write_csv
-from .errors import DimensionMismatch, NegativeEntry, RowSumNotOne
+from .errors import DimensionMismatch, IndexOrder, NegativeEntry, RowSumNotOne
 from .spectral import ReplacementMatrix
 
 BALANCE_TOL = 1e-9
@@ -86,7 +86,8 @@ class ColorCount(NamedTuple("ColorCount",
     def __new__(cls, counts, time: int):
         c = np.array(counts, dtype=float)
         if c.ndim != 1 or c.size < 2:
-            raise ValueError("counts must be a vector of at least 2 colors")
+            raise DimensionMismatch(
+                "counts must be a vector of at least 2 colors")
         if np.min(c) < 0:
             raise NegativeEntry(f"negative count: {c.min()}")
         mass = time + 1.0
@@ -282,7 +283,7 @@ def simulate(initial, R: ReplacementMatrix, n: int, seed) -> Trajectory:
     verified windows (see the module docstring)."""
     c0 = initial_counts(initial, R)
     if n < 0:
-        raise ValueError("n must be nonnegative")
+        raise IndexOrder("n must be nonnegative")
     rng = _numpy_random().default_rng(seed)
     targets = rng.random(n) * np.arange(1.0, n + 1.0)
     rows = R.matrix

@@ -25,7 +25,13 @@ import numpy as np
 
 from ._format import Table, columns
 from .bounds import BoundReport
-from .errors import DimensionMismatch, GridMismatch, TooFewReplicas, TooLarge
+from .errors import (
+    DimensionMismatch,
+    GridMismatch,
+    IndexOrder,
+    TooFewReplicas,
+    TooLarge,
+)
 from .process import initial_counts, simulate_replicas
 from .spectral import ReplacementMatrix
 
@@ -137,7 +143,7 @@ def exact_distribution(initial, R: ReplacementMatrix, n: int) -> ExactDistributi
     c0 = initial_counts(initial, R)
     d = R.dim
     if n < 0:
-        raise ValueError("n must be nonnegative")
+        raise IndexOrder("n must be nonnegative")
     states = exact_states(d, n)
     if states > STATE_BUDGET:
         raise TooLarge(f"{states} draw-count states (d = {d}, n = {n}) "

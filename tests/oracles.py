@@ -18,7 +18,12 @@ forms.  The D_n envelope needs no reference: it is a
 closed form with a proof, and the tests check it against dn_exact.
 dn_exact_reference reuses the package's tail products, which
 tail_reference checks, and sums their squares exactly, so it tests the
-summation alone.  The per-kind formulas for each spectral member's
+summation alone.  chain_weights_reference computes a chain member's
+appendix coefficient Z and nested weights K as the earlier
+appendix_zeroth and jordan_weights did, on products and sums from its
+own loops, so member_weights must keep its bits; the literal double
+loops k_weight_reference and appendix_reference_slow check the
+formulas.  The per-kind formulas for each spectral member's
 expansion and bound (member_weights_reference, expansion_reference,
 increment_bounds_reference and center_reference) are the package's
 earlier code, kept verbatim: the one increment model that replaced them
@@ -55,9 +60,7 @@ from urnbound.decomposition import (
     _check_lambda,
     _check_member,
     _prefix_products,
-    appendix_zeroth,
     growth_product,
-    jordan_weights,
     member_weights,
     tail_products,
 )
@@ -185,6 +188,31 @@ def appendix_reference(lam: float, n: int) -> float:
         total += tails[j] * (1.0 / (j + 1.0)) * prefix
         prefix *= 1.0 + lam / (j + 1.0)
     return total
+
+
+def chain_weights_reference(lam: float, n: int):
+    """(Z(lam, n), K(., n)) as the earlier appendix_zeroth and
+    jordan_weights computed them, on tails, prefix products P_k and
+    running sums from this module's loops.  Z is the j = 0 term, the
+    j = 1 term, then np.sum over j >= 2 of T(j, n) P_j / (j+1); K(i, n)
+    is (P_{n+1}/P_{i+1}) times the sum of 1/(j+1+lam) over j = n down
+    to i + 1.  The loops give the bits of the vectorized products and
+    sums, which member_weights must keep."""
+    tails = np.array(tails_reference(lam, n))
+    prefix = [1.0]
+    for k in range(1, n + 2):
+        prefix.append(prefix[-1] * (1.0 + lam / k))
+    prefix = np.array(prefix)
+    sums = [0.0] * (n + 2)
+    for j in range(n, -1, -1):
+        sums[j] = sums[j + 1] + 1.0 / (j + 1.0 + lam)
+    total = float(tails[0])
+    if n >= 1:
+        total += float(tails[1]) * 0.5 * (1.0 + lam)
+    if n >= 2:
+        j = np.arange(2, n + 1)
+        total += float(np.sum(tails[2:] * prefix[2:n + 1] / (j + 1.0)))
+    return total, (prefix[n + 1] / prefix[1:]) * np.array(sums[1:])
 
 
 def wilson_reference(hits: int, trials: int, z: float) -> float:
@@ -329,7 +357,7 @@ def member_weights_reference(member, n: int):
     """(growth, shift, direct, nested) for the member v after n draws.
 
     Eigenvector: growth_product, 0, tail_products, zeros.  Chain member:
-    plus the appendix_zeroth shift and jordan_weights as nested weights.
+    plus the shift Z and the nested weights K of chain_weights_reference.
     Chain member of eigenvalue 0: 1, the harmonic number H_n, ones, zeros.
     """
     lam = member.value
@@ -342,8 +370,8 @@ def member_weights_reference(member, n: int):
     direct = tail_products(lam, n - 1)
     if member.partner is None:
         return growth, 0.0, direct, np.zeros(n)
-    return (growth, appendix_zeroth(lam, n - 1), direct,
-            jordan_weights(lam, n - 1))
+    shift, nested = chain_weights_reference(lam, n - 1)
+    return growth, shift, direct, nested
 
 
 def expansion_reference(traj, member):
@@ -561,7 +589,7 @@ def expansion_record_reference(traj, member):
         zeros = np.zeros(traj.n_draws)
         return JordanExpansion(0.0, *direct, zeros, zeros, reconstructed,
                                actual)
-    lam = _check_lambda(member.value, allow_zero=False)
+    lam = _check_lambda(member.value)
     return JordanExpansion(lam, *_expand_reference(
         traj, Member(lam, member.vector, member.partner)))
 
@@ -670,7 +698,7 @@ def jordan_weight_bound(lam: float, i: int, n: int) -> float:
     single step of the prefix ratio).  Valid for 1 <= i <= n up to the
     calibrated constant jordan_weight_constant(lam).
     """
-    lam = _check_lambda(lam, allow_zero=False)
+    lam = _check_lambda(lam)
     if not 1 <= i <= n:
         raise IndexOrder(f"need 1 <= i <= n, got i={i}, n={n}")
     factor = 1.0 if lam > 0 else 0.5 ** lam
@@ -695,11 +723,11 @@ def jordan_weight_constant(lam: float) -> float:
 
     Every i is checked; n runs over the dense grid of _calibration_grid.
     """
-    lam = _check_lambda(lam, allow_zero=False)
+    lam = _check_lambda(lam)
     factor = 1.0 if lam > 0 else 0.5 ** lam
     best = 0.0
     for n in _calibration_grid(10_000):
-        k = jordan_weights(lam, n)[1:]
+        k = chain_weights_reference(lam, n)[1][1:]
         i = np.arange(1, n + 1, dtype=float)
         bound = (n / i) ** lam * (1.0 + math.log(n)) * factor
         best = max(best, float(np.max(k / bound)))

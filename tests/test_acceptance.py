@@ -14,10 +14,10 @@ import numpy as np
 from urnbound import cli
 from urnbound.bounds import statistic_bound
 from urnbound.decomposition import (
-    appendix_zeroth,
     conditional_means,
     dn_exact,
     expand,
+    member_weights,
 )
 from urnbound.process import simulate_replicas
 from urnbound.spectral import (
@@ -229,16 +229,22 @@ def test_criterion_8_dn_regimes():
 
 
 def test_criterion_9_appendix_identity():
+    # Z(lam, n) is the shift of a chain member of lam after n + 1 draws
+    xi2, xi3 = jordan_pair()
+
+    def appendix(lam, n):
+        return member_weights(Member(lam, xi3, xi2), n + 1)[1]
+
     worst = 0.0
     for lam in (-0.5, 0.25, 0.5, 0.75):
         for n in range(1_001):
             expect = appendix_reference(lam, n)
-            got = appendix_zeroth(lam, n)
+            got = appendix(lam, n)
             worst = max(worst, abs(got - expect) / abs(expect))
         for n in (100, 331, 1_000):
             literal = appendix_reference_slow(lam, n)
             worst = max(worst,
-                        abs(appendix_zeroth(lam, n) - literal) / abs(literal))
+                        abs(appendix(lam, n) - literal) / abs(literal))
     ok = worst <= 1e-12
     report(9, "appendix identity", ok, f"max relative error {worst:.2e}")
     assert worst <= 1e-12

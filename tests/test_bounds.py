@@ -24,7 +24,6 @@ from urnbound import (
     exact_distribution,
     growth_product,
     indicator_coefficients,
-    jordan_weights,
     rate_function,
     simulate,
     spread,
@@ -173,8 +172,9 @@ def test_statistic_bound_jordan_member_inflates_increments():
     n = 1000
     report, = statistic_bound(SJ, [(1.0, XIJ3, 0.25)], n, [0.1])
     mixed = XIJ2 + 0.25 * XIJ3
+    nested = member_weights(Member(0.25, XIJ3, XIJ2), n)[2][1][0]
     expect = (spread(mixed) * tail_products(0.25, n - 1)
-              + 0.25 * spread(XIJ2) * jordan_weights(0.25, n - 1))
+              + 0.25 * spread(XIJ2) * nested)
     np.testing.assert_allclose(report.increment_bounds, expect, rtol=1e-13)
     # the nested contribution carries the (1 + log n) growth
     plain = spread(mixed) * tail_products(0.25, n - 1)

@@ -18,14 +18,12 @@ from urnbound import (
     NotEigenpair,
     NotJordanPair,
     Trajectory,
-    appendix_zeroth,
     conditional_means,
     dn_asymptotic,
     decompose,
     dn_exact,
     expand,
     growth_product,
-    jordan_weights,
     rate_function,
     simulate,
     tail_products,
@@ -39,6 +37,7 @@ from urnbound.spectral import ZERO_TOL, Member
 from oracles import (
     appendix_reference,
     appendix_reference_slow,
+    chain_weights_reference,
     dm_martingale,
     dm_step_residuals,
     dn_exact_reference,
@@ -67,6 +66,13 @@ CHAIN = Member(0.25, XI3, XI2)
 ZERO_CHAIN = Member(0.0, Z3, Z2)
 
 LAMBDA_GRID = [-0.9, -0.5, -0.1, 0.1, 0.25, 0.5, 0.75, 0.9]
+
+
+def chain_weights(lam: float, n: int):
+    """(Z(lam, n), K(., n)): the shift and the nested weights of
+    member_weights for a chain member of lam after n + 1 draws."""
+    _, shift, parts = member_weights(CHAIN._replace(value=lam), n + 1)
+    return shift, parts[1][0]
 
 
 # -- products ------------------------------------------------------------------
@@ -340,37 +346,60 @@ def test_euler_ratio_near_one(lam):
 # -- Jordan weights ------------------------------------------------------------
 
 def test_jordan_weight_empty_sum():
-    assert jordan_weights(0.5, 8)[8] == 0.0
+    assert chain_weights(0.5, 8)[1][8] == 0.0
 
 
 def test_jordan_weight_single_term():
     for n in (1, 4, 33):
-        assert jordan_weights(0.25, n)[n - 1] == pytest.approx(
+        assert chain_weights(0.25, n)[1][n - 1] == pytest.approx(
             1.0 / (n + 1.0), rel=1e-13)
 
 
 def test_jordan_weight_direct_value():
-    assert jordan_weights(0.5, 1)[0] == pytest.approx(0.5, abs=1e-15)
+    assert chain_weights(0.5, 1)[1][0] == pytest.approx(0.5, abs=1e-15)
 
 
 def test_jordan_weight_index_checks():
     with pytest.raises(IndexOrder):
-        jordan_weights(0.5, -1)
-    with pytest.raises(LambdaOutOfRange):
-        jordan_weights(0.0, 2)
+        member_weights(CHAIN._replace(value=0.5), -1)
+
+
+def test_chain_member_computes_its_products_once(monkeypatch):
+    # Z and K of a chain member read one tail_products and one
+    # _prefix_products
+    calls = dict.fromkeys(("tail_products", "_prefix_products"), 0)
+    for name in calls:
+        def counted(*args, _real=getattr(decomposition, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(decomposition, name, counted)
+    member_weights(CHAIN, 1000)
+    assert calls == {"tail_products": 1, "_prefix_products": 1}
+
+
+@pytest.mark.parametrize("lam", [-0.99, -0.5, 0.25, 0.75, 0.99])
+def test_chain_weights_keep_the_earlier_bits(lam):
+    # Z and K against the earlier appendix_zeroth and jordan_weights,
+    # rebuilt from the oracle's loops, bit for bit
+    for n in (0, 1, 2, 3, 4, 17, 1000):
+        shift, nested = chain_weights(lam, n)
+        want_shift, want_nested = chain_weights_reference(lam, n)
+        assert shift == want_shift            # positive: equal bits
+        np.testing.assert_array_equal(nested.view(np.uint64),
+                                      want_nested.view(np.uint64))
 
 
 @pytest.mark.parametrize("lam", [-0.5, 0.25, 0.5, 0.75])
 def test_jordan_weights_match_double_loop(lam):
     for n in (1, 2, 5, 13, 40):
-        fast = jordan_weights(lam, n)
+        fast = chain_weights(lam, n)[1]
         slow = [k_weight_reference(lam, i, n) for i in range(n + 1)]
         np.testing.assert_allclose(fast, slow, rtol=1e-11, atol=1e-15)
 
 
 def test_jordan_weights_large_n_spot_check():
     lam, n = 0.25, 2000
-    fast = jordan_weights(lam, n)
+    fast = chain_weights(lam, n)[1]
     for i in (0, 1, 999, 1999, 2000):
         assert fast[i] == pytest.approx(k_weight_reference(lam, i, n),
                                         rel=1e-10, abs=1e-15)
@@ -397,7 +426,7 @@ def test_jordan_weights_below_calibrated_bound(lam):
     c = jordan_weight_constant(lam)
     n = 1
     while n <= 10_000:
-        k = jordan_weights(lam, n)[1:]
+        k = chain_weights(lam, n)[1][1:]
         i = np.arange(1, n + 1)
         bound = np.array([jordan_weight_bound(lam, int(ii), n) for ii in i])
         assert np.all(k <= c * bound * (1.0 + 1e-12))
@@ -408,18 +437,13 @@ def test_jordan_weights_below_calibrated_bound(lam):
 # -- appendix coefficient ------------------------------------------------------
 
 def test_appendix_zeroth_base_case():
-    assert appendix_zeroth(0.5, 0) == 1.0
-    assert appendix_zeroth(-0.3, 0) == 1.0
+    assert chain_weights(0.5, 0)[0] == 1.0
+    assert chain_weights(-0.3, 0)[0] == 1.0
 
 
 def test_appendix_zeroth_hand_value():
     # (1 + 0.5/2)*1*1 + 1*(1/2)*(1 + 0.5) = 1.25 + 0.75
-    assert appendix_zeroth(0.5, 1) == pytest.approx(2.0, abs=1e-15)
-
-
-def test_appendix_zeroth_rejects_zero_lambda():
-    with pytest.raises(LambdaOutOfRange):
-        appendix_zeroth(0.0, 5)
+    assert chain_weights(0.5, 1)[0] == pytest.approx(2.0, abs=1e-15)
 
 
 def test_appendix_reference_fast_matches_slow():
@@ -433,14 +457,14 @@ def test_appendix_reference_fast_matches_slow():
 @pytest.mark.parametrize("lam", [-0.5, 0.25, 0.5, 0.75])
 def test_appendix_zeroth_equals_generic_form(lam):
     for n in (0, 1, 2, 3, 10, 100, 457):
-        assert appendix_zeroth(lam, n) == pytest.approx(
+        assert chain_weights(lam, n)[0] == pytest.approx(
             appendix_reference(lam, n), rel=1e-12)
 
 
 def test_appendix_zeroth_log_envelope():
     # Z(n, lam) stays below const * n^lam (1 + log n)
     lam = 0.25
-    vals = [appendix_zeroth(lam, n) / (n ** lam * (1 + np.log(n)))
+    vals = [chain_weights(lam, n)[0] / (n ** lam * (1 + np.log(n)))
             for n in (10, 100, 1000, 10_000)]
     assert max(vals) <= 2.0
 

@@ -3,8 +3,9 @@
 Each bad argument below raises its documented error class, with its
 message, before any work is done.  The spectral errors that a config can
 reach are covered through cli.main in test_cli.py.  The last rows are
-bad input values, whose classes also derive from ValueError; the CLI
-checks the replica count itself before any bound (test_cli.py).
+bad input values (a shape, an entry, a sum, a replica count, a
+negative n), whose classes also derive from ValueError; the CLI checks
+the replica count itself before any bound (test_cli.py).
 """
 import pytest
 
@@ -15,7 +16,6 @@ from urnbound import (
     NegativeEntry,
     RowSumNotOne,
     TooFewReplicas,
-    appendix_zeroth,
     decompose,
     dn_asymptotic,
     dn_exact,
@@ -48,21 +48,21 @@ VALUE_ERRORS = [
      "counts sum to 1.1, expected 1.0 at time 0"),
     (lambda: tail_estimates([1, 0], R2, 5, [1, 0], [0.5], 999, 0),
      TooFewReplicas, "need at least 10^3 replicas for a usable estimate"),
+    (lambda: simulate([1, 0], R2, -1, 0), IndexOrder,
+     "n must be nonnegative"),
+    (lambda: exact_distribution([1, 0], R2, -1), IndexOrder,
+     "n must be nonnegative"),
+    (lambda: ColorCount([1.0], 0), DimensionMismatch,
+     "counts must be a vector of at least 2 colors"),
 ]
 
 
 @pytest.mark.parametrize("call,error,message", [
     (lambda: growth_product(0.3, -1), IndexOrder, "n=-1 must be nonnegative"),
     (lambda: dn_exact(0.3, -1), IndexOrder, "n=-1 must be nonnegative"),
-    (lambda: appendix_zeroth(0.25, -1), IndexOrder,
-     "n=-1 must be nonnegative"),
     (lambda: statistic_bound(S2, S2.terms(S2.alphas[0]), 0, [0.1]),
      IndexOrder, "horizon n=0 must be at least 1"),
     (lambda: dn_asymptotic(0.3, 0), IndexOrder, "n=0 must be at least 1"),
-    (lambda: simulate([1, 0], R2, -1, 0), ValueError,
-     "n must be nonnegative"),
-    (lambda: exact_distribution([1, 0], R2, -1), ValueError,
-     "n must be nonnegative"),
     (lambda: wilson_upper(0, 0), ValueError, "need at least one trial"),
     (lambda: exact_tail(exact_distribution([1, 0], R2, 3), [1, 0, 0], 0.5),
      DimensionMismatch, "atoms have 2 colors, vector 3"),
@@ -71,14 +71,11 @@ VALUE_ERRORS = [
      "unsupported type for JSON output"),
     (lambda: dominance_check([0.5], [0.1]), TypeError,
      "expected BoundReport, got <class 'float'>"),
-    (lambda: ColorCount([1.0], 0), ValueError,
-     "counts must be a vector of at least 2 colors"),
     *VALUE_ERRORS,
-], ids=["growth_product", "dn_exact", "appendix_zeroth", "statistic_bound",
-        "dn_asymptotic", "simulate", "exact_distribution", "wilson_upper",
-        "exact_tail", "fmt", "render_json", "dominance_check", "ColorCount",
+], ids=["growth_product", "dn_exact", "statistic_bound", "dn_asymptotic",
+        "wilson_upper", "exact_tail", "fmt", "render_json", "dominance_check",
         "non-square", "one-color", "negative-count", "count-sum",
-        "few-replicas"])
+        "few-replicas", "simulate", "exact_distribution", "ColorCount"])
 def test_public_guards_raise_their_typed_error(call, error, message):
     with pytest.raises(error) as err:
         call()
