@@ -48,13 +48,11 @@ def spread(xi) -> float:
 
 
 def _log_tail(s: float, sum_sq: float) -> float:
-    """-2 s^2 / sum_sq, the log tail at deviation s given sum_j (2 c_j)^2.
+    """-2 s^2 / sum_sq, the log tail at deviation s >= 0 given sum_j (2 c_j)^2.
 
     s = 0 gives 0.  When every c_j is zero the martingale cannot move,
     so a positive deviation gets -inf: probability exactly 0.
     """
-    if s < 0:
-        raise ValueError(f"deviation s={s} must be nonnegative")
     if s == 0:
         return 0.0
     if sum_sq == 0.0:
@@ -191,11 +189,11 @@ def color_deviation_bound(S: SpectralDecomposition, color: int, n: int,
     S.alphas[color]; the principal coefficient pi[color] carries the
     linear growth and the remaining members form the bounded martingale.
     A is the centering shift of those members (reported when the initial
-    state is given).  A color outside 0 .. d-1 raises ValueError.
+    state is given).  A color outside 0 .. d-1 raises IndexOrder.
     """
     d = S.matrix.dim
     if not 0 <= color < d:
-        raise ValueError(f"color {color} out of range for {d} colors")
+        raise IndexOrder(f"color {color} out of range for {d} colors")
     members = [_term(S, a, m.vector, m.value)
                for a, m in S.terms(S.alphas[color])]
     label = (f"color {color} deviation per unit mass; members: "

@@ -1,9 +1,9 @@
 """Exact decompositions of linear urn statistics.
 
-For a right eigenvector xi with real eigenvalue lam, one draw moves the
-statistic by C_{j+1}.xi = (1 + lam/(j+1)) C_j.xi + lam (chi_{j+1}.xi -
-C_j.xi/(j+1)), where the correction term has conditional mean zero.
-Iterating over a trajectory of N draws gives the closed form
+For a right eigenvector xi with real eigenvalue lam in (-1, 1), one draw
+moves the statistic by C_{j+1}.xi = (1 + lam/(j+1)) C_j.xi + lam
+(chi_{j+1}.xi - C_j.xi/(j+1)), where the correction term has conditional
+mean zero.  Iterating over a trajectory of N draws gives the closed form
 
     C_N.xi = growth_product(lam, N) * C_0.xi
              + sum_{j=0}^{N-1} tail_products(lam, N-1)[j]
@@ -13,12 +13,13 @@ an exact identity for every realization, not just in expectation.  The
 same iteration for a generalized vector xi3 (R xi3 = xi2 + lam xi3) picks
 up two extra pieces: a deterministic coefficient Z on C_0.xi2, and nested
 martingale increments against xi2 carrying the weights K.
-member_weights() computes both, and holds the expansion of every kind
-of spectral member as one table of parts (w, a, u), each the series
-sum_j w_j * a * (chi_{j+1}.u - C_j.u/(j+1)).  expand() turns it into one
-Expansion record for any member along a trajectory, and the bounds read
-the same table; conditional_means() checks the fact both rest on: every
-part's increment has conditional mean zero given the past.
+member_weights() computes both, and a chain's growth with them, from
+one tail_products and one _prefix_products.  It holds the expansion of
+every kind of spectral member as one table of parts (w, a, u), each the
+series sum_j w_j * a * (chi_{j+1}.u - C_j.u/(j+1)).  expand() turns it
+into one Expansion record for any member along a trajectory, and the
+bounds read the same table; conditional_means() checks the fact both
+rest on: every part's increment has conditional mean zero given the past.
 The bounds sum their squared increment bounds themselves and read only
 the proven closed-form envelope dn_asymptotic, for rate_value; dn_exact,
 the exact weighted sum of squares, is the reference it is tested against.
@@ -47,21 +48,17 @@ from .spectral import Member
 EIGEN_RESID_TOL = 1e-8
 
 
-def _check_lambda(lam: float, allow_one: bool = False) -> float:
+def _check_lambda(lam: float) -> float:
     lam = float(lam)
-    high_ok = lam <= 1.0 if allow_one else lam < 1.0
-    if not (-1.0 < lam and high_ok):
-        top = "1]" if allow_one else "1)"
-        raise LambdaOutOfRange(f"lam={lam} outside (-1, {top}")
+    if not -1.0 < lam < 1.0:
+        raise LambdaOutOfRange(f"lam={lam} outside (-1, 1)")
     return lam
 
 
 def growth_product(lam: float, n: int) -> float:
-    """prod_{j=0}^{n-1} (1 + lam/(j+1)); empty product (n=0) is 1.
-
-    Admits lam in (-1, 1]; the right endpoint telescopes to n + 1.
-    """
-    lam = _check_lambda(lam, allow_one=True)
+    """prod_{j=0}^{n-1} (1 + lam/(j+1)) for lam in (-1, 1); the empty
+    product (n=0) is 1."""
+    lam = _check_lambda(lam)
     if n < 0:
         raise IndexOrder(f"n={n} must be nonnegative")
     return float(np.prod(1.0 + lam / np.arange(1, n + 1)))
@@ -70,7 +67,7 @@ def growth_product(lam: float, n: int) -> float:
 def tail_products(lam: float, n: int) -> np.ndarray:
     """Tail products T(j, n) = prod_{k=j+1}^{n} (1 + lam/(k+1)), j = 0 .. n,
     as one backward running product (the literal loop's bits); T(n, n) = 1."""
-    lam = _check_lambda(lam, allow_one=True)
+    lam = _check_lambda(lam)
     if n < 0:
         raise IndexOrder(f"n={n} must be nonnegative")
     out = np.ones(n + 1)
@@ -83,10 +80,13 @@ def tail_products(lam: float, n: int) -> np.ndarray:
     return out
 
 
-def _prefix_products(lam: float, m: int) -> np.ndarray:
-    """growth_product(lam, k) for k = 0 .. m."""
-    out = np.ones(m + 1)
-    out[1:] = np.cumprod(1.0 + lam / np.arange(1, m + 1))
+def _prefix_products(lam: float, n: int) -> np.ndarray:
+    """growth_product(lam, k) for k = 0 .. n, as one running product."""
+    lam = _check_lambda(lam)
+    if n < 0:
+        raise IndexOrder(f"n={n} must be nonnegative")
+    out = np.ones(n + 1)
+    out[1:] = np.cumprod(1.0 + lam / np.arange(1, n + 1))
     return out
 
 
@@ -95,10 +95,7 @@ def dn_exact(lam: float, n: int) -> float:
     the reference that the envelope dn_asymptotic is tested against; no
     command calls it.  np.add.reduce sums the squares with no BLAS call,
     so the bits do not depend on how many threads BLAS runs."""
-    lam = _check_lambda(lam)
-    if n < 0:
-        raise IndexOrder(f"n={n} must be nonnegative")
-    tails = tail_products(lam, n)[:-1]
+    tails = tail_products(lam, n)[:-1]   # checks lam and n
     return 1.0 + float(np.add.reduce(tails * tails))
 
 
@@ -162,9 +159,9 @@ def member_weights(member: Member, n: int):
     sum_j w_j * a * (chi_{j+1}.u - C_j.u/(j+1)), xi2 being v's partner.
 
     Eigenvector (lam = 0 too): growth_product, 0, [(tail_products, lam,
-    v)].  Chain member: growth_product, Z(lam, n - 1), [(tail_products,
-    1, xi2 + lam v), (K(., n - 1), lam, xi2)].  Chain member of
-    eigenvalue 0: 1, the harmonic number H_n, [(ones, 1, xi2)].
+    v)].  Chain member: P_n, Z(lam, n - 1), [(tail_products, 1, xi2 +
+    lam v), (K(., n - 1), lam, xi2)].  Chain member of eigenvalue 0: 1,
+    the harmonic number H_n, [(ones, 1, xi2)].
 
     With T(j, m) = tail_products(lam, m)[j] and P_k = growth_product(lam,
     k), the appendix coefficient on C_0.xi2 is Z(lam, m) = sum_{j=0}^{m}
@@ -172,34 +169,35 @@ def member_weights(member: Member, n: int):
     j >= 2 (Z(lam, 0) = 1), and the nested weights are K(i, m) =
     sum_{j=i+1}^{m} T(j, m) (1/(j+1)) prod_{l=i+1}^{j-1} (1 + lam/(l+1)),
     which collapses to (P_{m+1}/P_{i+1}) sum_{j=i+1}^{m} 1/(j+1+lam) for
-    i = 0 .. m, so K(m, m) = 0 and K(m-1, m) = 1/(m+1).  Both read one
-    tail_products and one _prefix_products.
+    i = 0 .. m, so K(m, m) = 0 and K(m-1, m) = 1/(m+1).  A chain member
+    reads P_0 .. P_n (its growth P_n too) from one _prefix_products and T
+    from one tail_products.  Raises LambdaOutOfRange unless -1 < lam < 1.
     """
     lam, v, xi2 = member
     if xi2 is not None and member.zero:
         harmonic = float(np.sum(1.0 / np.arange(1.0, n + 1.0)))
         return 1.0, harmonic, [(np.ones(n), 1.0, xi2)]
-    growth = growth_product(lam, n)
-    tails = tail_products(lam, n - 1) if n else np.empty(0)
     if xi2 is None:
+        growth = growth_product(lam, n)
+        tails = tail_products(lam, n - 1) if n else np.empty(0)
         return growth, 0.0, [(tails, lam, v)]
-    shift, nested = 0.0, np.empty(0)
-    if n:
-        prefix = _prefix_products(lam, n)
-        shift = float(tails[0])                        # j = 0: P_0 = 1
-        if n >= 2:
-            shift += float(tails[1]) * 0.5 * (1.0 + lam)  # j = 1: P_1
-            shift += float(np.sum(tails[2:] * prefix[2:n]
-                                  / np.arange(3.0, n + 1.0)))
-        # in place, as tail_products: sums[i] = sum_{j=i}^{n-1} 1/(j+1+lam)
-        sums = np.arange(1.0, n + 2.0)
-        sums += lam
-        np.divide(1.0, sums, out=sums)
-        sums[n] = 0.0
-        np.cumsum(sums[::-1], out=sums[::-1])
-        nested = prefix[n] / prefix[1:]
-        nested *= sums[1:]
-    return growth, shift, [(tails, 1.0, xi2 + lam * v), (nested, lam, xi2)]
+    prefix = _prefix_products(lam, n)
+    tails = tail_products(lam, n - 1) if n else np.empty(0)
+    shift = float(tails[0]) if n else 0.0              # j = 0: P_0 = 1
+    if n >= 2:
+        shift += float(tails[1]) * 0.5 * (1.0 + lam)      # j = 1: P_1
+        shift += float(np.sum(tails[2:] * prefix[2:n]
+                              / np.arange(3.0, n + 1.0)))
+    # in place, as tail_products: sums[i] = sum_{j=i}^{n-1} 1/(j+1+lam)
+    sums = np.arange(1.0, n + 2.0)
+    sums += lam
+    np.divide(1.0, sums, out=sums)
+    sums[n] = 0.0
+    np.cumsum(sums[::-1], out=sums[::-1])
+    nested = prefix[n] / prefix[1:]
+    nested *= sums[1:]
+    return (float(prefix[n]), shift,
+            [(tails, 1.0, xi2 + lam * v), (nested, lam, xi2)])
 
 
 # (zeroth names, column prefixes of the parts) of each kind of member

@@ -62,7 +62,8 @@ class LambdaOutOfRange(UrnboundError):
 
 
 class IndexOrder(UrnboundError, ValueError):
-    """Index arguments violate the required ordering (e.g. j > n)."""
+    """Index arguments violate the required ordering (e.g. j > n, or a
+    color outside 0 .. d-1)."""
 
 
 class NotEigenpair(UrnboundError):
@@ -86,8 +87,8 @@ class TooLarge(UrnboundError):
 
 
 class TooFewReplicas(UrnboundError, ValueError):
-    """A Monte Carlo estimate was asked of fewer than
-    verification.MIN_REPLICAS replicas."""
+    """Fewer replicas than a routine needs: one for simulate_replicas and
+    wilson_upper, verification.MIN_REPLICAS for an estimate."""
 
 
 class GridMismatch(UrnboundError):

@@ -68,7 +68,8 @@ from typing import NamedTuple
 import numpy as np
 
 from ._format import Table, columns, write_csv
-from .errors import DimensionMismatch, IndexOrder, NegativeEntry, RowSumNotOne
+from .errors import (DimensionMismatch, IndexOrder, NegativeEntry,
+                     RowSumNotOne, TooFewReplicas)
 from .spectral import ReplacementMatrix
 
 BALANCE_TOL = 1e-9
@@ -450,16 +451,17 @@ def simulate_replicas(initial, R: ReplacementMatrix, n: int, replicas: int,
     calling thread, and w - 1 helper threads run the rest.  Each worker
     runs its chunks in one scratch block of 3 (d - 1) rows of
     min(chunk_size, replicas) floats, allocated here on the calling
-    thread and dropped on return.  Raises
-    ValueError, naming the argument, when n < 0, replicas < 1,
-    chunk_size < 1 or threads < 1.
+    thread and dropped on return.  Raises, naming the argument,
+    IndexOrder when n < 0, TooFewReplicas when replicas < 1 and
+    ValueError when chunk_size < 1 or threads < 1.
     """
     c0 = initial_counts(initial, R)
-    for name, value, least in (("n", n, 0), ("replicas", replicas, 1),
-                               ("chunk_size", chunk_size, 1),
-                               ("threads", threads, 1)):
+    for name, value, least, error in (
+            ("n", n, 0, IndexOrder), ("replicas", replicas, 1, TooFewReplicas),
+            ("chunk_size", chunk_size, 1, ValueError),
+            ("threads", threads, 1, ValueError)):
         if value < least:
-            raise ValueError(f"{name} must be at least {least}, got {value}")
+            raise error(f"{name} must be at least {least}, got {value}")
     rows = R.matrix
     finals = np.empty((replicas, R.dim))
     draws = np.empty((replicas, n), dtype=np.int16) if keep_draws else None

@@ -30,6 +30,7 @@ from .errors import (
     BasisSingular,
     ComplexSpectrum,
     DimensionMismatch,
+    IndexOrder,
     LambdaOutOfRange,
     NegativeEntry,
     NonFiniteEntry,
@@ -342,14 +343,15 @@ def indicator_coefficients(S: SpectralDecomposition, color: int) -> np.ndarray:
 
     alpha_1 always equals pi[color]: every right vector is pi-orthogonal,
     so dotting the expansion with pi isolates the constant term.  Raises
-    BasisSingular when the vectors are dependent beyond tolerance.  A
-    config reaches it: a defective matrix moved by 1e-13 splits its double
-    root, and the nearly parallel eigenvectors miss e_color by about 6e-11
-    (the near-defective case of the CLI's spectral-error tests).
+    IndexOrder for a color outside 0 .. d-1, and BasisSingular when the
+    vectors are dependent beyond tolerance.  A config reaches the latter:
+    a defective matrix moved by 1e-13 splits its double root, and the
+    nearly parallel eigenvectors miss e_color by about 6e-11 (the
+    near-defective case of the CLI's spectral-error tests).
     """
     d = S.matrix.dim
     if not 0 <= color < d:
-        raise ValueError(f"color {color} out of range for {d} colors")
+        raise IndexOrder(f"color {color} out of range for {d} colors")
     basis = S.basis
     target = np.zeros(d)
     target[color] = 1.0

@@ -4,16 +4,17 @@ Two independent routes produce the probability that a bound must
 dominate.  exact_distribution() computes the law of C_n by a forward DP
 over the vectors k counting how often each color has been drawn: C_t =
 C_0 + k^T R depends on the draws only through k, so n draws from d
-colors need C(n+d-1, d-1) states instead of d^n paths.  The law is the
-DP's own float arrays: the counts and the mass of every state, in state
-order.  It is the law of the doubles R and C_0 as given, up to a proven
-relative rounding error ExactDistribution.gamma on every mass and every
-tail, and the DP refuses (TooLarge) beyond STATE_BUDGET states.
-exact_tail() reads a tail off the arrays with one mask.
-tail_estimates() runs seeded Monte Carlo replicas with a one-sided
-Wilson upper confidence limit.  dominance_check() lines the
-probabilities up against BoundReports and flags the margin at every
-grid point; an exact row passes only when the upper end of its rounding
+colors need C(n+d-1, d-1) states instead of d^n paths.  Every layer
+sends each color's flow to the ranks of k + e_i by one scatter, for
+every d.  The law is the DP's own float arrays: the counts and the mass
+of every state, in state order.  It is the law of the doubles R and C_0
+as given, up to a proven relative rounding error ExactDistribution.gamma
+on every mass and every tail, and the DP refuses (TooLarge) beyond
+STATE_BUDGET states.  exact_tail() reads a tail off the arrays with one
+mask.  tail_estimates() runs seeded Monte Carlo replicas with a
+one-sided Wilson upper confidence limit.  dominance_check() lines the
+probabilities up against BoundReports and flags the margin at every grid
+point; an exact row passes only when the upper end of its rounding
 interval, min(1, tail * (1 + gamma)), is at most the bound.
 """
 from __future__ import annotations
@@ -161,11 +162,8 @@ def exact_distribution(initial, R: ReplacementMatrix, n: int) -> ExactDistributi
         flow = prob * (head[:, :m] + (t - drawn[:m]) * last) / (t + 1)
         mass = np.zeros(exact_states(d, t + 1))
         for i in range(d - 1):
-            if d == 2:      # k + e_0 ranks one above k
-                mass[1:m + 1] += flow[0]
-            else:
-                # k -> k + e_i is one-to-one: no index repeats in a color
-                mass[succ[i, :m]] += flow[i]
+            # k -> k + e_i is one-to-one: no index repeats in a color
+            mass[succ[i, :m]] += flow[i]
         mass[:m] += flow[d - 1]     # k + e_{d-1} has the rank of k
         prob = mass
 
@@ -217,7 +215,7 @@ def wilson_upper(hits: int, trials: int) -> float:
     """One-sided upper confidence limit, at level WILSON_LEVEL, for a
     binomial proportion."""
     if trials < 1:
-        raise ValueError("need at least one trial")
+        raise TooFewReplicas("need at least one trial")
     z = _WILSON_Z
     p = hits / trials
     z2n = z * z / trials

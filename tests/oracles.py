@@ -636,7 +636,7 @@ def increment_conditional_means(traj, xi, lam: float) -> np.ndarray:
 
 def euler_ratio(lam: float, n: int) -> float:
     """growth_product(lam, n) * Gamma(lam + 1) / n^lam; tends to 1."""
-    lam = _check_lambda(lam, allow_one=True)
+    lam = _check_lambda(lam)
     if n < 1:
         raise IndexOrder(f"n={n} must be at least 1")
     return growth_product(lam, n) * math.gamma(lam + 1.0) / float(n) ** lam
@@ -762,7 +762,10 @@ def jordan_chain(R, lam: float):
 def azuma_log_tail(s: float, c) -> float:
     """log of exp(-2 s^2 / sum_j (2 c_j)^2) for a martingale with
     |increment_j| <= c_j, through the bounds' _log_tail; -inf encodes the
-    exact-zero case."""
+    exact-zero case.  A negative deviation raises ValueError here: the
+    bounds reject a negative threshold before they reach _log_tail."""
+    if s < 0:
+        raise ValueError(f"deviation s={s} must be nonnegative")
     return _log_tail(s, float(np.sum((2.0 * np.asarray(c, float)) ** 2)))
 
 

@@ -81,10 +81,6 @@ def test_growth_product_lambda_zero():
     assert growth_product(0.0, 17) == 1.0
 
 
-def test_growth_product_telescopes_at_one():
-    assert growth_product(1.0, 3) == pytest.approx(4.0, abs=1e-14)
-
-
 def test_growth_product_direct_value():
     assert growth_product(0.5, 2) == pytest.approx(1.875, abs=1e-15)
 
@@ -105,6 +101,14 @@ def test_growth_product_rejects_out_of_range():
         growth_product(-1.0, 5)
     with pytest.raises(LambdaOutOfRange):
         growth_product(1.5, 5)
+
+
+@pytest.mark.parametrize("member", [M2, CHAIN], ids=["eigen", "chain"])
+def test_member_weights_reject_unit_lambda(member):
+    # lam = 1 lies outside (-1, 1) for every weight, as for the bounds
+    for n in (0, 5):
+        with pytest.raises(LambdaOutOfRange, match=r"outside \(-1, 1\)"):
+            member_weights(member._replace(value=1.0), n)
 
 
 def test_tail_product_convention_at_top_index():
@@ -365,16 +369,18 @@ def test_jordan_weight_index_checks():
 
 
 def test_chain_member_computes_its_products_once(monkeypatch):
-    # Z and K of a chain member read one tail_products and one
-    # _prefix_products
-    calls = dict.fromkeys(("tail_products", "_prefix_products"), 0)
+    # Z, K and the growth of a chain member read one tail_products and
+    # one _prefix_products; growth_product is never called
+    calls = dict.fromkeys(
+        ("growth_product", "tail_products", "_prefix_products"), 0)
     for name in calls:
         def counted(*args, _real=getattr(decomposition, name), _name=name):
             calls[_name] += 1
             return _real(*args)
         monkeypatch.setattr(decomposition, name, counted)
     member_weights(CHAIN, 1000)
-    assert calls == {"tail_products": 1, "_prefix_products": 1}
+    assert calls == {"growth_product": 0, "tail_products": 1,
+                     "_prefix_products": 1}
 
 
 @pytest.mark.parametrize("lam", [-0.99, -0.5, 0.25, 0.75, 0.99])

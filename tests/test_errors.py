@@ -3,9 +3,10 @@
 Each bad argument below raises its documented error class, with its
 message, before any work is done.  The spectral errors that a config can
 reach are covered through cli.main in test_cli.py.  The last rows are
-bad input values (a shape, an entry, a sum, a replica count, a
-negative n), whose classes also derive from ValueError; the CLI checks
-the replica count itself before any bound (test_cli.py).
+bad input values (a shape, an entry, a sum, a replica or trial count,
+a negative n, a color out of range), whose classes also derive from
+ValueError; the CLI checks the replica count itself before any bound
+(test_cli.py).
 """
 import pytest
 
@@ -16,6 +17,7 @@ from urnbound import (
     NegativeEntry,
     RowSumNotOne,
     TooFewReplicas,
+    color_deviation_bound,
     decompose,
     dn_asymptotic,
     dn_exact,
@@ -23,7 +25,9 @@ from urnbound import (
     exact_distribution,
     exact_tail,
     growth_product,
+    indicator_coefficients,
     simulate,
+    simulate_replicas,
     statistic_bound,
     tail_estimates,
     validate_matrix,
@@ -54,6 +58,15 @@ VALUE_ERRORS = [
      "n must be nonnegative"),
     (lambda: ColorCount([1.0], 0), DimensionMismatch,
      "counts must be a vector of at least 2 colors"),
+    (lambda: wilson_upper(0, 0), TooFewReplicas, "need at least one trial"),
+    (lambda: simulate_replicas([1, 0], R2, -1, 10, 0), IndexOrder,
+     "n must be at least 0, got -1"),
+    (lambda: simulate_replicas([1, 0], R2, 5, 0, 0), TooFewReplicas,
+     "replicas must be at least 1, got 0"),
+    (lambda: color_deviation_bound(S2, 2, 10, [0.1]), IndexOrder,
+     "color 2 out of range for 2 colors"),
+    (lambda: indicator_coefficients(S2, -1), IndexOrder,
+     "color -1 out of range for 2 colors"),
 ]
 
 
@@ -63,7 +76,6 @@ VALUE_ERRORS = [
     (lambda: statistic_bound(S2, S2.terms(S2.alphas[0]), 0, [0.1]),
      IndexOrder, "horizon n=0 must be at least 1"),
     (lambda: dn_asymptotic(0.3, 0), IndexOrder, "n=0 must be at least 1"),
-    (lambda: wilson_upper(0, 0), ValueError, "need at least one trial"),
     (lambda: exact_tail(exact_distribution([1, 0], R2, 3), [1, 0, 0], 0.5),
      DimensionMismatch, "atoms have 2 colors, vector 3"),
     (lambda: fmt(object()), TypeError, "unsupported scalar type"),
@@ -73,9 +85,11 @@ VALUE_ERRORS = [
      "expected BoundReport, got <class 'float'>"),
     *VALUE_ERRORS,
 ], ids=["growth_product", "dn_exact", "statistic_bound", "dn_asymptotic",
-        "wilson_upper", "exact_tail", "fmt", "render_json", "dominance_check",
+        "exact_tail", "fmt", "render_json", "dominance_check",
         "non-square", "one-color", "negative-count", "count-sum",
-        "few-replicas", "simulate", "exact_distribution", "ColorCount"])
+        "few-replicas", "simulate", "exact_distribution", "ColorCount",
+        "wilson_upper", "simulate_replicas-n", "simulate_replicas-replicas",
+        "color_deviation_bound", "indicator_coefficients"])
 def test_public_guards_raise_their_typed_error(call, error, message):
     with pytest.raises(error) as err:
         call()
